@@ -139,13 +139,6 @@ def read_gnss_csv(path):
     ]
 
 
-def read_truth_csv(path):
-    rows = _read_rows(path, "t,lat_deg,lon_deg,alt_m")
-    return [
-        GnssFix(r[0], math.radians(r[1]), math.radians(r[2]), r[3]) for r in rows
-    ]
-
-
 def write_imu_csv(samples, path):
     lines = ["t,wx,wy,wz,ax,ay,az"]
     for s in samples:
@@ -320,7 +313,7 @@ def _cmd_fuse(args):
     write_estimates_csv(result.estimates, out / "estimate.csv")
 
     if args.truth:
-        truth_fixes = read_truth_csv(args.truth)
+        truth_fixes = read_gnss_csv(args.truth)
         origin = result.origin or truth_fixes[0].geodetic()
         truth_local = run_gnss_only(truth_fixes, origin)
         fused_err = align_and_diff(result.estimates, truth_local)

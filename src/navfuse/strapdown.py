@@ -244,8 +244,8 @@ def propagate(state, sample, dt):
     return NavState.from_vector(out[0])
 
 
-def process_noise_cov(noise, dt):
-    """Additive process noise for one step, block-diagonal over the
+def process_noise_diag(noise, dt):
+    """Diagonal of the additive process noise for one step, over the
     15-dim error layout [dp, dv, dtheta, dbg, dba]."""
     if dt < 0:
         raise ValueError(f"dt must be non-negative, got {dt}")
@@ -256,7 +256,13 @@ def process_noise_cov(noise, dt):
         noise.gyro_bias_rw**2 * dt**2,
         noise.accel_bias_rw**2 * dt**2,
     ]
-    return np.diag(np.repeat(blocks, 3))
+    return np.repeat(blocks, 3)
+
+
+def process_noise_cov(noise, dt):
+    """Additive process noise for one step as a dense 15x15 matrix; see
+    :func:`process_noise_diag`."""
+    return np.diag(process_noise_diag(noise, dt))
 
 
 # ---------------------------------------------------------------------------

@@ -178,21 +178,29 @@ def cholesky_sqrt(cov):
     raise DecompositionFailure("covariance is indefinite beyond jitter tolerance")
 
 
-def generate_sigma_points(belief, params):
-    """Build the symmetric sigma-point set for ``belief``.
+def sigma_offsets(cov, params):
+    """Offsets of the 2n+1 sigma points from their mean, one per column.
 
-    Point 0 is the mean; points i and n+i are the mean plus/minus
-    column i of the square root of (n + kappa) * cov.
+    Column 0 is zero; columns i and n+i are plus and minus column i of
+    the square root of (n + kappa) * cov.  Returns an (n, 2n+1) array.
     """
+    n = params.n
+    spread = math.sqrt(n + params.kappa) * cholesky_sqrt(cov)
+    out = np.empty((n, 2 * n + 1))
+    out[:, 0] = 0.0
+    out[:, 1 : n + 1] = spread
+    out[:, n + 1 :] = -spread
+    return out
+
+
+def generate_sigma_points(belief, params):
+    """Build the symmetric sigma-point set for ``belief``: its mean plus
+    each column of :func:`sigma_offsets`, as rows."""
     n = params.n
     if belief.mean.shape[0] != n:
         raise ValueError(f"belief dimension {belief.mean.shape[0]} != params.n {n}")
     w_mean, w_cov = compute_weights(params)
-    spread = math.sqrt(n + params.kappa) * cholesky_sqrt(belief.cov)
-    points = np.empty((2 * n + 1, n))
-    points[0] = belief.mean
-    points[1 : n + 1] = belief.mean + spread.T
-    points[n + 1 :] = belief.mean - spread.T
+    points = belief.mean + sigma_offsets(belief.cov, params).T
     return SigmaSet(points, w_mean, w_cov)
 
 

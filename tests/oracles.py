@@ -1,12 +1,25 @@
 """Independent reference implementations used to pin expected values.
 
 These deliberately avoid the library's own code paths: geodesy values
-come from 50-digit mpmath evaluations of the ellipsoid formulas, and the
-Kalman filter is the closed-form textbook recursion.
+come from 50-digit mpmath evaluations of the ellipsoid formulas, the
+Kalman filter is the closed-form textbook recursion, and the fusion
+prediction is the composition of the generic strapdown primitives that
+the fused kernel in ``navfuse.fusion`` replaces.
 """
+
+import math
 
 import mpmath as mp
 import numpy as np
+
+from navfuse.strapdown import (
+    ERROR_DIM,
+    apply_state_delta,
+    propagate_batch,
+    state_delta,
+    weighted_state_mean,
+)
+from navfuse.ukf import cholesky_sqrt
 
 WGS84_A = "6378137.0"
 WGS84_B = "6356752.3142"
@@ -52,3 +65,19 @@ class LinearKalmanFilter:
         gain = self.cov @ h.T @ np.linalg.inv(s)
         self.mean = self.mean + gain @ (y - h @ self.mean)
         self.cov = self.cov - gain @ s @ gain.T
+
+
+def reference_predict(state, cov, sample, dt, params, w_mean, w_cov, q_cov):
+    """Sigma-point prediction as a chain of the row-major primitives:
+    retract, propagate, average, take deviations, add the dense ``q_cov``."""
+    spread = math.sqrt(params.n + params.kappa) * cholesky_sqrt(cov)
+    deltas = np.empty((2 * ERROR_DIM + 1, ERROR_DIM))
+    deltas[0] = 0.0
+    deltas[1 : ERROR_DIM + 1] = spread.T
+    deltas[ERROR_DIM + 1 :] = -spread.T
+    sigma_states = apply_state_delta(state[None, :], deltas)
+    propagated = propagate_batch(sigma_states, sample.gyro, sample.accel, dt)
+    mean = weighted_state_mean(propagated, w_mean)
+    dev = state_delta(propagated, mean)
+    new_cov = (dev * w_cov[:, None]).T @ dev + q_cov
+    return mean, 0.5 * (new_cov + new_cov.T)

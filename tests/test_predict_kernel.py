@@ -1,0 +1,151 @@
+"""The fused prediction kernel against the chain of strapdown primitives.
+
+``oracles.reference_predict`` retracts, propagates, averages and takes
+deviations with the generic row-major functions of ``navfuse.strapdown``;
+``fusion._predict`` must give the same mean and covariance to 1e-11
+relative.  A sigma-point mean is a sum of terms of about one standard
+deviation that cancel, so "relative" is taken against |value| plus that
+standard deviation for the state, and against sqrt(P_ii P_jj) for the
+covariance entry P_ij.
+"""
+
+import numpy as np
+import pytest
+from oracles import reference_predict
+
+import navfuse.fusion as fusion
+from navfuse.errors import DecompositionFailure
+from navfuse.fusion import FusionConfig, run_fusion
+from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
+from navfuse.strapdown import ImuSample, process_noise_diag
+from navfuse.ukf import compute_weights
+
+RTOL = 1e-11
+CFG = FusionConfig()
+PARAMS = CFG.sigma_params()
+W_MEAN, W_COV = compute_weights(PARAMS)
+DT = 0.01
+
+
+def assert_within(diff, scale):
+    ratio = diff / np.maximum(scale, 1e-300)
+    assert np.all(diff <= RTOL * scale), f"worst relative difference {ratio.max():.3e}"
+
+
+def assert_matches(kernel, oracle):
+    (mean_k, cov_k), (mean_o, cov_o) = kernel, oracle
+    sd = np.sqrt(np.diag(cov_o))
+    # State layout [p, v, q, bg, ba] against error layout [dp, dv, dtheta, dbg, dba].
+    sd_state = np.concatenate([sd[0:6], np.full(4, sd[6:9].max()), sd[9:15]])
+    assert_within(np.abs(mean_k - mean_o), np.abs(mean_o) + sd_state)
+    assert_within(np.abs(cov_k - cov_o), np.outer(sd, sd))
+
+
+def predict_both(state, cov, sample):
+    q_diag = process_noise_diag(CFG.imu_noise, DT)
+    kernel = fusion._predict(state, cov, sample, DT, PARAMS, W_MEAN, W_COV, q_diag)
+    oracle = reference_predict(state, cov, sample, DT, PARAMS, W_MEAN, W_COV, np.diag(q_diag))
+    return kernel, oracle
+
+
+def nominal(q=(1.0, 0.0, 0.0, 0.0)):
+    return np.concatenate([np.zeros(6), q, np.zeros(6)])
+
+
+@pytest.fixture(scope="module")
+def circ90():
+    """The first 10 s (1001 IMU samples, 11 fixes) of the 90 s circular
+    drive at seed 42."""
+    truth, ideal = generate_truth(TrajectoryProfile("circular", duration=90.0))
+    imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
+    return imu[:1001], [f for f in gnss if f.t <= 10.0]
+
+
+def run_checked(monkeypatch, imu, gnss):
+    """Run the filter, checking every prediction against the oracle on the
+    filter's own states (GNSS updates included); returns the step lengths."""
+    kernel = fusion._predict
+    steps = []
+
+    def checked(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
+        out = kernel(state, cov, sample, dt, params, w_mean, w_cov, q_diag)
+        oracle = reference_predict(state, cov, sample, dt, params, w_mean, w_cov, np.diag(q_diag))
+        assert_matches(out, oracle)
+        steps.append(dt)
+        return out
+
+    monkeypatch.setattr(fusion, "_predict", checked)
+    result = run_fusion(imu, gnss, CFG)
+    assert len(result.updates) == len(gnss)
+    return steps
+
+
+class TestAgainstOracle:
+    def test_circ90_stream(self, monkeypatch, circ90):
+        steps = run_checked(monkeypatch, *circ90)
+        assert len(steps) == 1000
+
+    def test_jittered_dt_stream(self, monkeypatch, circ90):
+        imu, gnss = circ90
+        jitter = np.random.default_rng(7).uniform(-0.003, 0.003, len(imu))
+        jitter[0] = 0.0  # keep the first fix (t = 0) anchored to the first sample
+        jittered = [ImuSample(s.t + e, s.gyro, s.accel) for s, e in zip(imu, jitter)]
+        steps = run_checked(monkeypatch, jittered, gnss)
+        assert len(steps) == 1000
+        assert len(set(steps)) == 1000
+
+    def test_zero_covariance(self):
+        # cholesky_sqrt short-circuits to a zero factor: 31 identical points.
+        sample = ImuSample(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.0, 9.8]))
+        kernel, oracle = predict_both(nominal(), np.zeros((15, 15)), sample)
+        assert_matches(kernel, oracle)
+        np.testing.assert_allclose(np.diag(kernel[1]), process_noise_diag(CFG.imu_noise, DT))
+
+    @pytest.mark.parametrize("variance", [0.0, 1e-30])
+    def test_zero_gyro_and_attitude_covariance(self, variance):
+        # At 1e-30 every attitude offset and every turn omega * dt falls
+        # below the small-angle thresholds of exp (1e-8) and log (1e-12).
+        # Exactly zero makes cholesky_sqrt take its jitter retry.
+        cov = CFG.initial_covariance()
+        cov[6:12, 6:12] = variance * np.eye(6)
+        sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, 9.80665]))
+        kernel, oracle = predict_both(nominal(), cov, sample)
+        assert_matches(kernel, oracle)
+
+    def test_nominal_quaternion_with_negative_w(self):
+        q = np.array([-0.8, 0.1, -0.3, 0.5])
+        state = nominal(q / np.linalg.norm(q))
+        sample = ImuSample(0.0, np.array([0.2, 0.1, -0.4]), np.array([1.0, -0.5, 9.7]))
+        kernel, oracle = predict_both(state, CFG.initial_covariance(), sample)
+        assert kernel[0][6] < 0.0
+        assert_matches(kernel, oracle)
+
+    def test_wide_correlated_spread(self):
+        # Attitude offsets up to 4 rad, past pi, so some residuals about the
+        # mean have w < 0, and the mean needs more than one iteration.
+        rng = np.random.default_rng(3)
+        b = rng.standard_normal((15, 15))
+        corr = b @ b.T + 15.0 * np.eye(15)
+        corr /= np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
+        sd = np.repeat([10.0, 3.0, 1.0, 0.05, 0.1], 3)
+        sample = ImuSample(0.0, np.array([0.2, 0.1, -0.4]), np.array([1.0, -0.5, 9.7]))
+        kernel, oracle = predict_both(nominal(), corr * np.outer(sd, sd), sample)
+        assert_matches(kernel, oracle)
+
+    def test_indefinite_covariance_raises(self):
+        cov = CFG.initial_covariance()
+        cov[0, 0] = -1.0
+        sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
+        with pytest.raises(DecompositionFailure):
+            fusion._predict(
+                nominal(), cov, sample, DT, PARAMS, W_MEAN, W_COV, np.zeros(15)
+            )
+
+    @pytest.mark.parametrize("dt", [0.0, -0.01])
+    def test_non_positive_dt_rejected(self, dt):
+        sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
+        with pytest.raises(ValueError):
+            fusion._predict(
+                nominal(), CFG.initial_covariance(), sample, dt, PARAMS, W_MEAN, W_COV,
+                np.zeros(15),
+            )

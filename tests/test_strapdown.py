@@ -11,6 +11,7 @@ from navfuse.strapdown import (
     NavState,
     apply_state_delta,
     process_noise_cov,
+    process_noise_diag,
     propagate,
     propagate_batch,
     quat_from_rotvec,
@@ -182,6 +183,13 @@ class TestProcessNoise:
         np.testing.assert_allclose(d[9:12], 16.0 * 0.25)
         np.testing.assert_allclose(d[12:15], 25.0 * 0.25)
         assert np.array_equal(q, np.diag(d))
+
+    def test_dense_matrix_is_the_diagonal(self):
+        noise = ImuNoiseParams(gyro_std=2.0, accel_std=3.0, gyro_bias_rw=4.0, accel_bias_rw=5.0)
+        for dt in (0.0, 0.01, 0.0097, 0.5):
+            d = process_noise_diag(noise, dt)
+            assert d.shape == (15,)
+            assert np.array_equal(process_noise_cov(noise, dt), np.diag(d))
 
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):

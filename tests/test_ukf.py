@@ -8,6 +8,7 @@ from navfuse.ukf import (
     cholesky_sqrt,
     compute_weights,
     generate_sigma_points,
+    sigma_offsets,
     unscented_measurement,
     unscented_predict,
     unscented_update,
@@ -91,6 +92,18 @@ class TestSigmaPoints:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             generate_sigma_points(GaussianBelief([0.0], [[1.0]]), SigmaParams(2))
+
+    def test_offsets_are_the_points_about_the_mean(self):
+        rng = np.random.default_rng(8)
+        params = SigmaParams(4, alpha=0.5)
+        mean = rng.standard_normal(4)
+        cov = random_psd(rng, 4)
+        offsets = sigma_offsets(cov, params)
+        assert offsets.shape == (4, 9)
+        assert not offsets[:, 0].any()
+        assert np.array_equal(offsets[:, 5:], -offsets[:, 1:5])
+        sp = generate_sigma_points(GaussianBelief(mean, cov), params)
+        assert np.array_equal(sp.points, mean + offsets.T)
 
 
 class TestCholeskySqrt:
