@@ -21,7 +21,6 @@ from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_tru
 from .strapdown import ImuNoiseParams, ImuSample, NavState, process_noise_cov, propagate
 from .ukf import (
     GaussianBelief,
-    NoiseCov,
     SigmaParams,
     SigmaSet,
     compute_weights,
@@ -63,7 +62,6 @@ __all__ = [
     "process_noise_cov",
     "propagate",
     "GaussianBelief",
-    "NoiseCov",
     "SigmaParams",
     "SigmaSet",
     "compute_weights",

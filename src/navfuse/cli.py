@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import NavFuseError
 from .evaluate import (
+    _fmt,
     align_and_diff,
     atomic_write_text,
     export_errors_csv,
@@ -31,7 +32,7 @@ from .evaluate import (
     rmse,
 )
 from .fusion import FusionConfig, run_fusion, run_gnss_only
-from .geodesy import ecef_to_geodetic, enu_to_ecef
+from .geodesy import EnuFrame, ecef_to_geodetic
 from .gnss import GnssFix, GnssNoise, fix_to_local
 from .kitti import load_sequence
 from .simulate import (
@@ -47,10 +48,6 @@ from .strapdown import ImuNoiseParams, ImuSample, quat_identity
 
 class _UsageError(Exception):
     pass
-
-
-def _fmt(value):
-    return format(float(value), ".17g")
 
 
 def _parse_outage(text):
@@ -160,8 +157,9 @@ def write_gnss_csv(fixes, path):
 
 def write_truth_csv(truth, origin, path):
     lines = ["t,lat_deg,lon_deg,alt_m"]
+    frame = EnuFrame(origin)
     for pose in truth:
-        g = ecef_to_geodetic(enu_to_ecef(pose.position, origin))
+        g = ecef_to_geodetic(frame.to_ecef(pose.position))
         lines.append(
             ",".join(
                 [_fmt(pose.t), _fmt(math.degrees(g.lat)), _fmt(math.degrees(g.lon)), _fmt(g.height)]
@@ -314,14 +312,14 @@ def _cmd_fuse(args):
 
     if args.truth:
         truth_fixes = read_gnss_csv(args.truth)
-        origin = result.origin or truth_fixes[0].geodetic()
-        truth_local = run_gnss_only(truth_fixes, origin)
+        frame = EnuFrame(result.origin or truth_fixes[0].geodetic())
+        truth_local = run_gnss_only(truth_fixes, frame)
         fused_err = align_and_diff(result.estimates, truth_local)
         export_errors_csv(fused_err, out / "errors.csv")
 
         reports = []
         if gnss:
-            baseline = run_gnss_only(gnss, origin)
+            baseline = run_gnss_only(gnss, frame)
             reports.append(rmse(align_and_diff(baseline, truth_local), "GNSS"))
         reports.append(rmse(fused_err, "GNSS-IMU"))
         export_rmse_csv(reports, out / "rmse.csv")
@@ -333,7 +331,7 @@ def _cmd_fuse(args):
         for fix in gnss:
             idx = int(np.searchsorted(t, fix.t, side="right")) - 1
             if idx >= 0:
-                gnss_cells[idx] = fix_to_local(fix, origin).as_array()
+                gnss_cells[idx] = fix_to_local(fix, frame).as_array()
         export_track_csv(t, est, truth_interp, gnss_cells, out / "track.csv")
 
     entries = {key: _manifest_value(v) for key, v in res.resolved.items()}

@@ -25,9 +25,24 @@ result equals that of chaining :func:`strapdown.apply_state_delta`,
 :func:`strapdown.propagate_batch`, :func:`strapdown.weighted_state_mean`
 and :func:`strapdown.state_delta`, up to rounding.
 
-The measurement update runs entirely in error coordinates,
-where the position measurement is exactly linear, so it delegates to the
-generic vector-state machinery in :mod:`navfuse.ukf`.
+The GNSS update is closed form in error coordinates.  There the fix
+is h(delta) = p + delta[0:3], which is affine, and the unscented
+transform reproduces the mean and covariance of an affine map exactly
+for any alpha, beta and gamma (Wan and van der Merwe 2000; Julier 2002).
+So the UKF update of the paper equals the linear Kalman update:
+innovation v = y - p, S = P[0:3, 0:3] + R (symmetrized),
+K = P[:, 0:3] S^-1, NIS = v^T S^-1 v, and P+ = P - K S K^T
+(symmetrized).  The error K v is retracted onto the nominal state as in
+the prediction, with q * exp(dtheta) for the attitude.  The checks of
+the generic path in :mod:`navfuse.ukf` are kept, each matrix factored
+once: the prior and the posterior pass
+:func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each, which also
+gives ``UpdateEvent.cov_min_eig``); the prior keeps the jitter-retry
+:class:`DecompositionFailure` of :func:`navfuse.ukf.cholesky_sqrt`; S
+gets one ``eigh`` that both feeds :func:`navfuse.ukf.check_innovation_eigs`
+(:class:`SingularInnovationCov`) and inverts it; and a non-finite S or
+v raises ``ValueError``.  The ENU frame of the fixes is built once per
+run.
 """
 
 import bisect
@@ -37,25 +52,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyImuStream, EmptyStream, NonMonotonicTime
-from .geodesy import LocalEnu
+from .geodesy import EnuFrame, LocalEnu, enu_frame
 from .gnss import GnssNoise, cov_for_fix, fix_to_local
 from .strapdown import (
     ERROR_DIM,
     GRAVITY_ENU,
     STATE_DIM,
     ImuNoiseParams,
-    apply_state_delta,
     process_noise_diag,
     quat_identity,
 )
 from .ukf import (
-    GaussianBelief,
     SigmaParams,
-    apply_measurement,
+    check_innovation_eigs,
+    cholesky_sqrt,
     compute_weights,
-    innovation_nis,
     sigma_offsets,
-    unscented_measurement,
+    validate_cov,
 )
 
 
@@ -286,6 +299,53 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     return mean, 0.5 * (new_cov + new_cov.T)
 
 
+def _update(state, cov, y, r_cov, gate):
+    """One GNSS position update in closed form, as the module docstring
+    describes: ``y`` is the fix in the local frame and ``r_cov`` its 3x3
+    noise covariance; ``gate`` (or None) bounds the accepted NIS.
+
+    Returns the posterior state and covariance (the prior ones when the
+    gate rejects the fix) and the :class:`UpdateEvent` fields other than
+    ``t`` and ``imu_index``.
+    """
+    asym, min_eig = validate_cov(cov)
+    cholesky_sqrt(cov)  # for its DecompositionFailure; the factor is not needed
+    s = cov[0:3, 0:3] + r_cov
+    s = 0.5 * (s + s.T)
+    if not np.isfinite(s).all():
+        raise ValueError("innovation covariance is not finite")
+    s_eigs, s_vecs = np.linalg.eigh(s)
+    check_innovation_eigs(s_eigs)
+    v = y - state[0:3]
+    if not np.isfinite(v).all():
+        raise ValueError("innovation is not finite")
+    s_inv = (s_vecs / s_eigs) @ s_vecs.T
+    nis = float(v @ s_inv @ v)
+    accepted = gate is None or nis <= gate
+    trace_before = float(np.trace(cov))
+    if accepted:
+        gain = cov[:, 0:3] @ s_inv
+        cov = cov - gain @ s @ gain.T
+        cov = 0.5 * (cov + cov.T)
+        asym, min_eig = validate_cov(cov)
+        dx = gain @ v
+        new = np.empty(STATE_DIM)
+        new[0:6] = state[0:6] + dx[0:6]
+        new[6:10] = _normalized(_left(*state[6:10]) @ _exp_cols(dx[6:9, None]))[:, 0]
+        new[10:16] = state[10:16] + dx[9:15]
+        state = new
+    event = dict(
+        nis=nis,
+        accepted=accepted,
+        trace_before=trace_before,
+        trace_after=float(np.trace(cov)),
+        innovation=v,
+        cov_min_eig=min_eig,
+        cov_asymmetry=asym,
+    )
+    return state, cov, event
+
+
 def run_fusion(imu, gnss, cfg):
     """Run the filter over time-ordered IMU and GNSS streams.
 
@@ -302,6 +362,7 @@ def run_fusion(imu, gnss, cfg):
     _check_times(gnss, "GNSS", strict=False)
 
     origin = gnss[0].geodetic() if gnss else None
+    frame = EnuFrame(origin) if gnss else None
     imu_times = [s.t for s in imu]
     fixes_at = {}
     for fix in gnss:
@@ -327,37 +388,11 @@ def run_fusion(imu, gnss, cfg):
 
         nis_here = None
         for fix in fixes_at.get(i, ()):
-            y = fix_to_local(fix, origin).as_array()
-            belief = GaussianBelief(np.zeros(ERROR_DIM), cov)
-            position = state[0:3]
-            prediction = unscented_measurement(
-                belief,
-                lambda delta: position + delta[0:3],
-                cov_for_fix(fix, cfg.gnss_noise),
-                params,
-            )
-            nis_here = innovation_nis(prediction, y)
-            accepted = cfg.gnss_gate is None or nis_here <= cfg.gnss_gate
-            trace_before = float(np.trace(cov))
-            if accepted:
-                posterior, innovation = apply_measurement(belief, prediction, y)
-                state = apply_state_delta(state, posterior.mean)
-                cov = posterior.cov
-            else:
-                innovation = y - prediction.mean
-            updates.append(
-                UpdateEvent(
-                    t=sample.t,
-                    imu_index=i,
-                    nis=nis_here,
-                    accepted=accepted,
-                    trace_before=trace_before,
-                    trace_after=float(np.trace(cov)),
-                    innovation=innovation,
-                    cov_min_eig=float(np.linalg.eigvalsh(cov)[0]),
-                    cov_asymmetry=float(np.max(np.abs(cov - cov.T))),
-                )
-            )
+            y = fix_to_local(fix, frame).as_array()
+            r_cov = cov_for_fix(fix, cfg.gnss_noise)
+            state, cov, event = _update(state, cov, y, r_cov, cfg.gnss_gate)
+            nis_here = event["nis"]
+            updates.append(UpdateEvent(t=sample.t, imu_index=i, **event))
 
         estimates.append(
             PoseEstimate(
@@ -374,7 +409,8 @@ def run_fusion(imu, gnss, cfg):
 
 
 def run_gnss_only(gnss, origin):
-    """Map raw fixes into the local frame as a no-filter baseline.
+    """Map raw fixes into the local frame anchored at ``origin`` (a
+    :class:`GeodeticCoord` or an :class:`EnuFrame`) as a no-filter baseline.
 
     Velocity is zeroed and orientation set to the identity rotation;
     covariance diagonals are zero (raw measurements carry no filter
@@ -383,10 +419,11 @@ def run_gnss_only(gnss, origin):
     gnss = list(gnss)
     if not gnss:
         raise EmptyStream("GNSS stream is empty")
+    frame = enu_frame(origin)
     return [
         PoseEstimate(
             t=fix.t,
-            position=fix_to_local(fix, origin),
+            position=fix_to_local(fix, frame),
             velocity=np.zeros(3),
             orientation=quat_identity(),
             cov_diag=np.zeros(ERROR_DIM),

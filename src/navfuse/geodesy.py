@@ -181,14 +181,41 @@ def enu_rotation(origin):
     )
 
 
+@dataclass(frozen=True, eq=False)
+class EnuFrame:
+    """The ENU frame anchored at ``origin``, with the origin's ECEF position
+    and the ECEF->ENU rotation computed once for any number of conversions."""
+
+    origin: GeodeticCoord
+    origin_ecef: np.ndarray = field(init=False, repr=False)
+    rotation: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "origin_ecef", geodetic_to_ecef(self.origin).as_array())
+        object.__setattr__(self, "rotation", enu_rotation(self.origin))
+
+    def to_local(self, p):
+        """ECEF point ``p`` in this frame."""
+        e, n, u = self.rotation @ (p.as_array() - self.origin_ecef)
+        return LocalEnu(e, n, u)
+
+    def to_ecef(self, l):
+        """Invert :meth:`to_local`."""
+        return EcefCoord(*(self.origin_ecef + self.rotation.T @ l.as_array()))
+
+
+def enu_frame(origin):
+    """``origin`` as an :class:`EnuFrame`: a frame passes through, a
+    :class:`GeodeticCoord` gets a new one."""
+    return origin if isinstance(origin, EnuFrame) else EnuFrame(origin)
+
+
 def ecef_to_enu(p, origin):
-    """Express ECEF point ``p`` in the ENU frame anchored at ``origin``."""
-    offset = p.as_array() - geodetic_to_ecef(origin).as_array()
-    e, n, u = enu_rotation(origin) @ offset
-    return LocalEnu(e, n, u)
+    """Express ECEF point ``p`` in the ENU frame anchored at ``origin``
+    (a :class:`GeodeticCoord` or an :class:`EnuFrame`)."""
+    return enu_frame(origin).to_local(p)
 
 
 def enu_to_ecef(l, origin):
     """Invert :func:`ecef_to_enu` for the same ``origin``."""
-    ecef = geodetic_to_ecef(origin).as_array() + enu_rotation(origin).T @ l.as_array()
-    return EcefCoord(*ecef)
+    return enu_frame(origin).to_ecef(l)

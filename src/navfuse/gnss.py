@@ -54,7 +54,8 @@ class GnssNoise:
 
 
 def fix_to_local(fix, origin):
-    """Map a geodetic fix into the ENU frame anchored at ``origin``."""
+    """Map a geodetic fix into the ENU frame anchored at ``origin`` (a
+    :class:`GeodeticCoord`, or an :class:`EnuFrame` built once for many fixes)."""
     return ecef_to_enu(geodetic_to_ecef(fix.geodetic()), origin)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownProfileKind
-from .geodesy import GeodeticCoord, LocalEnu, ecef_to_geodetic, enu_to_ecef
+from .geodesy import EnuFrame, GeodeticCoord, LocalEnu, ecef_to_geodetic
 from .gnss import GnssFix, GnssNoise
 from .strapdown import GRAVITY, ImuNoiseParams, ImuSample
 
@@ -240,11 +240,12 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     noise = rng.standard_normal((fix_idx.shape[0], 3)) * sigmas
 
     gnss_out = []
+    frame = EnuFrame(origin)
     for j, k in enumerate(fix_idx):
         t = float(truth_times[k])
         if _in_outage(t, corruption.outages):
             continue
         enu = LocalEnu(*(truth[k].position.as_array() + noise[j]))
-        g = ecef_to_geodetic(enu_to_ecef(enu, origin))
+        g = ecef_to_geodetic(frame.to_ecef(enu))
         gnss_out.append(GnssFix(t, g.lat, g.lon, g.height))
     return imu_out, gnss_out

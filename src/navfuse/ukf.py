@@ -87,13 +87,28 @@ class GaussianBelief:
 
     def validate(self):
         """Check symmetry and the positive-semidefinite eigenvalue floor."""
-        asym = float(np.max(np.abs(self.cov - self.cov.T)))
-        if asym > SYMMETRY_TOL:
-            raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
-        sym = 0.5 * (self.cov + self.cov.T)
-        min_eig = float(np.linalg.eigvalsh(sym)[0])
-        if min_eig < EIGEN_FLOOR:
-            raise ValueError(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
+        validate_cov(self.cov)
+
+
+def validate_cov(cov):
+    """Check a covariance matrix as :meth:`GaussianBelief.validate` does.
+
+    Returns ``(asymmetry, min_eig)``: the largest |cov - cov^T| entry and
+    the smallest eigenvalue of the symmetrized matrix.
+
+    Raises
+    ------
+    ValueError
+        If the asymmetry exceeds :data:`SYMMETRY_TOL` or the smallest
+        eigenvalue lies below :data:`EIGEN_FLOOR`.
+    """
+    asym = float(np.max(np.abs(cov - cov.T)))
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+    min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
+    if min_eig < EIGEN_FLOOR:
+        raise ValueError(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
+    return asym, min_eig
 
 
 @dataclass(frozen=True)
@@ -113,14 +128,6 @@ class SigmaSet:
         tol = 1e-12 * max(1.0, float(np.max(np.abs(self.w_mean))))
         if abs(float(np.sum(self.w_mean)) - 1.0) > tol:
             raise ValueError("mean weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class NoiseCov:
-    """Process (Q) and measurement (R) noise covariances."""
-
-    q: np.ndarray
-    r: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -248,14 +255,20 @@ def unscented_measurement(belief, measure, r_cov, params):
     return MeasurementPrediction(y_mean, 0.5 * (y_cov + y_cov.T), cross)
 
 
-def _innovation_factor(prediction):
-    cov = prediction.cov
-    eigs = np.linalg.eigvalsh(cov)
+def check_innovation_eigs(eigs):
+    """Reject an innovation covariance by its ascending eigenvalues: a
+    smallest eigenvalue <= 0 or a reciprocal condition below 1e-14 raises
+    :class:`SingularInnovationCov`."""
     rcond = eigs[0] / eigs[-1] if eigs[-1] > 0.0 else 0.0
     if eigs[0] <= 0.0 or rcond < 1e-14:
         raise SingularInnovationCov(
             f"innovation covariance reciprocal condition {rcond:.3e}"
         )
+
+
+def _innovation_factor(prediction):
+    cov = prediction.cov
+    check_innovation_eigs(np.linalg.eigvalsh(cov))
     try:
         return cho_factor(cov, lower=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above

@@ -3,8 +3,8 @@
 These deliberately avoid the library's own code paths: geodesy values
 come from 50-digit mpmath evaluations of the ellipsoid formulas, the
 Kalman filter is the closed-form textbook recursion, and the fusion
-prediction is the composition of the generic strapdown primitives that
-the fused kernel in ``navfuse.fusion`` replaces.
+prediction and GNSS update are the compositions of the generic strapdown
+and UKF primitives that the kernels in ``navfuse.fusion`` replace.
 """
 
 import math
@@ -19,7 +19,13 @@ from navfuse.strapdown import (
     state_delta,
     weighted_state_mean,
 )
-from navfuse.ukf import cholesky_sqrt
+from navfuse.ukf import (
+    GaussianBelief,
+    apply_measurement,
+    cholesky_sqrt,
+    innovation_nis,
+    unscented_measurement,
+)
 
 WGS84_A = "6378137.0"
 WGS84_B = "6356752.3142"
@@ -81,3 +87,35 @@ def reference_predict(state, cov, sample, dt, params, w_mean, w_cov, q_cov):
     dev = state_delta(propagated, mean)
     new_cov = (dev * w_cov[:, None]).T @ dev + q_cov
     return mean, 0.5 * (new_cov + new_cov.T)
+
+
+def reference_update(state, cov, y, r_cov, gate, params):
+    """GNSS position update through the generic UKF: 31 sigma points of the
+    error belief pushed through h(delta) = p + delta[0:3], the Cholesky-
+    solved gain, the retraction of the posterior error mean, and the
+    update diagnostics.  Returns ``(state, cov, fields)`` like
+    ``fusion._update``."""
+    belief = GaussianBelief(np.zeros(ERROR_DIM), cov)
+    position = state[0:3]
+    prediction = unscented_measurement(
+        belief, lambda delta: position + delta[0:3], r_cov, params
+    )
+    nis = innovation_nis(prediction, y)
+    accepted = gate is None or nis <= gate
+    trace_before = float(np.trace(cov))
+    if accepted:
+        posterior, innovation = apply_measurement(belief, prediction, y)
+        state = apply_state_delta(state, posterior.mean)
+        cov = posterior.cov
+    else:
+        innovation = y - prediction.mean
+    fields = dict(
+        nis=nis,
+        accepted=accepted,
+        trace_before=trace_before,
+        trace_after=float(np.trace(cov)),
+        innovation=innovation,
+        cov_min_eig=float(np.linalg.eigvalsh(cov)[0]),
+        cov_asymmetry=float(np.max(np.abs(cov - cov.T))),
+    )
+    return state, cov, fields

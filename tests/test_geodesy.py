@@ -7,6 +7,7 @@ from navfuse.errors import NearSingularity
 from navfuse.geodesy import (
     WGS84,
     EcefCoord,
+    EnuFrame,
     GeodeticCoord,
     LocalEnu,
     ecef_to_enu,
@@ -161,6 +162,25 @@ class TestEnu:
             local = ecef_to_enu(EcefCoord(*p), origin)
             chord = np.linalg.norm(p - geodetic_to_ecef(origin).as_array())
             assert np.linalg.norm(local.as_array()) == pytest.approx(chord, rel=1e-9)
+
+
+class TestEnuFrame:
+    def test_bit_identical_to_per_call_formulas(self):
+        # The origin's ECEF position and rotation, computed once, give the
+        # same bits as recomputing them for every conversion.
+        rng = np.random.default_rng(37)
+        for origin in random_geodetics(200, seed=41):
+            frame = EnuFrame(origin)
+            base = geodetic_to_ecef(origin).as_array()
+            rot = enu_rotation(origin)
+            p = EcefCoord(*(base + rng.uniform(-5e4, 5e4, 3)))
+            expected = rot @ (p.as_array() - base)
+            for got in (frame.to_local(p), ecef_to_enu(p, frame), ecef_to_enu(p, origin)):
+                assert np.array_equal(got.as_array(), expected)
+            local = LocalEnu(*rng.uniform(-5e4, 5e4, 3))
+            expected = base + rot.T @ local.as_array()
+            for got in (frame.to_ecef(local), enu_to_ecef(local, frame), enu_to_ecef(local, origin)):
+                assert np.array_equal(got.as_array(), expected)
 
 
 class TestValidation:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from navfuse.errors import InvalidNoise
-from navfuse.geodesy import WGS84, GeodeticCoord, geodetic_to_ecef
+from navfuse.geodesy import WGS84, EnuFrame, GeodeticCoord, enu_rotation, geodetic_to_ecef
 from navfuse.gnss import GnssFix, GnssNoise, cov_for_fix, fix_to_local, measurement_cov, measurement_fn
 from navfuse.strapdown import NavState, quat_from_rotvec
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_measurement
@@ -49,6 +49,26 @@ class TestFixToLocal:
                 - geodetic_to_ecef(b.geodetic()).as_array()
             )
             assert local == pytest.approx(chord, rel=1e-9)
+
+
+    def test_frame_bit_identical_to_origin(self):
+        # Random fixes within ~10 km of random origins: a frame built once
+        # per run maps each fix to the same bits as the per-fix formula.
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            origin = GeodeticCoord(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1),
+                                   rng.uniform(-100.0, 3000.0))
+            frame = EnuFrame(origin)
+            for _ in range(5):
+                fix = GnssFix(0.0, origin.lat + rng.uniform(-1e-3, 1e-3),
+                              origin.lon + rng.uniform(-1e-3, 1e-3),
+                              origin.height + rng.uniform(-50.0, 50.0))
+                expected = enu_rotation(origin) @ (
+                    geodetic_to_ecef(fix.geodetic()).as_array()
+                    - geodetic_to_ecef(origin).as_array()
+                )
+                assert np.array_equal(fix_to_local(fix, frame).as_array(), expected)
+                assert np.array_equal(fix_to_local(fix, origin).as_array(), expected)
 
 
 class TestMeasurementFn:
