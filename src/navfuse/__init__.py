@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import NavFuseError
-from .fusion import FusionConfig, FusionResult, PoseEstimate, run_fusion, run_gnss_only
+from .fusion import FusionConfig, FusionResult, run_fusion, run_gnss_only
 from .geodesy import (
     WGS84,
     EcefCoord,
@@ -14,9 +14,10 @@ from .geodesy import (
     ecef_to_geodetic,
     enu_to_ecef,
     geodetic_to_ecef,
+    geodetic_to_enu,
     normal_radius,
 )
-from .gnss import GnssFix, GnssNoise, fix_to_local, measurement_cov, measurement_fn
+from .gnss import GnssFix, GnssNoise, fix_to_local, measurement_cov
 from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 from .strapdown import ImuNoiseParams, ImuSample, NavState, process_noise_cov, propagate
 from .ukf import (
@@ -34,7 +35,6 @@ __all__ = [
     "NavFuseError",
     "FusionConfig",
     "FusionResult",
-    "PoseEstimate",
     "run_fusion",
     "run_gnss_only",
     "WGS84",
@@ -46,12 +46,12 @@ __all__ = [
     "ecef_to_geodetic",
     "enu_to_ecef",
     "geodetic_to_ecef",
+    "geodetic_to_enu",
     "normal_radius",
     "GnssFix",
     "GnssNoise",
     "fix_to_local",
     "measurement_cov",
-    "measurement_fn",
     "SensorCorruption",
     "TrajectoryProfile",
     "corrupt",

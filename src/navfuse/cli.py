@@ -21,9 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import NavFuseError
+from .errors import EmptyStream, NavFuseError
 from .evaluate import (
     _fmt,
+    _read_table,
+    _write_table,
     align_and_diff,
     atomic_write_text,
     export_errors_csv,
@@ -31,9 +33,15 @@ from .evaluate import (
     export_track_csv,
     rmse,
 )
-from .fusion import FusionConfig, run_fusion, run_gnss_only
-from .geodesy import EnuFrame, ecef_to_geodetic
-from .gnss import GnssFix, GnssNoise, fix_to_local
+from .fusion import FusionConfig, run_fusion
+from .geodesy import (
+    EnuFrame,
+    GeodeticCoord,
+    ecef_to_geodetic,
+    geodetic_in_range,
+    geodetic_to_enu,
+)
+from .gnss import GnssFix, GnssNoise, outage_mask, stack_fixes
 from .kitti import load_sequence
 from .simulate import (
     PROFILE_KINDS,
@@ -106,66 +114,50 @@ _GNSS_SIGMA_DEFAULT = _defaults_of(GnssNoise)["sigma_e"]
 # CSV I/O for the internal stream schemas
 # ---------------------------------------------------------------------------
 
-def _read_rows(path, header):
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise NavFuseError(f"cannot read {path}: {exc}") from exc
-    if not lines or lines[0] != header:
-        raise NavFuseError(f"{path}: expected header {header!r}")
-    rows = []
-    for k, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(cell) for cell in line.split(",")])
-        except ValueError:
-            raise NavFuseError(f"{path}:{k}: non-numeric row {line!r}") from None
-    return rows
+_IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
+_GEODETIC_HEADER = "t,lat_deg,lon_deg,alt_m"
+
+
+def _geodetic_rows(table):
+    return geodetic_in_range(np.radians(table[:, 1]), np.radians(table[:, 2]), table[:, 3])
+
+
+def _read_geodetic(path):
+    """The t, lat, lon (radians) and alt columns of a gnss.csv or truth.csv."""
+    table = _read_table(path, _GEODETIC_HEADER, 4, valid=_geodetic_rows)
+    return table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]), table[:, 3]
 
 
 def read_imu_csv(path):
-    rows = _read_rows(path, "t,wx,wy,wz,ax,ay,az")
-    return [ImuSample(r[0], np.array(r[1:4]), np.array(r[4:7])) for r in rows]
-
-
-def read_gnss_csv(path):
-    rows = _read_rows(path, "t,lat_deg,lon_deg,alt_m")
+    table = _read_table(path, _IMU_HEADER, 7)
     return [
-        GnssFix(r[0], math.radians(r[1]), math.radians(r[2]), r[3]) for r in rows
+        ImuSample(t, gyro, accel)
+        for t, gyro, accel in zip(table[:, 0].tolist(), table[:, 1:4], table[:, 4:7])
     ]
 
 
+def read_gnss_csv(path):
+    return [GnssFix(*row) for row in zip(*(c.tolist() for c in _read_geodetic(path)))]
+
+
 def write_imu_csv(samples, path):
-    lines = ["t,wx,wy,wz,ax,ay,az"]
-    for s in samples:
-        cells = [s.t, *s.gyro, *s.accel]
-        lines.append(",".join(_fmt(c) for c in cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    table = [(s.t, *s.gyro, *s.accel) for s in samples]
+    _write_table(path, _IMU_HEADER, table)
 
 
 def write_gnss_csv(fixes, path):
-    lines = ["t,lat_deg,lon_deg,alt_m"]
-    for f in fixes:
-        lines.append(
-            ",".join(
-                [_fmt(f.t), _fmt(math.degrees(f.lat)), _fmt(math.degrees(f.lon)), _fmt(f.alt)]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    t, lat, lon, alt = stack_fixes(fixes)
+    table = np.column_stack([t, np.degrees(lat), np.degrees(lon), alt])
+    _write_table(path, _GEODETIC_HEADER, table)
 
 
 def write_truth_csv(truth, origin, path):
-    lines = ["t,lat_deg,lon_deg,alt_m"]
     frame = EnuFrame(origin)
+    table = []
     for pose in truth:
         g = ecef_to_geodetic(frame.to_ecef(pose.position))
-        lines.append(
-            ",".join(
-                [_fmt(pose.t), _fmt(math.degrees(g.lat)), _fmt(math.degrees(g.lon)), _fmt(g.height)]
-            )
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        table.append((pose.t, math.degrees(g.lat), math.degrees(g.lon), g.height))
+    _write_table(path, _GEODETIC_HEADER, table)
 
 
 _ESTIMATE_HEADER = (
@@ -175,20 +167,14 @@ _ESTIMATE_HEADER = (
 )
 
 
-def write_estimates_csv(estimates, path):
-    lines = [_ESTIMATE_HEADER]
-    for e in estimates:
-        cells = [
-            _fmt(e.t),
-            *(_fmt(v) for v in e.position.as_array()),
-            *(_fmt(v) for v in e.velocity),
-            *(_fmt(v) for v in e.orientation),
-            *(_fmt(v) for v in e.cov_diag),
-            "" if e.nis is None else _fmt(e.nis),
-            "1" if e.diverged else "0",
-        ]
-        lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_estimates_csv(result, path):
+    """Write a :class:`FusionResult` as ``estimate.csv``: position,
+    velocity and attitude (not the biases), the variances, an empty NIS
+    cell where no fix was applied, and ``diverged`` as 1 or 0."""
+    table = np.column_stack(
+        [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
+    )
+    _write_table(path, _ESTIMATE_HEADER, table)
 
 
 def _write_manifest(out_dir, entries):
@@ -302,36 +288,40 @@ def _cmd_fuse(args):
 
     outages = [_parse_outage(o) for o in (args.gnss_outage or [])]
     if outages:
-        gnss = [f for f in gnss if not any(s <= f.t < e for s, e in outages)]
+        dropped = outage_mask([f.t for f in gnss], outages)
+        gnss = [f for f, drop in zip(gnss, dropped.tolist()) if not drop]
 
     result = run_fusion(imu, gnss, cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_estimates_csv(result.estimates, out / "estimate.csv")
+    write_estimates_csv(result, out / "estimate.csv")
 
     if args.truth:
-        truth_fixes = read_gnss_csv(args.truth)
-        frame = EnuFrame(result.origin or truth_fixes[0].geodetic())
-        truth_local = run_gnss_only(truth_fixes, frame)
-        fused_err = align_and_diff(result.estimates, truth_local)
+        # Each fix was converted once, in run_fusion; result.gnss_track is
+        # reused for the baseline and the track cells.
+        t, lat, lon, alt = _read_geodetic(args.truth)
+        if not len(t):
+            raise EmptyStream(f"{args.truth}: no truth rows")
+        origin = result.origin or GeodeticCoord(lat[0], lon[0], alt[0])
+        truth = (t, geodetic_to_enu(lat, lon, alt, origin))
+        fused_err = align_and_diff(result.track, truth)
         export_errors_csv(fused_err, out / "errors.csv")
 
         reports = []
         if gnss:
-            baseline = run_gnss_only(gnss, frame)
-            reports.append(rmse(align_and_diff(baseline, truth_local), "GNSS"))
+            reports.append(rmse(align_and_diff(result.gnss_track, truth), "GNSS"))
         reports.append(rmse(fused_err, "GNSS-IMU"))
         export_rmse_csv(reports, out / "rmse.csv")
 
-        t = np.array([e.t for e in result.estimates])
-        est = np.array([e.position.as_array() for e in result.estimates])
+        t, est = result.track
         truth_interp = est - np.column_stack([fused_err.ex, fused_err.ey, fused_err.ez])
         gnss_cells = np.full((len(t), 3), np.nan)
-        for fix in gnss:
-            idx = int(np.searchsorted(t, fix.t, side="right")) - 1
-            if idx >= 0:
-                gnss_cells[idx] = fix_to_local(fix, frame).as_array()
+        fix_t, fix_enu = result.gnss_track
+        step = np.searchsorted(t, fix_t, side="right") - 1
+        # The last fix anchored to a step fills its cells.
+        last = (step >= 0) & np.append(step[1:] != step[:-1], True)
+        gnss_cells[step[last]] = fix_enu[last]
         export_track_csv(t, est, truth_interp, gnss_cells, out / "track.csv")
 
     entries = {key: _manifest_value(v) for key, v in res.resolved.items()}

@@ -41,19 +41,32 @@ gives ``UpdateEvent.cov_min_eig``); the prior keeps the jitter-retry
 :class:`DecompositionFailure` of :func:`navfuse.ukf.cholesky_sqrt`; S
 gets one ``eigh`` that both feeds :func:`navfuse.ukf.check_innovation_eigs`
 (:class:`SingularInnovationCov`) and inverts it; and a non-finite S or
-v raises ``ValueError``.  The ENU frame of the fixes is built once per
-run.
+v raises ``ValueError``.
+
+A run is one pass over arrays.  At entry :func:`run_fusion` stacks the
+IMU times and the fixes once, checks time order with array comparisons,
+converts every fix to the local frame in one
+:func:`navfuse.geodesy.geodetic_to_enu` call, builds the R of every
+anchored fix once, computes the process-noise diagonals of all steps
+from the dt array, and anchors each fix to its IMU step with one
+``searchsorted``.  The loop then runs only the two kernels and writes one
+row per IMU step into preallocated arrays.  The :class:`FusionResult`
+is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
+``cov_diag`` (N, 15), ``nis`` (N, NaN where no fix was applied) and
+``diverged`` (N), plus the frame ``origin``, one :class:`UpdateEvent`
+per applied fix, and ``gnss_track``, the fixes in the local frame.  A
+track is a pair of arrays (t, positions); ``result.track`` is the
+filter's and ``gnss_track`` the GNSS-only baseline.
 """
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import EmptyImuStream, EmptyStream, NonMonotonicTime
-from .geodesy import EnuFrame, LocalEnu, enu_frame
-from .gnss import GnssNoise, cov_for_fix, fix_to_local
+from .geodesy import geodetic_to_enu
+from .gnss import GnssNoise, measurement_covs, stack_fixes
 from .strapdown import (
     ERROR_DIM,
     GRAVITY_ENU,
@@ -123,19 +136,6 @@ class FusionConfig:
 
 
 @dataclass(frozen=True)
-class PoseEstimate:
-    """Filter output at one IMU timestamp."""
-
-    t: float
-    position: LocalEnu
-    velocity: np.ndarray
-    orientation: np.ndarray
-    cov_diag: np.ndarray
-    nis: float | None = None
-    diverged: bool = False
-
-
-@dataclass(frozen=True)
 class UpdateEvent:
     """Diagnostics of one GNSS update attempt."""
 
@@ -150,22 +150,33 @@ class UpdateEvent:
     cov_asymmetry: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FusionResult:
-    """Run output: estimates plus the run metadata (frame origin and
-    per-update diagnostics)."""
+    """Run output as columns over the N IMU timestamps, plus the run
+    metadata; the module docstring lists the fields."""
 
-    estimates: list
+    t: np.ndarray
+    state: np.ndarray
+    cov_diag: np.ndarray
+    nis: np.ndarray
+    diverged: np.ndarray
     origin: object
     updates: list
+    gnss_track: tuple
+
+    @property
+    def track(self):
+        """The estimated positions as a track (t, positions (N, 3))."""
+        return self.t, self.state[:, 0:3]
 
 
-def _check_times(samples, label, strict):
-    last = None
-    for i, s in enumerate(samples):
-        if last is not None and (s.t < last or (strict and s.t == last)):
-            raise NonMonotonicTime(f"{label} timestamps regress: {last} -> {s.t}", i)
-        last = s.t
+def _check_times(t, label, strict):
+    """Raise :class:`NonMonotonicTime` at the first index whose time
+    regresses (or repeats, when ``strict``)."""
+    bad = t[1:] <= t[:-1] if strict else t[1:] < t[:-1]
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise NonMonotonicTime(f"{label} timestamps regress: {t[i - 1]} -> {t[i]}", i)
 
 
 # The Hamilton product as a bilinear form, (a * b)[i] = sum_jk H[i, j, k] a[j] b[k],
@@ -349,28 +360,31 @@ def _update(state, cov, y, r_cov, gate):
 def run_fusion(imu, gnss, cfg):
     """Run the filter over time-ordered IMU and GNSS streams.
 
-    Returns a :class:`FusionResult` whose ``estimates`` hold one
-    :class:`PoseEstimate` per IMU sample, timestamped exactly at the IMU
-    times.  Covariance growth past ``cfg.trace_ceiling`` flags estimates
-    as diverged instead of raising.
+    Returns a columnar :class:`FusionResult` with one row per IMU sample,
+    timestamped exactly at the IMU times.  Covariance growth past
+    ``cfg.trace_ceiling`` flags rows as diverged instead of raising.
     """
     imu = list(imu)
     gnss = list(gnss)
     if not imu:
         raise EmptyImuStream("at least one IMU sample is required")
-    _check_times(imu, "IMU", strict=True)
-    _check_times(gnss, "GNSS", strict=False)
-
+    t = np.array([s.t for s in imu], dtype=float)
+    _check_times(t, "IMU", strict=True)
     origin = gnss[0].geodetic() if gnss else None
-    frame = EnuFrame(origin) if gnss else None
-    imu_times = [s.t for s in imu]
-    fixes_at = {}
-    for fix in gnss:
-        idx = bisect.bisect_right(imu_times, fix.t) - 1
-        if idx < 0:
-            continue  # fix predates the first IMU sample; nothing to anchor it to
-        fixes_at.setdefault(idx, []).append(fix)
+    gnss_track = run_gnss_only(gnss, origin) if gnss else (np.empty(0), np.empty((0, 3)))
+    fix_t, fix_enu = gnss_track
+    _check_times(fix_t, "GNSS", strict=False)
 
+    # Fixes before the first IMU sample have no step to anchor to; as the
+    # fix times do not decrease, the anchored ones are a suffix.
+    anchor = np.searchsorted(t, fix_t, side="right") - 1
+    first = int(np.count_nonzero(anchor < 0))
+    r_covs = measurement_covs(gnss[first:], cfg.gnss_noise)
+    anchor = anchor.tolist()
+
+    dts = np.diff(t)
+    q_diags = process_noise_diag(cfg.imu_noise, dts)
+    dts = dts.tolist()
     params = cfg.sigma_params()
     w_mean, w_cov = compute_weights(params)
     state = np.concatenate(
@@ -378,55 +392,34 @@ def run_fusion(imu, gnss, cfg):
     )
     cov = cfg.initial_covariance()
 
-    estimates = []
+    n = len(imu)
+    states = np.empty((n, STATE_DIM))
+    cov_diag = np.empty((n, ERROR_DIM))
+    nis = np.full(n, np.nan)
     updates = []
+    j = first
     for i, sample in enumerate(imu):
         if i > 0:
-            dt = sample.t - imu_times[i - 1]
-            q_diag = process_noise_diag(cfg.imu_noise, dt)
-            state, cov = _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag)
-
-        nis_here = None
-        for fix in fixes_at.get(i, ()):
-            y = fix_to_local(fix, frame).as_array()
-            r_cov = cov_for_fix(fix, cfg.gnss_noise)
-            state, cov, event = _update(state, cov, y, r_cov, cfg.gnss_gate)
-            nis_here = event["nis"]
-            updates.append(UpdateEvent(t=sample.t, imu_index=i, **event))
-
-        estimates.append(
-            PoseEstimate(
-                t=sample.t,
-                position=LocalEnu(*state[0:3]),
-                velocity=state[3:6].copy(),
-                orientation=state[6:10].copy(),
-                cov_diag=np.diag(cov).copy(),
-                nis=nis_here,
-                diverged=bool(np.trace(cov) > cfg.trace_ceiling),
+            state, cov = _predict(
+                state, cov, sample, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
             )
-        )
-    return FusionResult(estimates, origin, updates)
+        while j < len(gnss) and anchor[j] == i:
+            state, cov, event = _update(state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate)
+            nis[i] = event["nis"]
+            updates.append(UpdateEvent(t=sample.t, imu_index=i, **event))
+            j += 1
+        states[i] = state
+        cov_diag[i] = cov.diagonal()
+    diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
+    return FusionResult(t, states, cov_diag, nis, diverged, origin, updates, gnss_track)
 
 
 def run_gnss_only(gnss, origin):
     """Map raw fixes into the local frame anchored at ``origin`` (a
-    :class:`GeodeticCoord` or an :class:`EnuFrame`) as a no-filter baseline.
-
-    Velocity is zeroed and orientation set to the identity rotation;
-    covariance diagonals are zero (raw measurements carry no filter
-    uncertainty).
-    """
+    :class:`GeodeticCoord` or an :class:`EnuFrame`) as a no-filter
+    baseline: the track (t, positions (M, 3))."""
     gnss = list(gnss)
     if not gnss:
         raise EmptyStream("GNSS stream is empty")
-    frame = enu_frame(origin)
-    return [
-        PoseEstimate(
-            t=fix.t,
-            position=fix_to_local(fix, frame),
-            velocity=np.zeros(3),
-            orientation=quat_identity(),
-            cov_diag=np.zeros(ERROR_DIM),
-        )
-        for fix in gnss
-    ]
+    t, lat, lon, alt = stack_fixes(gnss)
+    return t, geodetic_to_enu(lat, lon, alt, origin)

@@ -5,6 +5,10 @@ boundaries only.  The local-level frame is East-North-Up (ENU) anchored
 at a fixed reference origin, and the ECEF->ENU transform uses the
 standard orthonormal rotation so that local distances equal ECEF chord
 distances.
+
+Geodetic points convert to ENU in one array pass,
+:func:`geodetic_to_enu`; the scalar conversions are that pass applied
+to one point, so every path gives the same bits.
 """
 
 import math
@@ -44,12 +48,25 @@ class GeodeticCoord:
     def __post_init__(self):
         for name in ("lat", "lon", "height"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if not abs(self.lat) <= math.pi / 2:
-            raise ValueError(f"latitude {self.lat} outside [-pi/2, pi/2]")
-        if not abs(self.lon) <= math.pi:
-            raise ValueError(f"longitude {self.lon} outside [-pi, pi]")
-        if not math.isfinite(self.height):
-            raise ValueError("height must be finite")
+        error = _range_error(self.lat, self.lon, self.height)
+        if error:
+            raise ValueError(error)
+
+
+def _range_error(lat, lon, height):
+    """Why a geodetic triple is out of range, or None when it is valid."""
+    if not abs(lat) <= math.pi / 2:
+        return f"latitude {lat} outside [-pi/2, pi/2]"
+    if not abs(lon) <= math.pi:
+        return f"longitude {lon} outside [-pi, pi]"
+    if not math.isfinite(height):
+        return "height must be finite"
+    return None
+
+
+def geodetic_in_range(lat, lon, height):
+    """Elementwise form of the :class:`GeodeticCoord` range checks."""
+    return (np.abs(lat) <= math.pi / 2) & (np.abs(lon) <= math.pi) & np.isfinite(height)
 
 
 @dataclass(frozen=True)
@@ -89,30 +106,36 @@ class LocalEnu:
 
 
 def normal_radius(lat):
-    """Prime-vertical radius of curvature at geodetic latitude ``lat``.
+    """Prime-vertical radius of curvature at geodetic latitude ``lat`` (a
+    scalar or an array).
 
     Evaluates a / sqrt(1 - e^2 sin^2(lat)); ranges from ``a`` at the
     equator to a / sqrt(1 - e^2) at the poles.
     """
-    s = math.sin(lat)
-    return WGS84.a / math.sqrt(1.0 - WGS84.e2 * s * s)
+    s = np.sin(lat)
+    return WGS84.a / np.sqrt(1.0 - WGS84.e2 * s * s)
 
 
-def geodetic_to_ecef(g):
-    """Convert geodetic coordinates to ECEF.
+def _ecef_xyz(lat, lon, height):
+    """ECEF x, y, z of geodetic coordinates (scalars or arrays):
 
     x = (R_N + h) cos(lat) cos(lon)
     y = (R_N + h) cos(lat) sin(lon)
     z = (R_N (1 - e^2) + h) sin(lat)
     """
-    rn = normal_radius(g.lat)
-    cl, sl = math.cos(g.lat), math.sin(g.lat)
-    co, so = math.cos(g.lon), math.sin(g.lon)
-    return EcefCoord(
-        (rn + g.height) * cl * co,
-        (rn + g.height) * cl * so,
-        (rn * (1.0 - WGS84.e2) + g.height) * sl,
+    rn = normal_radius(lat)
+    cl, sl = np.cos(lat), np.sin(lat)
+    co, so = np.cos(lon), np.sin(lon)
+    return (
+        (rn + height) * cl * co,
+        (rn + height) * cl * so,
+        (rn * (1.0 - WGS84.e2) + height) * sl,
     )
+
+
+def geodetic_to_ecef(g):
+    """Convert geodetic coordinates to ECEF (see :func:`_ecef_xyz`)."""
+    return EcefCoord(*_ecef_xyz(g.lat, g.lon, g.height))
 
 
 def ecef_to_geodetic(p):
@@ -196,8 +219,19 @@ class EnuFrame:
 
     def to_local(self, p):
         """ECEF point ``p`` in this frame."""
-        e, n, u = self.rotation @ (p.as_array() - self.origin_ecef)
-        return LocalEnu(e, n, u)
+        return LocalEnu(*self.points_to_local(p.as_array()[None])[0])
+
+    def points_to_local(self, ecef):
+        """ECEF points (n, 3) in this frame, as (n, 3) ENU offsets.
+
+        The stacked product rotation @ d[:, :, None] gives each point the
+        bits of rotation @ d; ``d @ rotation.T`` would not.  Raises
+        ``ValueError`` when an offset is not finite, as :class:`LocalEnu`.
+        """
+        enu = (self.rotation @ (ecef - self.origin_ecef)[:, :, None])[:, :, 0]
+        if not np.isfinite(enu).all():
+            raise ValueError("ENU components must be finite")
+        return enu
 
     def to_ecef(self, l):
         """Invert :meth:`to_local`."""
@@ -208,6 +242,22 @@ def enu_frame(origin):
     """``origin`` as an :class:`EnuFrame`: a frame passes through, a
     :class:`GeodeticCoord` gets a new one."""
     return origin if isinstance(origin, EnuFrame) else EnuFrame(origin)
+
+
+def geodetic_to_enu(lat, lon, height, origin):
+    """Geodetic points (equal-length arrays, or scalars, of radians and
+    meters) as (n, 3) ENU offsets in the frame anchored at ``origin`` (a
+    :class:`GeodeticCoord` or an :class:`EnuFrame`).
+
+    Raises ``ValueError`` with the :class:`GeodeticCoord` message for the
+    first point out of range, and when an offset is not finite.
+    """
+    lat, lon, height = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (lat, lon, height))
+    ok = geodetic_in_range(lat, lon, height)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ValueError(_range_error(float(lat[k]), float(lon[k]), float(height[k])))
+    return enu_frame(origin).points_to_local(np.stack(_ecef_xyz(lat, lon, height), axis=-1))
 
 
 def ecef_to_enu(p, origin):

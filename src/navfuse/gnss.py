@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidNoise
-from .geodesy import GeodeticCoord, ecef_to_enu, geodetic_to_ecef
+from .geodesy import GeodeticCoord, LocalEnu, geodetic_to_enu
 
 
 @dataclass(frozen=True)
@@ -53,15 +53,26 @@ class GnssNoise:
                 raise InvalidNoise(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
+def stack_fixes(fixes):
+    """The columns t, lat, lon, alt of a fix sequence, as four arrays."""
+    return np.array([(f.t, f.lat, f.lon, f.alt) for f in fixes], dtype=float).reshape(-1, 4).T
+
+
+def outage_mask(times, outages):
+    """True where a time falls inside one of the half-open ``outages``
+    windows [start, end)."""
+    times = np.asarray(times, dtype=float)
+    mask = np.zeros(times.shape, dtype=bool)
+    for start, end in outages:
+        mask |= (start <= times) & (times < end)
+    return mask
+
+
 def fix_to_local(fix, origin):
-    """Map a geodetic fix into the ENU frame anchored at ``origin`` (a
-    :class:`GeodeticCoord`, or an :class:`EnuFrame` built once for many fixes)."""
-    return ecef_to_enu(geodetic_to_ecef(fix.geodetic()), origin)
-
-
-def measurement_fn(state):
-    """Measurement function h: extract the position of a NavState."""
-    return state.position.copy()
+    """Map one geodetic fix into the ENU frame anchored at ``origin`` (a
+    :class:`GeodeticCoord` or an :class:`EnuFrame`): :func:`geodetic_to_enu`
+    applied to one point."""
+    return LocalEnu(*geodetic_to_enu(fix.lat, fix.lon, fix.alt, origin)[0])
 
 
 def measurement_cov(noise):
@@ -74,9 +85,27 @@ def measurement_cov(noise):
     )
 
 
-def cov_for_fix(fix, default_noise):
-    """R for one fix: per-fix receiver sigmas when present, else defaults."""
-    if fix.std is not None:
-        e, n, u = fix.std
-        return measurement_cov(GnssNoise(e, n, u))
-    return measurement_cov(default_noise)
+def measurement_covs(fixes, default_noise):
+    """R (m, 3, 3) for m fixes: each fix's receiver sigmas when it has
+    them, else the ``default_noise`` of :func:`measurement_cov`.
+
+    Raises :class:`InvalidNoise` when a receiver sigma is not positive,
+    and when a fix without sigmas meets a default that
+    :func:`measurement_cov` rejects.
+    """
+    fixes = list(fixes)
+    own = np.array([f.std is not None for f in fixes], dtype=bool)
+    sigmas = np.zeros((len(fixes), 3))
+    if own.any():
+        sigmas[own] = [f.std for f in fixes if f.std is not None]
+        bad = ~(sigmas[own] > 0).all(axis=1)
+        if bad.any():
+            raise InvalidNoise(f"receiver sigmas must be > 0, got {sigmas[own][bad][0]}")
+    # float_power is libm pow, as Python's ** in measurement_cov; the
+    # ndarray ** operator squares by multiplication and can differ in the last bit.
+    variances = np.float_power(sigmas, 2.0)
+    if not own.all():
+        variances[~own] = np.diag(measurement_cov(default_noise))
+    covs = np.zeros((len(fixes), 3, 3))
+    covs[:, [0, 1, 2], [0, 1, 2]] = variances
+    return covs

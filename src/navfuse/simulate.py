@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UnknownProfileKind
 from .geodesy import EnuFrame, GeodeticCoord, LocalEnu, ecef_to_geodetic
-from .gnss import GnssFix, GnssNoise
+from .gnss import GnssFix, GnssNoise, outage_mask
 from .strapdown import GRAVITY, ImuNoiseParams, ImuSample
 
 #: Fixed geodetic anchor of simulated scenarios, so generated GNSS data
@@ -195,10 +195,6 @@ def _decimate_indices(times, rate):
     return np.nonzero(keep)[0]
 
 
-def _in_outage(t, outages):
-    return any(start <= t < end for start, end in outages)
-
-
 def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN):
     """Produce noisy IMU and GNSS streams from truth.
 
@@ -241,10 +237,11 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
 
     gnss_out = []
     frame = EnuFrame(origin)
+    dropped = outage_mask(truth_times[fix_idx], corruption.outages)
     for j, k in enumerate(fix_idx):
-        t = float(truth_times[k])
-        if _in_outage(t, corruption.outages):
+        if dropped[j]:
             continue
+        t = float(truth_times[k])
         enu = LocalEnu(*(truth[k].position.as_array() + noise[j]))
         g = ecef_to_geodetic(frame.to_ecef(enu))
         gnss_out.append(GnssFix(t, g.lat, g.lon, g.height))

@@ -245,18 +245,25 @@ def propagate(state, sample, dt):
 
 
 def process_noise_diag(noise, dt):
-    """Diagonal of the additive process noise for one step, over the
-    15-dim error layout [dp, dv, dtheta, dbg, dba]."""
-    if dt < 0:
-        raise ValueError(f"dt must be non-negative, got {dt}")
+    """Diagonal of the additive process noise over the 15-dim error layout
+    [dp, dv, dtheta, dbg, dba]: shape (15,) for one step of length ``dt``,
+    or (n, 15) for an array of n step lengths.
+
+    Powers of dt are libm ``pow`` (``np.float_power``), as Python's ``**``
+    on a float, so a step gets the same bits whether alone or in an array.
+    """
+    dt = np.asarray(dt, dtype=float)
+    if (dt < 0).any():
+        raise ValueError(f"dt must be non-negative, got {dt.min()}")
+    dt2 = np.float_power(dt, 2.0)
     blocks = [
-        0.25 * noise.accel_std**2 * dt**4,
-        noise.accel_std**2 * dt**2,
-        noise.gyro_std**2 * dt**2,
-        noise.gyro_bias_rw**2 * dt**2,
-        noise.accel_bias_rw**2 * dt**2,
+        0.25 * noise.accel_std**2 * np.float_power(dt, 4.0),
+        noise.accel_std**2 * dt2,
+        noise.gyro_std**2 * dt2,
+        noise.gyro_bias_rw**2 * dt2,
+        noise.accel_bias_rw**2 * dt2,
     ]
-    return np.repeat(blocks, 3)
+    return np.repeat(np.stack(blocks, axis=-1), 3, axis=-1)
 
 
 def process_noise_cov(noise, dt):

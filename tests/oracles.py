@@ -4,7 +4,10 @@ These deliberately avoid the library's own code paths: geodesy values
 come from 50-digit mpmath evaluations of the ellipsoid formulas, the
 Kalman filter is the closed-form textbook recursion, and the fusion
 prediction and GNSS update are the compositions of the generic strapdown
-and UKF primitives that the kernels in ``navfuse.fusion`` replace.
+and UKF primitives that the kernels in ``navfuse.fusion`` replace.  The
+per-point ECEF formula in scalar ``math`` and the per-cell CSV writers
+are the forms that the array conversion and ``evaluate._write_table``
+must reproduce bit for bit and byte for byte.
 """
 
 import math
@@ -12,6 +15,7 @@ import math
 import mpmath as mp
 import numpy as np
 
+from navfuse.geodesy import WGS84
 from navfuse.strapdown import (
     ERROR_DIM,
     apply_state_delta,
@@ -53,6 +57,69 @@ def hp_geodetic_to_ecef(lat, lon, height):
             float((rn + height) * mp.cos(lat) * mp.sin(lon)),
             float((rn * (1 - e2) + height) * mp.sin(lat)),
         )
+
+
+def reference_ecef(lat, lon, height):
+    """ECEF of one geodetic point in scalar ``math``: the per-point formula
+    whose bits ``geodesy.geodetic_to_enu`` reproduces."""
+    s = math.sin(lat)
+    rn = WGS84.a / math.sqrt(1.0 - WGS84.e2 * s * s)
+    cl, sl = math.cos(lat), math.sin(lat)
+    co, so = math.cos(lon), math.sin(lon)
+    return np.array([
+        (rn + height) * cl * co,
+        (rn + height) * cl * so,
+        (rn * (1.0 - WGS84.e2) + height) * sl,
+    ])
+
+
+def _fmt(value):
+    return format(float(value), ".17g")
+
+
+def reference_estimates_text(result):
+    """``estimate.csv`` of a columnar FusionResult, formatted cell by cell."""
+    lines = [
+        "t,e,n,u,ve,vn,vu,qw,qx,qy,qz,"
+        "var_pe,var_pn,var_pu,var_ve,var_vn,var_vu,var_re,var_rn,var_ru,"
+        "var_bgx,var_bgy,var_bgz,var_bax,var_bay,var_baz,nis,diverged"
+    ]
+    for k in range(len(result.t)):
+        cells = [
+            _fmt(result.t[k]),
+            *(_fmt(v) for v in result.state[k, 0:10]),
+            *(_fmt(v) for v in result.cov_diag[k]),
+            "" if np.isnan(result.nis[k]) else _fmt(result.nis[k]),
+            "1" if result.diverged[k] else "0",
+        ]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_errors_text(series):
+    """``errors.csv`` of an ErrorSeries, formatted cell by cell."""
+    lines = ["t,ex,ey,ez"]
+    for k in range(len(series.t)):
+        lines.append(
+            f"{_fmt(series.t[k])},{_fmt(series.ex[k])},{_fmt(series.ey[k])},{_fmt(series.ez[k])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_track_text(t, est, truth, gnss):
+    """``track.csv`` formatted cell by cell, with empty GNSS cells where a
+    row's GNSS position is NaN."""
+    lines = ["t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"]
+    for k in range(len(t)):
+        cells = [_fmt(t[k])]
+        cells += [_fmt(v) for v in est[k]]
+        cells += [_fmt(v) for v in truth[k]]
+        if np.isnan(gnss[k]).any():
+            cells += ["", "", ""]
+        else:
+            cells += [_fmt(v) for v in gnss[k]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
 
 
 class LinearKalmanFilter:

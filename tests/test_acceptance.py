@@ -70,7 +70,7 @@ def table1_run():
     result = run_fusion(imu, gnss, FusionConfig())
     elapsed = time.perf_counter() - start
     truth_local = _truth_in_frame(truth, result.origin)
-    fused = rmse(align_and_diff(result.estimates, truth_local), "GNSS-IMU")
+    fused = rmse(align_and_diff(result.track, truth_local), "GNSS-IMU")
     baseline = rmse(
         align_and_diff(run_gnss_only(gnss, result.origin), truth_local), "GNSS"
     )
@@ -213,15 +213,15 @@ def test_criterion_4_fusion_direction_and_scale(table1_run):
 def test_criterion_5_outage_robustness(outage_run):
     result = outage_run["result"]
     imu = outage_run["imu"]
-    assert len(result.estimates) == len(imu)
-    assert [e.t for e in result.estimates] == [s.t for s in imu]
+    assert len(result.t) == len(imu)
+    assert result.t.tolist() == [s.t for s in imu]
 
-    t = np.array([e.t for e in result.estimates])
-    traces = np.array([float(np.sum(e.cov_diag)) for e in result.estimates])
+    t = result.t
+    traces = result.cov_diag.sum(axis=1)
     in_gap = (t > 29.0) & (t < 40.0)
     assert np.all(np.diff(traces[in_gap]) >= 0)
 
-    err = align_and_diff(result.estimates, outage_run["truth_local"])
+    err = align_and_diff(result.track, outage_run["truth_local"])
     norm = np.sqrt(err.ex**2 + err.ey**2 + err.ez**2)
     pre = t < 30.0
     pre_rmse = float(np.sqrt(np.mean(norm[pre] ** 2)))
@@ -244,9 +244,8 @@ def test_criterion_6_covariance_health(table1_run, outage_run):
         assert event.cov_min_eig >= -1e-9
         if event.accepted:
             assert event.trace_after < event.trace_before
-    for estimates in (table1_run["result"].estimates, outage_run["result"].estimates):
-        for e in estimates:
-            assert np.all(e.cov_diag >= -1e-9)
+    for result in (table1_run["result"], outage_run["result"]):
+        assert np.all(result.cov_diag >= -1e-9)
     report(6, "covariance health")
 
 

@@ -1,7 +1,13 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+import navfuse.geodesy
 from navfuse.cli import main
+from navfuse.geodesy import GeodeticCoord
+from navfuse.gnss import GnssFix, fix_to_local
 
 
 def run(args):
@@ -133,6 +139,90 @@ class TestFuseCommand:
         )
         assert abs(float(manifest["origin_lat_deg"]) - 49.0) < 0.01
         assert abs(float(manifest["origin_lon_deg"]) - 8.43) < 0.01
+
+
+    def test_each_fix_and_truth_row_converted_once(self, tmp_path, monkeypatch):
+        sim = simulate_into(tmp_path)
+        fixes = len((sim / "gnss.csv").read_text().splitlines()) - 1
+        truth_rows = len((sim / "truth.csv").read_text().splitlines()) - 1
+        original = navfuse.geodesy.geodetic_to_enu
+        converted = []
+
+        def counting(lat, lon, height, origin):
+            converted.append(np.size(lat))
+            return original(lat, lon, height, origin)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "navfuse":
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counting)
+        code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--truth", sim / "truth.csv", "--out", tmp_path / "fused"])
+        assert code == 0
+        assert sorted(converted) == sorted([fixes, truth_rows])
+        assert sum(converted) == fixes + truth_rows
+
+
+    def test_track_cells_hold_the_last_fix_of_a_step(self, tmp_path):
+        # A second fix 4 ms after the 5 s fix anchors to the same 100 Hz
+        # IMU step; the track row of that step shows the later fix.
+        sim = simulate_into(tmp_path)
+        lines = (sim / "gnss.csv").read_text().splitlines()
+        t, lat, lon, alt = (float(cell) for cell in lines[6].split(","))
+        assert t == 5.0
+        lines.insert(7, f"{t + 0.004!r},{lat!r},{lon + 1e-5!r},{alt!r}")
+        (sim / "gnss.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fused"
+        assert run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--truth", sim / "truth.csv", "--out", out]) == 0
+        first = [float(cell) for cell in lines[1].split(",")]
+        origin = GeodeticCoord(math.radians(first[1]), math.radians(first[2]), first[3])
+        later = GnssFix(t + 0.004, math.radians(lat), math.radians(lon + 1e-5), alt)
+        rows = [line.split(",") for line in (out / "track.csv").read_text().splitlines()[1:]]
+        cells = [[float(c) for c in row[7:10]] for row in rows if float(row[0]) == 5.0]
+        assert cells == [fix_to_local(later, origin).as_array().tolist()]
+
+
+class TestMalformedStreams:
+    """A bad stream row fails with one ``error:`` line naming the file and
+    line, and exit code 1."""
+
+    def fuse_with(self, tmp_path, capsys, name, edit):
+        sim = simulate_into(tmp_path)
+        lines = (sim / name).read_text().splitlines()
+        lines[5] = edit(lines[5])
+        (sim / name).write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--out", tmp_path / "fused"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert f"{name}:6:" in err
+        return err
+
+    def test_short_imu_row(self, tmp_path, capsys):
+        err = self.fuse_with(tmp_path, capsys, "imu.csv", lambda line: line.rsplit(",", 1)[0])
+        assert "expected 7 cells, got 6" in err
+
+    def test_nan_gyro_cell(self, tmp_path, capsys):
+        def nan_gyro(line):
+            cells = line.split(",")
+            cells[2] = "nan"
+            return ",".join(cells)
+
+        err = self.fuse_with(tmp_path, capsys, "imu.csv", nan_gyro)
+        assert "non-finite cell" in err
+
+    def test_latitude_out_of_range(self, tmp_path, capsys):
+        def lat_95(line):
+            cells = line.split(",")
+            cells[1] = "95"
+            return ",".join(cells)
+
+        err = self.fuse_with(tmp_path, capsys, "gnss.csv", lat_95)
+        assert "value out of range" in err
 
 
 class TestKittiConvertCommand:

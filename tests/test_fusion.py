@@ -45,9 +45,10 @@ class TestRunFusion:
     def test_dead_reckoning_without_gnss(self):
         imu = stationary_imu(500)
         result = run_fusion(imu, [], FusionConfig())
-        assert len(result.estimates) == len(imu)
+        assert len(result.t) == len(imu)
+        assert result.state.shape == (len(imu), 16)
         assert result.origin is None
-        traces = np.array([float(np.sum(e.cov_diag)) for e in result.estimates])
+        traces = result.cov_diag.sum(axis=1)
         assert np.all(np.diff(traces) >= 0)
 
     def test_timestamps_preserved_exactly(self):
@@ -55,7 +56,7 @@ class TestRunFusion:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=2), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
-        assert [e.t for e in result.estimates] == [s.t for s in imu]
+        assert result.t.tolist() == [s.t for s in imu]
 
     def test_stationary_beats_measurement_noise(self):
         # Perfect IMU (and a filter model that says so), 1 m GNSS noise:
@@ -71,7 +72,7 @@ class TestRunFusion:
         )
         result = run_fusion(imu, gnss, cfg)
         truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
-        err = align_and_diff(result.estimates, truth_local)
+        err = align_and_diff(result.track, truth_local)
         late = err.t >= 10.0
         for channel in (err.ex, err.ey, err.ez):
             assert np.sqrt(np.mean(channel[late] ** 2)) < 1.0
@@ -93,7 +94,7 @@ class TestRunFusion:
             imu, gnss = corrupt(truth, ideal, noiseless, gnss_rate=1.0)
             result = run_fusion(imu, gnss, cfg)
             truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
-            err = align_and_diff(result.estimates, truth_local)
+            err = align_and_diff(result.track, truth_local)
             settled = err.t >= skip
             rms = np.sqrt(np.mean(
                 err.ex[settled] ** 2 + err.ey[settled] ** 2 + err.ez[settled] ** 2
@@ -106,7 +107,7 @@ class TestRunFusion:
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
         truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
-        fused = rmse(align_and_diff(result.estimates, truth_local), "GNSS-IMU")
+        fused = rmse(align_and_diff(result.track, truth_local), "GNSS-IMU")
         baseline = rmse(
             align_and_diff(run_gnss_only(gnss, result.origin), truth_local), "GNSS"
         )
@@ -132,9 +133,9 @@ class TestRunFusion:
         corr = SensorCorruption(seed=9, outages=((20.0, 35.0),))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
-        assert len(result.estimates) == len(imu)
-        t = np.array([e.t for e in result.estimates])
-        traces = np.array([float(np.sum(e.cov_diag)) for e in result.estimates])
+        assert len(result.t) == len(imu)
+        t = result.t
+        traces = result.cov_diag.sum(axis=1)
         gap = (t > 19.0) & (t < 35.0)
         assert np.all(np.diff(traces[gap]) >= 0)
 
@@ -144,18 +145,17 @@ class TestRunFusion:
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=3), gnss_rate=1.0)
         a = run_fusion(imu, gnss, FusionConfig())
         b = run_fusion(imu, gnss, FusionConfig())
-        for ea, eb in zip(a.estimates, b.estimates):
-            assert ea.t == eb.t
-            assert np.array_equal(ea.position.as_array(), eb.position.as_array())
-            assert np.array_equal(ea.velocity, eb.velocity)
-            assert np.array_equal(ea.orientation, eb.orientation)
-            assert np.array_equal(ea.cov_diag, eb.cov_diag)
+        assert np.array_equal(a.t, b.t)
+        assert np.array_equal(a.state, b.state)
+        assert np.array_equal(a.cov_diag, b.cov_diag)
+        assert np.array_equal(a.nis, b.nis, equal_nan=True)
 
     def test_divergence_flag_instead_of_crash(self):
         imu = stationary_imu(50)
         cfg = FusionConfig(trace_ceiling=1e-6)
         result = run_fusion(imu, [], cfg)
-        assert all(e.diverged for e in result.estimates)
+        assert result.diverged.dtype == bool
+        assert result.diverged.all()
 
     def test_innovation_gate_rejects_outlier(self):
         profile = TrajectoryProfile("stationary", duration=6.0)
@@ -186,17 +186,32 @@ class TestRunFusion:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=12), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
+        traces = result.cov_diag.sum(axis=1)
         for event in result.updates:
-            assert result.estimates[event.imu_index].nis == pytest.approx(event.nis)
+            assert result.nis[event.imu_index] == pytest.approx(event.nis)
+            assert traces[event.imu_index] == event.trace_after
+        applied = np.zeros(len(result.t), dtype=bool)
+        applied[[event.imu_index for event in result.updates]] = True
+        assert np.isnan(result.nis[~applied]).all()
+
+    def test_gnss_track_is_the_baseline(self):
+        profile = TrajectoryProfile("circular", duration=10.0)
+        truth, ideal = generate_truth(profile)
+        imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=5), gnss_rate=1.0)
+        result = run_fusion(imu, gnss, FusionConfig())
+        t, positions = result.gnss_track
+        baseline_t, baseline = run_gnss_only(gnss, result.origin)
+        assert np.array_equal(t, baseline_t)
+        assert np.array_equal(positions, baseline)
 
 
 class TestRunGnssOnly:
     def test_single_fix_at_origin(self):
         fix = GnssFix(0.0, SCENARIO_ORIGIN.lat, SCENARIO_ORIGIN.lon, SCENARIO_ORIGIN.height)
-        out = run_gnss_only([fix], SCENARIO_ORIGIN)
-        assert len(out) == 1
-        assert np.linalg.norm(out[0].position.as_array()) < 1e-9
-        np.testing.assert_array_equal(out[0].velocity, np.zeros(3))
+        t, positions = run_gnss_only([fix], SCENARIO_ORIGIN)
+        assert t.tolist() == [0.0]
+        assert positions.shape == (1, 3)
+        assert np.linalg.norm(positions[0]) < 1e-9
 
     def test_truth_fixes_give_zero_rmse(self):
         profile = TrajectoryProfile("circular", duration=10.0)

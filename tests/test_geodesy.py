@@ -15,10 +15,11 @@ from navfuse.geodesy import (
     enu_rotation,
     enu_to_ecef,
     geodetic_to_ecef,
+    geodetic_to_enu,
     normal_radius,
 )
 
-from oracles import hp_geodetic_to_ecef, hp_normal_radius
+from oracles import hp_geodetic_to_ecef, hp_normal_radius, reference_ecef
 
 # Frozen 50-digit reference values (see oracles.py).
 POLAR_RADIUS = 6399593.625803977
@@ -181,6 +182,56 @@ class TestEnuFrame:
             expected = base + rot.T @ local.as_array()
             for got in (frame.to_ecef(local), enu_to_ecef(local, frame), enu_to_ecef(local, origin)):
                 assert np.array_equal(got.as_array(), expected)
+
+
+class TestGeodeticToEnu:
+    def test_bit_identical_to_per_point_formula(self):
+        # One array call over 1000 points near each of 50 random origins
+        # gives every point the bits of rotation @ (ecef - origin_ecef)
+        # with the scalar math ECEF formula.
+        rng = np.random.default_rng(53)
+        for origin in random_geodetics(50, seed=59):
+            lat = np.clip(origin.lat + rng.uniform(-1e-2, 1e-2, 1000), -math.pi / 2, math.pi / 2)
+            lon = np.clip(origin.lon + rng.uniform(-1e-2, 1e-2, 1000), -math.pi, math.pi)
+            height = origin.height + rng.uniform(-500.0, 500.0, 1000)
+            base = reference_ecef(origin.lat, origin.lon, origin.height)
+            rot = enu_rotation(origin)
+            expected = np.array([
+                rot @ (reference_ecef(a, b, c) - base) for a, b, c in zip(lat, lon, height)
+            ])
+            for anchor in (origin, EnuFrame(origin)):
+                assert np.array_equal(geodetic_to_enu(lat, lon, height, anchor), expected)
+            assert np.array_equal(geodetic_to_ecef(origin).as_array(), base)
+
+    def test_scalar_point(self):
+        origin = GeodeticCoord(0.8, 0.1, 30.0)
+        out = geodetic_to_enu(0.8, 0.1, 35.0, origin)
+        assert out.shape == (1, 3)
+        assert out[0, 2] == pytest.approx(5.0, abs=1e-6)
+
+    def test_range_checks_name_the_first_bad_point(self):
+        # Each case breaks point 1 (and point 2, in the first): the array
+        # check raises the GeodeticCoord error of that point.
+        origin = GeodeticCoord(0.8, 0.1, 30.0)
+        ok = np.array([0.8, 0.8, 0.8])
+        assert geodetic_to_enu(ok, ok, ok, origin).shape == (3, 3)
+        cases = [
+            ((np.array([0.8, 1.6, 2.0]), ok, ok), "latitude 1.6 outside"),
+            ((np.array([0.8, math.nan, 0.8]), ok, ok), "latitude nan outside"),
+            ((ok, np.array([0.8, -3.5, 0.8]), ok), "longitude -3.5 outside"),
+            ((ok, ok, np.array([0.8, math.inf, 0.8])), "height must be finite"),
+        ]
+        for (lat, lon, height), message in cases:
+            with pytest.raises(ValueError, match=message):
+                geodetic_to_enu(lat, lon, height, origin)
+            with pytest.raises(ValueError, match=message):
+                GeodeticCoord(lat[1], lon[1], height[1])
+
+    def test_non_finite_offset_rejected(self):
+        with pytest.raises(ValueError, match="ENU components must be finite"):
+            EnuFrame(GeodeticCoord(0.8, 0.1, 30.0)).points_to_local(
+                np.array([[0.0, 0.0, 0.0], [math.inf, 0.0, 0.0]])
+            )
 
 
 class TestValidation:

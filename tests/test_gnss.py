@@ -3,10 +3,20 @@ import math
 import numpy as np
 import pytest
 
+from oracles import reference_ecef
+
 from navfuse.errors import InvalidNoise
 from navfuse.geodesy import WGS84, EnuFrame, GeodeticCoord, enu_rotation, geodetic_to_ecef
-from navfuse.gnss import GnssFix, GnssNoise, cov_for_fix, fix_to_local, measurement_cov, measurement_fn
-from navfuse.strapdown import NavState, quat_from_rotvec
+from navfuse.gnss import (
+    GnssFix,
+    GnssNoise,
+    fix_to_local,
+    measurement_cov,
+    measurement_covs,
+    outage_mask,
+    stack_fixes,
+)
+from navfuse.fusion import run_gnss_only
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_measurement
 
 ORIGIN = GeodeticCoord(math.radians(49.0), math.radians(8.43), 115.0)
@@ -53,46 +63,31 @@ class TestFixToLocal:
 
     def test_frame_bit_identical_to_origin(self):
         # Random fixes within ~10 km of random origins: a frame built once
-        # per run maps each fix to the same bits as the per-fix formula.
+        # per run, and the array conversion of a whole run's fixes, map
+        # each fix to the same bits as the per-fix formula.
         rng = np.random.default_rng(43)
         for _ in range(200):
             origin = GeodeticCoord(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1),
                                    rng.uniform(-100.0, 3000.0))
             frame = EnuFrame(origin)
-            for _ in range(5):
-                fix = GnssFix(0.0, origin.lat + rng.uniform(-1e-3, 1e-3),
+            fixes = []
+            expected = []
+            for k in range(5):
+                fix = GnssFix(float(k), origin.lat + rng.uniform(-1e-3, 1e-3),
                               origin.lon + rng.uniform(-1e-3, 1e-3),
                               origin.height + rng.uniform(-50.0, 50.0))
-                expected = enu_rotation(origin) @ (
-                    geodetic_to_ecef(fix.geodetic()).as_array()
-                    - geodetic_to_ecef(origin).as_array()
+                want = enu_rotation(origin) @ (
+                    reference_ecef(fix.lat, fix.lon, fix.alt)
+                    - reference_ecef(origin.lat, origin.lon, origin.height)
                 )
-                assert np.array_equal(fix_to_local(fix, frame).as_array(), expected)
-                assert np.array_equal(fix_to_local(fix, origin).as_array(), expected)
-
-
-class TestMeasurementFn:
-    def test_extracts_position(self):
-        state = NavState(np.array([1.0, 2.0, 3.0]), np.zeros(3),
-                         np.array([1.0, 0, 0, 0]), np.zeros(3), np.zeros(3))
-        np.testing.assert_array_equal(measurement_fn(state), [1.0, 2.0, 3.0])
-
-    def test_zero_state(self):
-        np.testing.assert_array_equal(measurement_fn(NavState.identity()), np.zeros(3))
-
-    def test_insensitive_to_other_fields(self):
-        pos = np.array([1.0, 2.0, 3.0])
-        a = NavState(pos, np.zeros(3), np.array([1.0, 0, 0, 0]), np.zeros(3), np.zeros(3))
-        b = NavState(pos, np.array([9.0, 9.0, 9.0]),
-                     quat_from_rotvec(np.array([0.3, 0.1, -0.2])),
-                     np.array([0.01, 0.02, 0.03]), np.array([0.1, 0.2, 0.3]))
-        np.testing.assert_array_equal(measurement_fn(a), measurement_fn(b))
-
-    def test_returns_copy(self):
-        state = NavState.identity()
-        out = measurement_fn(state)
-        out[0] = 99.0
-        assert state.position[0] == 0.0
+                assert np.array_equal(fix_to_local(fix, frame).as_array(), want)
+                assert np.array_equal(fix_to_local(fix, origin).as_array(), want)
+                fixes.append(fix)
+                expected.append(want)
+            for anchor in (frame, origin):
+                t, positions = run_gnss_only(fixes, anchor)
+                assert np.array_equal(t, np.arange(5.0))
+                assert np.array_equal(positions, np.array(expected))
 
 
 class TestMeasurementCov:
@@ -118,9 +113,61 @@ class TestMeasurementCov:
 
     def test_per_fix_sigma_overrides_default(self):
         fix = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 2.0, 3.0))
-        np.testing.assert_array_equal(cov_for_fix(fix, GnssNoise()), np.diag([1.0, 4.0, 9.0]))
         plain = GnssFix(0.0, 0.0, 0.0, 0.0)
-        np.testing.assert_array_equal(cov_for_fix(plain, GnssNoise()), 169.0 * np.eye(3))
+        covs = measurement_covs([fix, plain], GnssNoise())
+        np.testing.assert_array_equal(covs[0], np.diag([1.0, 4.0, 9.0]))
+        np.testing.assert_array_equal(covs[1], 169.0 * np.eye(3))
+
+    def test_array_covs_bit_identical_to_per_fix_formula(self):
+        # The R of every fix at once equals, bit for bit, the per-fix
+        # measurement_cov(GnssNoise(*std)) or the default.
+        # Half the sigmas are ones whose square by libm pow (Python's **)
+        # and by multiplication differ in the last bit.
+        rng = np.random.default_rng(47)
+        candidates = rng.uniform(0.1, 30.0, 1_000_000).tolist()
+        split = [s for s in candidates if s**2 != s * s][:450]
+        assert len(split) == 450
+        sigmas = np.concatenate([split, rng.uniform(0.1, 30.0, 450)])
+        rng.shuffle(sigmas)
+        default = GnssNoise(13.0, 7.3, 2.9)
+        fixes = []
+        for k in range(600):
+            std = tuple(sigmas[3 * (k // 2): 3 * (k // 2) + 3]) if k % 2 else None
+            fixes.append(GnssFix(float(k), 0.0, 0.0, 0.0, std=std))
+        covs = measurement_covs(fixes, default)
+        assert covs.shape == (600, 3, 3)
+        for fix, cov in zip(fixes, covs):
+            noise = default if fix.std is None else GnssNoise(*fix.std)
+            assert np.array_equal(cov, measurement_cov(noise))
+
+    def test_array_covs_reject_bad_sigmas(self):
+        good = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 1.0, 1.0))
+        for std in ((1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (math.nan, 1.0, 1.0)):
+            with pytest.raises(InvalidNoise):
+                measurement_covs([good, GnssFix(1.0, 0.0, 0.0, 0.0, std=std)], GnssNoise())
+        plain = GnssFix(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(InvalidNoise):
+            measurement_covs([good, plain], GnssNoise(0.0, 1.0, 1.0))
+        # The default is only needed by a fix without receiver sigmas.
+        assert measurement_covs([good], GnssNoise(0.0, 1.0, 1.0)).shape == (1, 3, 3)
+        assert measurement_covs([], GnssNoise(0.0, 1.0, 1.0)).shape == (0, 3, 3)
+
+
+class TestStreams:
+    def test_stack_fixes(self):
+        fixes = [GnssFix(0.5, 0.1, 0.2, 3.0), GnssFix(1.5, -0.1, -0.2, 4.0)]
+        t, lat, lon, alt = stack_fixes(fixes)
+        assert t.tolist() == [0.5, 1.5]
+        assert lat.tolist() == [0.1, -0.1]
+        assert lon.tolist() == [0.2, -0.2]
+        assert alt.tolist() == [3.0, 4.0]
+        assert all(column.shape == (0,) for column in stack_fixes([]))
+
+    def test_outage_mask_half_open_windows(self):
+        times = np.array([0.0, 1.0, 1.5, 2.0, 5.0, 6.0, 7.0])
+        mask = outage_mask(times, [(1.0, 2.0), (5.0, 7.0)])
+        assert mask.tolist() == [False, True, True, False, True, True, False]
+        assert not outage_mask(times, []).any()
 
 
 class TestLinearityThroughTransform:

@@ -191,6 +191,30 @@ class TestProcessNoise:
             assert d.shape == (15,)
             assert np.array_equal(process_noise_cov(noise, dt), np.diag(d))
 
+    def test_array_of_steps_bit_identical_to_per_step_calls(self):
+        # +-3 ms jitter about 10 ms and 100 ms steps: the (n, 15) result of
+        # one call equals the per-dt calls, and those equal the scalar
+        # Python-float formula, bit for bit.
+        rng = np.random.default_rng(61)
+        noise = ImuNoiseParams()
+        for nominal in (0.01, 0.1):
+            dts = nominal + rng.uniform(-0.003, 0.003, 2000)
+            table = process_noise_diag(noise, dts)
+            assert table.shape == (2000, 15)
+            for dt, row in zip(dts.tolist(), table):
+                assert np.array_equal(row, process_noise_diag(noise, dt))
+                blocks = [
+                    0.25 * noise.accel_std**2 * dt**4,
+                    noise.accel_std**2 * dt**2,
+                    noise.gyro_std**2 * dt**2,
+                    noise.gyro_bias_rw**2 * dt**2,
+                    noise.accel_bias_rw**2 * dt**2,
+                ]
+                assert np.array_equal(row, np.repeat(blocks, 3))
+        assert process_noise_diag(noise, np.empty(0)).shape == (0, 15)
+        with pytest.raises(ValueError):
+            process_noise_diag(noise, np.array([0.01, -0.01]))
+
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             ImuNoiseParams(gyro_std=-1.0)

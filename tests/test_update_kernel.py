@@ -20,13 +20,13 @@ import navfuse.fusion as fusion
 import navfuse.ukf as ukf
 from navfuse.errors import DecompositionFailure, SingularInnovationCov
 from navfuse.fusion import FusionConfig, run_fusion
-from navfuse.gnss import GnssFix, GnssNoise, cov_for_fix
+from navfuse.gnss import GnssFix, GnssNoise, measurement_covs
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 
 RTOL = 1e-11
 CFG = FusionConfig()
 PARAMS = CFG.sigma_params()
-R_DEFAULT = cov_for_fix(GnssFix(0.0, 0.0, 0.0, 0.0), CFG.gnss_noise)
+R_DEFAULT = measurement_covs([GnssFix(0.0, 0.0, 0.0, 0.0)], CFG.gnss_noise)[0]
 
 
 def assert_within(diff, scale, what):
@@ -121,7 +121,8 @@ class TestEdgeCases:
         assert event["trace_after"] == event["trace_before"]
 
     def test_per_fix_std(self):
-        r_cov = cov_for_fix(GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 2.0, 3.0)), GnssNoise())
+        fix = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 2.0, 3.0))
+        r_cov = measurement_covs([fix], GnssNoise())[0]
         update_both(nominal(), CFG.initial_covariance(), np.array([5.0, -2.0, 0.0]), r_cov)
 
     def test_nominal_quaternion_with_negative_w(self):
