@@ -19,7 +19,7 @@ from .geodesy import (
 )
 from .gnss import GnssFix, GnssNoise, fix_to_local, measurement_cov
 from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
-from .strapdown import ImuNoiseParams, ImuSample, NavState, process_noise_cov, propagate
+from .strapdown import ImuNoiseParams, ImuSample, NavState, propagate
 from .ukf import (
     GaussianBelief,
     SigmaParams,
@@ -59,7 +59,6 @@ __all__ = [
     "ImuNoiseParams",
     "ImuSample",
     "NavState",
-    "process_noise_cov",
     "propagate",
     "GaussianBelief",
     "SigmaParams",

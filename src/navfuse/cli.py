@@ -51,7 +51,7 @@ from .simulate import (
     corrupt,
     generate_truth,
 )
-from .strapdown import ImuNoiseParams, ImuSample, quat_identity
+from .strapdown import ImuNoiseParams, ImuSample
 
 
 class _UsageError(Exception):
@@ -264,7 +264,6 @@ def _fusion_config(res):
         init_attitude_std=res.get("init_attitude_std", d["init_attitude_std"]),
         init_gyro_bias_std=res.get("init_gyro_bias_std", d["init_gyro_bias_std"]),
         init_accel_bias_std=res.get("init_accel_bias_std", d["init_accel_bias_std"]),
-        initial_orientation=quat_identity(),
         gnss_gate=res.get("gate", None),
         trace_ceiling=res.get("trace_ceiling", d["trace_ceiling"]),
     )

@@ -8,22 +8,21 @@ reckoning.  The local frame is anchored at the first valid fix of the
 run; position and velocity start at zero in that frame.
 
 The prediction step is one kernel over component-major (component, point)
-arrays of the 31 sigma points, with no loop over points.  It takes the
-sigma offsets from :func:`navfuse.ukf.sigma_offsets` and exponentiates
-the 15 plus-side attitude offsets once; the minus side uses
+arrays of the 31 sigma points, with no loop over points, on the column
+quaternion functions of :mod:`navfuse.strapdown`.  It takes the sigma
+offsets from :func:`navfuse.ukf.sigma_offsets`, and one
+:func:`strapdown.quat_exp` call exponentiates the 15 plus-side attitude
+offsets and the 31 bias-corrected turns omega * dt; the minus side uses
 exp(-r) = conj(exp(r)).  The retraction q0 * exp(dtheta) of all points
 is one 4x4 left-multiplication matrix times a (4, 31) array.  The
-strapdown step (bias-corrected rotation of specific force, gravity,
-exp(omega dt) and its composition) is written out on whole arrays.  The
-attitude mean is the iterative rotation-vector average of Crassidis and
-Markley (2003), from the highest-weight point, with tol 1e-9 and at most
-20 iterations; each iteration forms conj(ref) * q_i as one 4x4 matrix
+strapdown step is :func:`strapdown.step` on the 31 columns, the step
+that :func:`strapdown.propagate` runs on one state.  The attitude mean
+is the iterative rotation-vector average of Crassidis and Markley
+(2003), from the highest-weight point, with tol 1e-9 and at most 20
+iterations; each iteration forms conj(ref) * q_i as one 4x4 matrix
 product and updates ref with scalar ``math``.  The deviations that build
 the covariance are taken afresh about the final mean, not reused from
-the last iteration, and the process noise is added as a diagonal.  The
-result equals that of chaining :func:`strapdown.apply_state_delta`,
-:func:`strapdown.propagate_batch`, :func:`strapdown.weighted_state_mean`
-and :func:`strapdown.state_delta`, up to rounding.
+the last iteration, and the process noise is added as a diagonal.
 
 The GNSS update is closed form in error coordinates.  There the fix
 is h(delta) = p + delta[0:3], which is affine, and the unscented
@@ -68,12 +67,18 @@ from .errors import EmptyImuStream, EmptyStream, NonMonotonicTime
 from .geodesy import geodetic_to_enu
 from .gnss import GnssNoise, measurement_covs, stack_fixes
 from .strapdown import (
+    CONJ,
     ERROR_DIM,
-    GRAVITY_ENU,
     STATE_DIM,
+    TINY,
     ImuNoiseParams,
     process_noise_diag,
+    quat_exp,
     quat_identity,
+    quat_left,
+    quat_log,
+    quat_normalized,
+    step,
 )
 from .ukf import (
     SigmaParams,
@@ -179,66 +184,9 @@ def _check_times(t, label, strict):
         raise NonMonotonicTime(f"{label} timestamps regress: {t[i - 1]} -> {t[i]}", i)
 
 
-# The Hamilton product as a bilinear form, (a * b)[i] = sum_jk H[i, j, k] a[j] b[k],
-# flattened so that _HAMILTON @ outer(a, b) multiplies (4, m) columns pairwise.
-_HAMILTON = np.zeros((4, 4, 4))
-for _i, _j, _k, _sign in [
-    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
-    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, -1),
-    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, 1), (2, 3, 1, 1),
-    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
-]:
-    _HAMILTON[_i, _j, _k] = _sign
-_HAMILTON = _HAMILTON.reshape(4, 16)
-del _i, _j, _k, _sign
-
-_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
-# Floors a norm only where it is exactly zero, so that x / norm stays finite.
-_TINY = 1e-300
-# Convergence tolerance and iteration cap of the attitude mean, as in
-# strapdown.weighted_quat_mean.
+# Convergence tolerance and iteration cap of the attitude mean.
 _MEAN_TOL = 1e-9
 _MEAN_MAX_ITER = 20
-
-
-def _products(a, b):
-    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays."""
-    return _HAMILTON @ (a[:, None, :] * b[None, :, :]).reshape(16, -1)
-
-
-def _left(w, x, y, z):
-    """The 4x4 matrix L with L @ b = (w, x, y, z) * b for every column b."""
-    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
-
-
-def _normalized(q):
-    return q / np.sqrt(np.add.reduce(q * q))
-
-
-def _exp_cols(r):
-    """Quaternion exponentials (4, m) of rotation-vector columns (3, m).
-
-    Below |r| = 1e-8, cos(|r|/2) and sin(|r|/2)/|r| round to exactly the
-    1 and 1/2 of the small-angle series in :func:`strapdown.quat_from_rotvec`,
-    so the trigonometric form serves throughout.
-    """
-    angle = np.sqrt(np.add.reduce(r * r))
-    half = angle / 2.0
-    out = np.empty((4, r.shape[1]))
-    np.cos(half, out=out[0])
-    out[1:] = r * (np.sin(half) / np.maximum(angle, _TINY))
-    return out
-
-
-def _log_cols(q):
-    """Shortest-arc rotation vectors (3, m) of unit-quaternion columns (4, m),
-    as :func:`strapdown.rotvec_from_quat`.  Where that takes the scale 2
-    (vector part below 1e-12), 2 atan2(s, |w|) / s differs from 2 only by
-    the rounding of |w| about 1."""
-    two_sign = np.where(q[0] < 0.0, -2.0, 2.0)
-    qv = q[1:]
-    s = np.sqrt(np.add.reduce(qv * qv))
-    return qv * (two_sign * (np.arctan2(s, np.abs(q[0])) / np.maximum(s, _TINY)))
 
 
 def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
@@ -258,23 +206,17 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     rotvecs = np.empty((3, n + m))
     rotvecs[:, :n] = offsets[6:9, 1 : n + 1]
     np.multiply(sample.gyro[:, None] - bias[0:3], dt, out=rotvecs[:, n:])
-    exps = _exp_cols(rotvecs)
+    exps = quat_exp(rotvecs)
 
     # Retraction q0 * exp(dtheta); exp(-r) = conj(exp(r)) gives the minus half.
     rot = np.empty((4, m))
     rot[:, 0] = (1.0, 0.0, 0.0, 0.0)
     rot[:, 1 : n + 1] = exps[:, :n]
-    rot[:, n + 1 :] = exps[:, :n] * _CONJ[:, None]
-    q = _normalized(_left(*state[6:10]) @ rot)
+    rot[:, n + 1 :] = exps[:, :n] * CONJ[:, None]
+    q = quat_normalized(quat_left(*state[6:10]) @ rot)
 
-    # Strapdown step: rotate the bias-corrected specific force with the
-    # pre-step attitude (q * (0, f) * conj(q)), add gravity, integrate.
-    f = np.zeros((4, m))
-    f[1:] = sample.accel[:, None] - bias[3:6]
-    a_nav = _products(_products(q, f), q * _CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
-    p, v = pv[0:3], pv[3:6]
-    pv = np.concatenate([p + v * dt + 0.5 * a_nav * dt * dt, v + a_nav * dt])
-    q = _normalized(_products(q, exps[:, n:]))
+    p, v, q = step(pv[0:3], pv[3:6], q, sample.accel[:, None] - bias[3:6], exps[:, n:], dt)
+    pv = np.concatenate([p, v])
 
     # Mean: linear parts by weight, attitude by iterative rotation-vector
     # averaging from the highest-weight point.
@@ -283,10 +225,10 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     mean[10:16] = bias @ w_mean
     rw, rx, ry, rz = q[:, w_mean.argmax()].tolist()
     for _ in range(_MEAN_MAX_ITER):
-        cx, cy, cz = (_log_cols(_left(rw, -rx, -ry, -rz) @ q) @ w_mean).tolist()
+        cx, cy, cz = (quat_log(quat_left(rw, -rx, -ry, -rz) @ q) @ w_mean).tolist()
         angle = math.sqrt(cx * cx + cy * cy + cz * cz)
         ew = math.cos(angle / 2.0)
-        s = math.sin(angle / 2.0) / max(angle, _TINY)
+        s = math.sin(angle / 2.0) / max(angle, TINY)
         ex, ey, ez = cx * s, cy * s, cz * s
         rw, rx, ry, rz = (
             rw * ew - rx * ex - ry * ey - rz * ez,
@@ -303,7 +245,7 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     # Deviations about the final mean, then the weighted outer products.
     dev = np.empty((n, m))
     dev[0:6] = pv - mean[0:6, None]
-    dev[6:9] = _log_cols(_left(rw, -rx, -ry, -rz) @ q)
+    dev[6:9] = quat_log(quat_left(rw, -rx, -ry, -rz) @ q)
     dev[9:15] = bias - mean[10:16, None]
     new_cov = (dev * w_cov) @ dev.T
     new_cov.flat[:: n + 1] += q_diag
@@ -342,7 +284,7 @@ def _update(state, cov, y, r_cov, gate):
         dx = gain @ v
         new = np.empty(STATE_DIM)
         new[0:6] = state[0:6] + dx[0:6]
-        new[6:10] = _normalized(_left(*state[6:10]) @ _exp_cols(dx[6:9, None]))[:, 0]
+        new[6:10] = quat_normalized(quat_left(*state[6:10]) @ quat_exp(dx[6:9, None]))[:, 0]
         new[10:16] = state[10:16] + dx[9:15]
         state = new
     event = dict(

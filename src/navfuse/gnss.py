@@ -58,6 +58,17 @@ def stack_fixes(fixes):
     return np.array([(f.t, f.lat, f.lon, f.alt) for f in fixes], dtype=float).reshape(-1, 4).T
 
 
+def decimate_indices(times, rate):
+    """Indices of the first sample in each absolute time bucket
+    [k / rate, (k + 1) / rate); ``rate`` must be finite and positive."""
+    if not 0.0 < rate < math.inf:
+        raise ValueError(f"GNSS rate must be finite and > 0, got {rate}")
+    buckets = np.floor(times * rate).astype(np.int64)
+    keep = np.ones(times.shape[0], dtype=bool)
+    keep[1:] = buckets[1:] != buckets[:-1]
+    return np.nonzero(keep)[0]
+
+
 def outage_mask(times, outages):
     """True where a time falls inside one of the half-open ``outages``
     windows [start, end)."""

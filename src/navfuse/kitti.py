@@ -21,7 +21,7 @@ from .errors import (
     NonMonotonicTime,
     RecordCountMismatch,
 )
-from .gnss import GnssFix
+from .gnss import GnssFix, decimate_indices
 from .strapdown import ImuSample
 
 #: OXTS record layout, in file order.
@@ -154,12 +154,8 @@ def load_sequence(drive_dir, gnss_rate=1.0):
         )
 
     gnss = []
-    last_bucket = None
-    for k, record in enumerate(records):
-        bucket = math.floor(times[k] * gnss_rate)
-        if bucket == last_bucket:
-            continue
-        last_bucket = bucket
+    for k in decimate_indices(np.array(times), gnss_rate).tolist():
+        record = records[k]
         std = None
         if record.pos_accuracy > 0:
             std = (record.pos_accuracy, record.pos_accuracy, record.pos_accuracy)

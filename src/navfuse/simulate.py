@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import UnknownProfileKind
 from .geodesy import EnuFrame, GeodeticCoord, LocalEnu, ecef_to_geodetic
-from .gnss import GnssFix, GnssNoise, outage_mask
+from .gnss import GnssFix, GnssNoise, decimate_indices, outage_mask
 from .strapdown import GRAVITY, ImuNoiseParams, ImuSample
 
 #: Fixed geodetic anchor of simulated scenarios, so generated GNSS data
@@ -187,14 +187,6 @@ def generate_truth(profile):
     return truth, ideal
 
 
-def _decimate_indices(times, rate):
-    """Indices of the first sample in each 1/rate time bucket."""
-    buckets = np.floor(times * rate).astype(np.int64)
-    keep = np.ones(times.shape[0], dtype=bool)
-    keep[1:] = buckets[1:] != buckets[:-1]
-    return np.nonzero(keep)[0]
-
-
 def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN):
     """Produce noisy IMU and GNSS streams from truth.
 
@@ -231,7 +223,7 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     ]
 
     truth_times = np.array([p.t for p in truth])
-    fix_idx = _decimate_indices(truth_times, gnss_rate)
+    fix_idx = decimate_indices(truth_times, gnss_rate)
     sigmas = np.array([corruption.gnss.sigma_e, corruption.gnss.sigma_n, corruption.gnss.sigma_u])
     noise = rng.standard_normal((fix_idx.shape[0], 3)) * sigmas
 

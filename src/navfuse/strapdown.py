@@ -9,6 +9,9 @@ keeps the covariance minimal-dimension and free of Euler singularities.
 
 Accelerometers measure specific force, so propagation adds gravity back
 after rotating the bias-corrected reading into the navigation frame.
+The quaternion functions work on columns, (4, m) quaternions and (3, m)
+vectors, and :func:`step` is the one strapdown step: the fusion kernel
+runs it on its 31 sigma points and :func:`propagate` on one state.
 Propagation is deterministic: identical inputs give bit-identical
 outputs.
 """
@@ -28,95 +31,72 @@ STATE_DIM = 16
 
 
 # ---------------------------------------------------------------------------
-# Quaternion helpers (scalar-first, broadcasting over leading axes)
+# Quaternion columns: scalar first, a (4, m) array holds m quaternions and a
+# (3, m) array m vectors, so one numpy call covers all sigma points.
 # ---------------------------------------------------------------------------
+
+CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+# Floors a norm only where it is exactly zero, so that x / norm stays finite.
+TINY = 1e-300
+
+# The Hamilton product as a bilinear form, (a * b)[i] = sum_jk H[i, j, k] a[j] b[k],
+# flattened so that _HAMILTON @ outer(a, b) multiplies (4, m) columns pairwise.
+_HAMILTON = np.zeros((4, 4, 4))
+for _i, _j, _k, _sign in [
+    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
+    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, -1),
+    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, 1), (2, 3, 1, 1),
+    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
+]:
+    _HAMILTON[_i, _j, _k] = _sign
+_HAMILTON = _HAMILTON.reshape(4, 16)
+del _i, _j, _k, _sign
+
 
 def quat_identity():
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def quat_normalize(q):
-    q = np.asarray(q, dtype=float)
-    norm = np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
-    return q / norm
+def quat_products(a, b):
+    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays;
+    a * b composes rotations right-to-left."""
+    return _HAMILTON @ (a[:, None, :] * b[None, :, :]).reshape(16, -1)
 
 
-def quat_multiply(a, b):
-    """Hamilton product a * b; composes rotations right-to-left."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast(aw, bw).shape + (4,))
-    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
-    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
-    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
-    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
-    return out
+def quat_left(w, x, y, z):
+    """The 4x4 matrix L with L @ b = (w, x, y, z) * b for every column b."""
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
-def quat_conjugate(q):
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+def quat_normalized(q):
+    return q / np.sqrt(np.add.reduce(q * q))
 
 
-def quat_rotate(q, v):
-    """Rotate vector(s) ``v`` by unit quaternion(s) ``q``."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    w = q[..., 0]
-    qx, qy, qz = q[..., 1], q[..., 2], q[..., 3]
-    vx, vy, vz = v[..., 0], v[..., 1], v[..., 2]
-    tx = 2.0 * (qy * vz - qz * vy)
-    ty = 2.0 * (qz * vx - qx * vz)
-    tz = 2.0 * (qx * vy - qy * vx)
-    out = np.empty(np.broadcast(w, vx).shape + (3,))
-    out[..., 0] = vx + w * tx + qy * tz - qz * ty
-    out[..., 1] = vy + w * ty + qz * tx - qx * tz
-    out[..., 2] = vz + w * tz + qx * ty - qy * tx
-    return out
+def quat_exp(r):
+    """Quaternion exponentials (4, m) of rotation-vector columns (3, m).
 
-
-def quat_from_rotvec(r):
-    """Quaternion exponential of rotation vector(s) ``r``.
-
-    Below |r| = 1e-8 a second-order series replaces the trigonometric
-    form to avoid 0/0.
+    For 1e-150 < |r| < 1e-8, cos(|r|/2) and sin(|r|/2)/|r| round to
+    exactly 1 and 1/2, so exp(r) is the first-order series (1, r/2) there
+    without a branch.
     """
-    r = np.asarray(r, dtype=float)
-    angle = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
-    small = angle < 1e-8
-    safe = np.where(small, 1.0, angle)
-    w = np.where(small, 1.0 - angle**2 / 8.0, np.cos(angle / 2.0))
-    s = np.where(small, 0.5 - angle**2 / 48.0, np.sin(angle / 2.0) / safe)
-    return np.concatenate([w, r * s], axis=-1)
+    angle = np.sqrt(np.add.reduce(r * r))
+    half = angle / 2.0
+    out = np.empty((4, r.shape[1]))
+    np.cos(half, out=out[0])
+    out[1:] = r * (np.sin(half) / np.maximum(angle, TINY))
+    return out
 
 
-def rotvec_from_quat(q):
-    """Rotation vector (logarithm) of unit quaternion(s), shortest arc."""
-    q = np.asarray(q, dtype=float)
-    # q and -q encode the same rotation; pick the hemisphere with w >= 0.
-    sign = np.where(q[..., :1] < 0.0, -1.0, 1.0)
-    q = q * sign
-    w = q[..., :1]
-    qv = q[..., 1:]
-    s = np.sqrt(np.sum(qv * qv, axis=-1, keepdims=True))
-    small = s < 1e-12
-    safe = np.where(small, 1.0, s)
-    scale = np.where(small, 2.0, 2.0 * np.arctan2(s, w) / safe)
-    return qv * scale
+def quat_log(q):
+    """Shortest-arc rotation vectors (3, m) of unit-quaternion columns (4, m).
 
-
-def rotation_matrix(q):
-    """3x3 direction cosine matrix of a single unit quaternion."""
-    w, x, y, z = np.asarray(q, dtype=float)
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    q and -q encode the same rotation: the angle is taken from |w| and the
+    vector part flipped where w < 0, so the result has norm at most pi.
+    """
+    two_sign = np.where(q[0] < 0.0, -2.0, 2.0)
+    qv = q[1:]
+    s = np.sqrt(np.add.reduce(qv * qv))
+    return qv * (two_sign * (np.arctan2(s, np.abs(q[0])) / np.maximum(s, TINY)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,40 +188,39 @@ class ImuNoiseParams:
 # Propagation
 # ---------------------------------------------------------------------------
 
-def propagate_batch(states, gyro, accel, dt):
-    """Propagate packed states (..., 16) one step with a shared IMU reading.
+def step(p, v, q, f, turn, dt):
+    """One strapdown step of m states held as columns.
 
-    Bias-corrects the reading per state row, integrates attitude with a
-    single rotation vector, rotates specific force with the pre-step
-    attitude, adds gravity, and advances velocity/position with
-    constant-acceleration kinematics.  Biases are left unchanged (their
-    random walk enters through the process noise).
+    ``p``, ``v`` (3, m) are position and velocity, ``q`` (4, m) the
+    attitude, ``f`` (3, m) the bias-corrected specific force and ``turn``
+    (4, m) the attitude increment exp(omega dt) of the bias-corrected
+    rate.  The force is rotated with the pre-step attitude
+    (q * (0, f) * conj(q)), gravity is added back, velocity and position
+    advance with constant-acceleration kinematics, and the attitude is
+    composed with ``turn`` and renormalized.  Returns (p, v, q).
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    states = np.asarray(states, dtype=float)
-    p = states[..., 0:3]
-    v = states[..., 3:6]
-    q = states[..., 6:10]
-    bg = states[..., 10:13]
-    ba = states[..., 13:16]
-
-    omega = gyro - bg
-    acc = accel - ba
-    a_nav = quat_rotate(q, acc) + GRAVITY_ENU
-    out = np.empty_like(states)
-    out[..., 0:3] = p + v * dt + 0.5 * a_nav * dt * dt
-    out[..., 3:6] = v + a_nav * dt
-    out[..., 6:10] = quat_normalize(quat_multiply(q, quat_from_rotvec(omega * dt)))
-    out[..., 10:13] = bg
-    out[..., 13:16] = ba
-    return out
+    fq = np.zeros((4, f.shape[1]))
+    fq[1:] = f
+    a_nav = quat_products(quat_products(q, fq), q * CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
+    return (
+        p + v * dt + 0.5 * a_nav * dt * dt,
+        v + a_nav * dt,
+        quat_normalized(quat_products(q, turn)),
+    )
 
 
 def propagate(state, sample, dt):
-    """Propagate a :class:`NavState` by one IMU step of length ``dt``."""
-    out = propagate_batch(state.as_vector()[None, :], sample.gyro, sample.accel, dt)
-    return NavState.from_vector(out[0])
+    """Propagate a :class:`NavState` by one IMU step of length ``dt``:
+    :func:`step` on one column.  Biases are left unchanged (their random
+    walk enters through the process noise)."""
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    turn = quat_exp(((sample.gyro - state.gyro_bias) * dt)[:, None])
+    f = (sample.accel - state.accel_bias)[:, None]
+    p, v, q = step(
+        state.position[:, None], state.velocity[:, None], state.orientation[:, None], f, turn, dt
+    )
+    return NavState(p[:, 0], v[:, 0], q[:, 0], state.gyro_bias, state.accel_bias)
 
 
 def process_noise_diag(noise, dt):
@@ -264,81 +243,3 @@ def process_noise_diag(noise, dt):
         noise.accel_bias_rw**2 * dt2,
     ]
     return np.repeat(np.stack(blocks, axis=-1), 3, axis=-1)
-
-
-def process_noise_cov(noise, dt):
-    """Additive process noise for one step as a dense 15x15 matrix; see
-    :func:`process_noise_diag`."""
-    return np.diag(process_noise_diag(noise, dt))
-
-
-# ---------------------------------------------------------------------------
-# Error-state retraction used by the sigma-point filter
-# ---------------------------------------------------------------------------
-
-def apply_state_delta(states, deltas):
-    """Retraction: packed state(s) (..., 16) perturbed by error(s) (..., 15).
-
-    Additive parts add; the attitude error is a rotation vector applied
-    on the right: q' = q * exp(dtheta).
-    """
-    states = np.asarray(states, dtype=float)
-    deltas = np.asarray(deltas, dtype=float)
-    shape = np.broadcast(states[..., 0], deltas[..., 0]).shape
-    out = np.empty(shape + (STATE_DIM,))
-    out[..., 0:3] = states[..., 0:3] + deltas[..., 0:3]
-    out[..., 3:6] = states[..., 3:6] + deltas[..., 3:6]
-    out[..., 6:10] = quat_normalize(
-        quat_multiply(states[..., 6:10], quat_from_rotvec(deltas[..., 6:9]))
-    )
-    out[..., 10:13] = states[..., 10:13] + deltas[..., 9:12]
-    out[..., 13:16] = states[..., 13:16] + deltas[..., 12:15]
-    return out
-
-
-def state_delta(states, reference):
-    """Inverse retraction: 15-dim error(s) of packed state(s) about a
-    reference, so that ``apply_state_delta(reference, out) == states``."""
-    states = np.asarray(states, dtype=float)
-    reference = np.asarray(reference, dtype=float)
-    shape = np.broadcast(states[..., 0], reference[..., 0]).shape
-    out = np.empty(shape + (ERROR_DIM,))
-    out[..., 0:3] = states[..., 0:3] - reference[..., 0:3]
-    out[..., 3:6] = states[..., 3:6] - reference[..., 3:6]
-    out[..., 6:9] = rotvec_from_quat(
-        quat_multiply(quat_conjugate(reference[..., 6:10]), states[..., 6:10])
-    )
-    out[..., 9:12] = states[..., 10:13] - reference[..., 10:13]
-    out[..., 12:15] = states[..., 13:16] - reference[..., 13:16]
-    return out
-
-
-def weighted_quat_mean(quats, weights, tol=1e-9, max_iter=20):
-    """Weighted mean rotation by iterative rotation-vector averaging.
-
-    Starts from the highest-weighted quaternion and repeatedly averages
-    the rotation-vector residuals about the current estimate until the
-    correction norm drops below ``tol``.
-    """
-    quats = np.asarray(quats, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    ref = quats[int(np.argmax(weights))].copy()
-    for _ in range(max_iter):
-        residuals = rotvec_from_quat(quat_multiply(quat_conjugate(ref), quats))
-        correction = weights @ residuals
-        ref = quat_normalize(quat_multiply(ref, quat_from_rotvec(correction)))
-        if float(np.linalg.norm(correction)) < tol:
-            break
-    return ref
-
-
-def weighted_state_mean(states, weights):
-    """Weighted mean of packed states (m, 16); the quaternion part uses
-    :func:`weighted_quat_mean`, everything else averages linearly."""
-    states = np.asarray(states, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    mean = np.empty(STATE_DIM)
-    mean[0:6] = weights @ states[:, 0:6]
-    mean[6:10] = weighted_quat_mean(states[:, 6:10], weights)
-    mean[10:16] = weights @ states[:, 10:16]
-    return mean

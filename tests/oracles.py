@@ -2,27 +2,24 @@
 
 These deliberately avoid the library's own code paths: geodesy values
 come from 50-digit mpmath evaluations of the ellipsoid formulas, the
-Kalman filter is the closed-form textbook recursion, and the fusion
-prediction and GNSS update are the compositions of the generic strapdown
-and UKF primitives that the kernels in ``navfuse.fusion`` replace.  The
-per-point ECEF formula in scalar ``math`` and the per-cell CSV writers
-are the forms that the array conversion and ``evaluate._write_table``
-must reproduce bit for bit and byte for byte.
+Kalman filter is the closed-form textbook recursion, the fusion
+prediction is the sigma-point recursion with every rotation done by
+``scipy.spatial.transform.Rotation``, and the GNSS update is the generic
+UKF of ``navfuse.ukf`` that the closed-form kernel replaces, with the
+same scipy retraction.  The per-point ECEF formula in scalar ``math``
+and the per-cell CSV writers are the forms that the array conversion
+and ``evaluate._write_table`` must reproduce bit for bit and byte for
+byte.
 """
 
 import math
 
 import mpmath as mp
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from navfuse.geodesy import WGS84
-from navfuse.strapdown import (
-    ERROR_DIM,
-    apply_state_delta,
-    propagate_batch,
-    state_delta,
-    weighted_state_mean,
-)
+from navfuse.strapdown import ERROR_DIM
 from navfuse.ukf import (
     GaussianBelief,
     apply_measurement,
@@ -140,18 +137,46 @@ class LinearKalmanFilter:
         self.cov = self.cov - gain @ s @ gain.T
 
 
+# Standard gravity (m/s^2), down in ENU.
+GRAVITY_ENU = np.array([0.0, 0.0, -9.80665])
+
+
+def _retract(state, deltas):
+    """The nominal state perturbed by 15-dim error(s) (..., 15): additive
+    parts add, the attitude becomes q * exp(dtheta)."""
+    out = np.empty(deltas.shape[:-1] + (16,))
+    out[..., 0:6] = state[0:6] + deltas[..., 0:6]
+    nominal = Rotation.from_quat(state[6:10], scalar_first=True)
+    out[..., 6:10] = (nominal * Rotation.from_rotvec(deltas[..., 6:9])).as_quat(scalar_first=True)
+    out[..., 10:16] = state[10:16] + deltas[..., 9:15]
+    return out
+
+
 def reference_predict(state, cov, sample, dt, params, w_mean, w_cov, q_cov):
-    """Sigma-point prediction as a chain of the row-major primitives:
-    retract, propagate, average, take deviations, add the dense ``q_cov``."""
+    """Sigma-point prediction on scipy rotations: retract the 31 points,
+    push each through the strapdown step, take the iterative
+    rotation-vector mean (tol 1e-9, at most 20 iterations) from the
+    highest-weight point, take deviations, add the dense ``q_cov``."""
     spread = math.sqrt(params.n + params.kappa) * cholesky_sqrt(cov)
-    deltas = np.empty((2 * ERROR_DIM + 1, ERROR_DIM))
-    deltas[0] = 0.0
+    deltas = np.zeros((2 * ERROR_DIM + 1, ERROR_DIM))
     deltas[1 : ERROR_DIM + 1] = spread.T
     deltas[ERROR_DIM + 1 :] = -spread.T
-    sigma_states = apply_state_delta(state[None, :], deltas)
-    propagated = propagate_batch(sigma_states, sample.gyro, sample.accel, dt)
-    mean = weighted_state_mean(propagated, w_mean)
-    dev = state_delta(propagated, mean)
+    points = _retract(state, deltas)
+    p, v, bias = points[:, 0:3], points[:, 3:6], points[:, 10:16]
+    attitude = Rotation.from_quat(points[:, 6:10], scalar_first=True)
+
+    a_nav = attitude.apply(sample.accel - bias[:, 3:6]) + GRAVITY_ENU
+    pv = np.hstack([p + v * dt + 0.5 * a_nav * dt * dt, v + a_nav * dt])
+    attitude = attitude * Rotation.from_rotvec((sample.gyro - bias[:, 0:3]) * dt)
+
+    ref = attitude[int(np.argmax(w_mean))]
+    for _ in range(20):
+        correction = w_mean @ (ref.inv() * attitude).as_rotvec()
+        ref = ref * Rotation.from_rotvec(correction)
+        if np.linalg.norm(correction) < 1e-9:
+            break
+    mean = np.concatenate([w_mean @ pv, ref.as_quat(scalar_first=True), w_mean @ bias])
+    dev = np.hstack([pv - mean[0:6], (ref.inv() * attitude).as_rotvec(), bias - mean[10:16]])
     new_cov = (dev * w_cov[:, None]).T @ dev + q_cov
     return mean, 0.5 * (new_cov + new_cov.T)
 
@@ -172,7 +197,7 @@ def reference_update(state, cov, y, r_cov, gate, params):
     trace_before = float(np.trace(cov))
     if accepted:
         posterior, innovation = apply_measurement(belief, prediction, y)
-        state = apply_state_delta(state, posterior.mean)
+        state = _retract(state, posterior.mean)
         cov = posterior.cov
     else:
         innovation = y - prediction.mean

@@ -10,6 +10,7 @@ from navfuse.geodesy import WGS84, EnuFrame, GeodeticCoord, enu_rotation, geodet
 from navfuse.gnss import (
     GnssFix,
     GnssNoise,
+    decimate_indices,
     fix_to_local,
     measurement_cov,
     measurement_covs,
@@ -168,6 +169,16 @@ class TestStreams:
         mask = outage_mask(times, [(1.0, 2.0), (5.0, 7.0)])
         assert mask.tolist() == [False, True, True, False, True, True, False]
         assert not outage_mask(times, []).any()
+
+    def test_decimate_keeps_first_of_each_bucket(self):
+        # Absolute buckets: 0.95 and 1.02 fall in different 1 s buckets,
+        # and the early 1.98 shares bucket 1 with 1.02 and is dropped.
+        times = np.array([0.0, 0.5, 0.95, 1.02, 1.98, 2.0, 4.1])
+        assert decimate_indices(times, 1.0).tolist() == [0, 3, 5, 6]
+        assert decimate_indices(times, 10.0).tolist() == list(range(7))
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                decimate_indices(times, rate)
 
 
 class TestLinearityThroughTransform:

@@ -1,12 +1,12 @@
-"""The fused prediction kernel against the chain of strapdown primitives.
+"""The fused prediction kernel against an independent sigma-point recursion.
 
 ``oracles.reference_predict`` retracts, propagates, averages and takes
-deviations with the generic row-major functions of ``navfuse.strapdown``;
-``fusion._predict`` must give the same mean and covariance to 1e-11
-relative.  A sigma-point mean is a sum of terms of about one standard
-deviation that cancel, so "relative" is taken against |value| plus that
-standard deviation for the state, and against sqrt(P_ii P_jj) for the
-covariance entry P_ij.
+deviations with ``scipy.spatial.transform.Rotation``, using no quaternion
+or strapdown code of navfuse; ``fusion._predict`` must give the same
+mean and covariance to 1e-11 relative.  A sigma-point mean is a sum of
+terms of about one standard deviation that cancel, so "relative" is
+taken against |value| plus that standard deviation for the state, and
+against sqrt(P_ii P_jj) for the covariance entry P_ij.
 """
 
 import numpy as np
@@ -103,9 +103,10 @@ class TestAgainstOracle:
 
     @pytest.mark.parametrize("variance", [0.0, 1e-30])
     def test_zero_gyro_and_attitude_covariance(self, variance):
-        # At 1e-30 every attitude offset and every turn omega * dt falls
-        # below the small-angle thresholds of exp (1e-8) and log (1e-12).
-        # Exactly zero makes cholesky_sqrt take its jitter retry.
+        # At 1e-30 every attitude offset and every turn omega * dt is far
+        # below 1e-8, where quat_exp is exactly (1, r/2), and quat_log
+        # meets vector parts near 1e-15.  Exactly zero makes cholesky_sqrt
+        # take its jitter retry.
         cov = CFG.initial_covariance()
         cov[6:12, 6:12] = variance * np.eye(6)
         sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, 9.80665]))

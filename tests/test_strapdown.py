@@ -2,28 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.transform import Rotation
 
+import navfuse.fusion as fusion
+from navfuse.fusion import FusionConfig
 from navfuse.simulate import TrajectoryProfile, generate_truth
 from navfuse.strapdown import (
+    CONJ,
     GRAVITY,
     ImuNoiseParams,
     ImuSample,
     NavState,
-    apply_state_delta,
-    process_noise_cov,
     process_noise_diag,
     propagate,
-    propagate_batch,
-    quat_from_rotvec,
+    quat_exp,
     quat_identity,
-    quat_multiply,
-    quat_rotate,
-    rotation_matrix,
-    rotvec_from_quat,
-    state_delta,
-    weighted_quat_mean,
-    weighted_state_mean,
+    quat_left,
+    quat_log,
+    quat_normalized,
+    quat_products,
 )
+from navfuse.ukf import compute_weights
 
 LEVEL_ACCEL = np.array([0.0, 0.0, GRAVITY])
 
@@ -32,46 +31,71 @@ def stationary_sample(t=0.0):
     return ImuSample(t, np.zeros(3), LEVEL_ACCEL.copy())
 
 
+def exp(r):
+    """quat_exp of one rotation vector, as a (4,) array."""
+    return quat_exp(np.asarray(r, dtype=float)[:, None])[:, 0]
+
+
+def rotate(q, v):
+    """v rotated by the unit quaternion q, as q * (0, v) * conj(q)."""
+    f = np.concatenate([[0.0], v])[:, None]
+    return quat_products(quat_products(q[:, None], f), (q * CONJ)[:, None])[1:, 0]
+
+
+def reference_step(state, sample, dt):
+    """One strapdown step on scipy rotations: (p, v, q) after ``dt``."""
+    attitude = Rotation.from_quat(state.orientation, scalar_first=True)
+    a_nav = attitude.apply(sample.accel - state.accel_bias) + np.array([0.0, 0.0, -GRAVITY])
+    turn = Rotation.from_rotvec((sample.gyro - state.gyro_bias) * dt)
+    return (
+        state.position + state.velocity * dt + 0.5 * a_nav * dt * dt,
+        state.velocity + a_nav * dt,
+        (attitude * turn).as_quat(scalar_first=True),
+    )
+
+
 class TestQuaternions:
     def test_zero_rotvec_is_identity(self):
-        np.testing.assert_array_equal(quat_from_rotvec(np.zeros(3)), quat_identity())
+        np.testing.assert_array_equal(exp(np.zeros(3)), quat_identity())
 
     def test_half_turn_about_z(self):
-        q = quat_from_rotvec(np.array([0.0, 0.0, math.pi]))
-        np.testing.assert_allclose(quat_rotate(q, [1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-12)
+        q = exp([0.0, 0.0, math.pi])
+        np.testing.assert_allclose(rotate(q, [1.0, 0.0, 0.0]), [-1.0, 0.0, 0.0], atol=1e-12)
 
     def test_quarter_turn_about_z(self):
-        q = quat_from_rotvec(np.array([0.0, 0.0, math.pi / 2]))
-        np.testing.assert_allclose(quat_rotate(q, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+        q = exp([0.0, 0.0, math.pi / 2])
+        np.testing.assert_allclose(rotate(q, [1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_small_angle_series_branch(self):
-        r = np.array([3e-9, -4e-9, 0.0])
-        q = quat_from_rotvec(r)
+        # Below |r| = 1e-8 the trigonometric form is the first-order
+        # series (1, r/2) to the last bit, so no branch is needed.
+        rng = np.random.default_rng(29)
+        r = rng.standard_normal((3, 1000))
+        r *= 10.0 ** rng.uniform(-150.0, -8.0, 1000) / np.sqrt(np.sum(r * r, axis=0))
+        q = quat_exp(r)
+        assert np.array_equal(q[0], np.ones(1000))
+        assert np.array_equal(q[1:], r / 2.0)
+
+        r = np.array([[3e-9], [-4e-9], [0.0]])
+        q = quat_exp(r)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-15
-        np.testing.assert_allclose(rotvec_from_quat(q), r, rtol=1e-9, atol=1e-20)
+        np.testing.assert_allclose(quat_log(q), r, rtol=1e-9, atol=1e-20)
 
     def test_log_exp_round_trip(self):
         rng = np.random.default_rng(3)
-        r = rng.uniform(-1.5, 1.5, (50, 3))
-        np.testing.assert_allclose(rotvec_from_quat(quat_from_rotvec(r)), r, atol=1e-12)
+        r = rng.uniform(-1.5, 1.5, (3, 50))
+        np.testing.assert_allclose(quat_log(quat_exp(r)), r, atol=1e-12)
 
     def test_log_picks_shortest_arc(self):
-        q = quat_from_rotvec(np.array([0.1, 0.0, 0.0]))
-        np.testing.assert_allclose(rotvec_from_quat(-q), [0.1, 0.0, 0.0], atol=1e-12)
-
-    def test_rotation_matrix_matches_quat_rotate(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            q = quat_from_rotvec(rng.uniform(-2, 2, 3))
-            v = rng.standard_normal(3)
-            np.testing.assert_allclose(rotation_matrix(q) @ v, quat_rotate(q, v), atol=1e-12)
+        q = quat_exp(np.array([[0.1], [0.0], [0.0]]))
+        np.testing.assert_allclose(quat_log(-q)[:, 0], [0.1, 0.0, 0.0], atol=1e-12)
 
     def test_multiply_composes(self):
-        a = quat_from_rotvec(np.array([0.0, 0.0, 0.3]))
-        b = quat_from_rotvec(np.array([0.0, 0.0, 0.4]))
-        np.testing.assert_allclose(
-            quat_multiply(a, b), quat_from_rotvec(np.array([0.0, 0.0, 0.7])), atol=1e-12
-        )
+        a = exp([0.0, 0.0, 0.3])[:, None]
+        b = exp([0.0, 0.0, 0.4])[:, None]
+        composed = exp([0.0, 0.0, 0.7])[:, None]
+        np.testing.assert_allclose(quat_products(a, b), composed, atol=1e-12)
+        np.testing.assert_allclose(quat_left(*a[:, 0]) @ b, composed, atol=1e-12)
 
 
 class TestPropagate:
@@ -128,22 +152,24 @@ class TestPropagate:
         b = propagate(NavState.identity(), sample, 0.01)
         np.testing.assert_array_equal(a.as_vector(), b.as_vector())
 
-    def test_batch_matches_scalar(self):
+    def test_matches_scipy_reference_step(self):
+        # Random states with nonzero biases; every other attitude has w < 0,
+        # which the step must keep (no hemisphere flip).
         rng = np.random.default_rng(13)
-        states = []
-        for _ in range(7):
-            q = quat_from_rotvec(rng.uniform(-1, 1, 3))
-            states.append(
-                NavState(rng.standard_normal(3), rng.standard_normal(3), q,
-                         0.01 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
-            )
-        packed = np.array([s.as_vector() for s in states])
-        gyro = rng.uniform(-1, 1, 3)
-        accel = rng.uniform(-2, 2, 3) + LEVEL_ACCEL
-        batch = propagate_batch(packed, gyro, accel, 0.02)
-        for row, s in zip(batch, states):
-            single = propagate(s, ImuSample(0.0, gyro, accel), 0.02)
-            np.testing.assert_array_equal(row, single.as_vector())
+        for k in range(8):
+            q = rng.standard_normal(4)
+            q *= (-1) ** k * np.sign(q[0]) / np.linalg.norm(q)
+            state = NavState(rng.standard_normal(3), rng.standard_normal(3), q,
+                             0.01 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
+            sample = ImuSample(0.0, rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL)
+            out = propagate(state, sample, 0.02)
+            p, v, q_ref = reference_step(state, sample, 0.02)
+            np.testing.assert_allclose(out.position, p, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.velocity, v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out.orientation, q_ref, rtol=0, atol=1e-12)
+            assert (out.orientation[0] < 0) == (k % 2 == 1)
+            np.testing.assert_array_equal(out.gyro_bias, state.gyro_bias)
+            np.testing.assert_array_equal(out.accel_bias, state.accel_bias)
 
     def test_halving_dt_improves_endpoint(self):
         # Integration error must shrink at least first order in dt.
@@ -162,34 +188,24 @@ class TestPropagate:
 
 class TestProcessNoise:
     def test_zero_dt_gives_zero_matrix(self):
-        q = process_noise_cov(ImuNoiseParams(), 0.0)
-        assert not q.any()
+        assert not process_noise_diag(ImuNoiseParams(), 0.0).any()
 
     def test_zero_params_give_zero_matrix(self):
-        q = process_noise_cov(ImuNoiseParams(0.0, 0.0, 0.0, 0.0), 0.01)
-        assert not q.any()
+        assert not process_noise_diag(ImuNoiseParams(0.0, 0.0, 0.0, 0.0), 0.01).any()
 
     def test_attitude_block_at_default_rates(self):
-        q = process_noise_cov(ImuNoiseParams(), 0.01)
-        np.testing.assert_allclose(np.diag(q)[6:9], (0.01 * 0.01) ** 2)
+        d = process_noise_diag(ImuNoiseParams(), 0.01)
+        np.testing.assert_allclose(d[6:9], (0.01 * 0.01) ** 2)
 
     def test_block_layout(self):
         noise = ImuNoiseParams(gyro_std=2.0, accel_std=3.0, gyro_bias_rw=4.0, accel_bias_rw=5.0)
-        q = process_noise_cov(noise, 0.5)
-        d = np.diag(q)
+        d = process_noise_diag(noise, 0.5)
+        assert d.shape == (15,)
         np.testing.assert_allclose(d[0:3], 0.25 * 9.0 * 0.5**4)
         np.testing.assert_allclose(d[3:6], 9.0 * 0.25)
         np.testing.assert_allclose(d[6:9], 4.0 * 0.25)
         np.testing.assert_allclose(d[9:12], 16.0 * 0.25)
         np.testing.assert_allclose(d[12:15], 25.0 * 0.25)
-        assert np.array_equal(q, np.diag(d))
-
-    def test_dense_matrix_is_the_diagonal(self):
-        noise = ImuNoiseParams(gyro_std=2.0, accel_std=3.0, gyro_bias_rw=4.0, accel_bias_rw=5.0)
-        for dt in (0.0, 0.01, 0.0097, 0.5):
-            d = process_noise_diag(noise, dt)
-            assert d.shape == (15,)
-            assert np.array_equal(process_noise_cov(noise, dt), np.diag(d))
 
     def test_array_of_steps_bit_identical_to_per_step_calls(self):
         # +-3 ms jitter about 10 ms and 100 ms steps: the (n, 15) result of
@@ -220,35 +236,50 @@ class TestProcessNoise:
             ImuNoiseParams(gyro_std=-1.0)
 
 
+def predict_still(state, variances):
+    """The fusion kernel's prediction over 10 ms with zero rates and level
+    specific force, from a diagonal covariance and no process noise."""
+    params = FusionConfig().sigma_params()
+    w_mean, w_cov = compute_weights(params)
+    sample = ImuSample(0.0, np.zeros(3), LEVEL_ACCEL)
+    return fusion._predict(
+        state, np.diag(variances), sample, 0.01, params, w_mean, w_cov, np.zeros(15)
+    )
+
+
 class TestErrorStateRetraction:
     def test_apply_then_extract_round_trips(self):
+        # The kernel's retraction q * exp(dtheta) and its deviation
+        # log(conj(q) * q') on columns.
         rng = np.random.default_rng(17)
-        state = NavState(
-            rng.standard_normal(3), rng.standard_normal(3),
-            quat_from_rotvec(rng.uniform(-1, 1, 3)),
-            rng.standard_normal(3) * 0.01, rng.standard_normal(3) * 0.1,
-        ).as_vector()
-        deltas = rng.uniform(-0.5, 0.5, (9, 15))
-        perturbed = apply_state_delta(state[None, :], deltas)
-        np.testing.assert_allclose(state_delta(perturbed, state), deltas, atol=1e-12)
+        q = exp(rng.uniform(-1, 1, 3))
+        deltas = rng.uniform(-0.5, 0.5, (3, 9))
+        perturbed = quat_normalized(quat_left(*q) @ quat_exp(deltas))
+        np.testing.assert_allclose(quat_log(quat_left(*(q * CONJ)) @ perturbed), deltas,
+                                   atol=1e-12)
 
     def test_weighted_quat_mean_of_symmetric_pairs(self):
-        ref = quat_from_rotvec(np.array([0.2, -0.1, 0.4]))
-        offsets = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [-0.1, 0.0, 0.0],
-                            [0.0, 0.2, 0.0], [0.0, -0.2, 0.0]])
-        quats = quat_multiply(ref[None, :], quat_from_rotvec(offsets))
-        weights = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
-        mean = weighted_quat_mean(quats, weights)
-        np.testing.assert_allclose(mean, ref, atol=1e-9)
+        # Attitude sigma points ref * exp(+-r_i) with equal pair weights
+        # average back to ref.
+        ref = exp([0.2, -0.1, 0.4])
+        state = np.concatenate([np.zeros(6), ref, np.zeros(6)])
+        variances = np.full(15, 1e-30)
+        variances[6:9] = [0.01, 0.04, 0.02]
+        mean, _ = predict_still(state, variances)
+        np.testing.assert_allclose(mean[6:10], ref, atol=1e-12)
 
     def test_weighted_state_mean_additive_parts(self):
+        # Position and velocity points symmetric about the nominal state
+        # average back to it, moved by v * dt; one attitude averages to itself.
         rng = np.random.default_rng(19)
-        states = np.array([NavState.identity().as_vector() for _ in range(5)])
-        states[:, 0:6] = rng.standard_normal((5, 6))
-        weights = np.full(5, 0.2)
-        mean = weighted_state_mean(states, weights)
-        np.testing.assert_allclose(mean[0:6], weights @ states[:, 0:6], atol=1e-15)
-        np.testing.assert_allclose(mean[6:10], quat_identity(), atol=1e-15)
+        p0, v0 = rng.standard_normal(3), rng.standard_normal(3)
+        state = np.concatenate([p0, v0, quat_identity(), np.zeros(6)])
+        variances = np.full(15, 1e-30)
+        variances[0:6] = rng.uniform(0.5, 2.0, 6)
+        mean, _ = predict_still(state, variances)
+        np.testing.assert_allclose(mean[0:3], p0 + v0 * 0.01, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mean[3:6], v0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mean[6:10], quat_identity(), rtol=0, atol=1e-14)
 
 
 class TestNavState:
@@ -256,7 +287,7 @@ class TestNavState:
         rng = np.random.default_rng(23)
         state = NavState(
             rng.standard_normal(3), rng.standard_normal(3),
-            quat_from_rotvec(rng.uniform(-1, 1, 3)),
+            exp(rng.uniform(-1, 1, 3)),
             rng.standard_normal(3), rng.standard_normal(3),
         )
         np.testing.assert_array_equal(NavState.from_vector(state.as_vector()).as_vector(),
