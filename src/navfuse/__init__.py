@@ -17,9 +17,9 @@ from .geodesy import (
     geodetic_to_enu,
     normal_radius,
 )
-from .gnss import GnssFix, GnssNoise, fix_to_local, measurement_cov
+from .gnss import GnssNoise, GnssStream, measurement_cov
 from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
-from .strapdown import ImuNoiseParams, ImuSample, NavState, propagate
+from .strapdown import ImuNoiseParams, ImuStream, NavState, propagate
 from .ukf import (
     GaussianBelief,
     SigmaParams,
@@ -48,16 +48,15 @@ __all__ = [
     "geodetic_to_ecef",
     "geodetic_to_enu",
     "normal_radius",
-    "GnssFix",
     "GnssNoise",
-    "fix_to_local",
+    "GnssStream",
     "measurement_cov",
     "SensorCorruption",
     "TrajectoryProfile",
     "corrupt",
     "generate_truth",
     "ImuNoiseParams",
-    "ImuSample",
+    "ImuStream",
     "NavState",
     "propagate",
     "GaussianBelief",

@@ -6,22 +6,26 @@ Stream schemas (headers are fixed):
 * ``gnss.csv``  -- ``t,lat_deg,lon_deg,alt_m``
 * ``truth.csv`` -- ``t,lat_deg,lon_deg,alt_m`` (geodetic ground truth)
 
-Exit codes: 0 success, 1 runtime/data error, 2 usage error.  Flags
-override an optional ``key=value`` config file (``--config``); defaults
-apply last.  Every command writes a ``manifest`` echoing the resolved
-configuration, sufficient to reproduce the run byte for byte.
+The readers return a whole file as an :class:`ImuStream` or a
+:class:`GnssStream`, and the writers take them.  Exit codes: 0 success,
+1 runtime/data error, 2 usage error (also a NaN, infinite or
+out-of-range configuration value).  Flags override an optional
+``key=value`` config file (``--config``); defaults apply last.  Every
+command writes a ``manifest`` echoing the resolved configuration,
+sufficient to reproduce the run byte for byte.
 """
 
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import EmptyStream, NavFuseError
+from .errors import EmptyStream, InvalidNoise, NavFuseError
 from .evaluate import (
     _fmt,
     _read_table,
@@ -33,15 +37,14 @@ from .evaluate import (
     export_track_csv,
     rmse,
 )
-from .fusion import FusionConfig, run_fusion
+from .fusion import FusionConfig, run_fusion, run_gnss_only
 from .geodesy import (
     EnuFrame,
     GeodeticCoord,
     ecef_to_geodetic,
     geodetic_in_range,
-    geodetic_to_enu,
 )
-from .gnss import GnssFix, GnssNoise, outage_mask, stack_fixes
+from .gnss import GnssNoise, GnssStream, outage_mask
 from .kitti import load_sequence
 from .simulate import (
     PROFILE_KINDS,
@@ -51,11 +54,21 @@ from .simulate import (
     corrupt,
     generate_truth,
 )
-from .strapdown import ImuNoiseParams, ImuSample
+from .strapdown import ImuNoiseParams, ImuStream
 
 
 class _UsageError(Exception):
     pass
+
+
+@contextmanager
+def _usage_errors():
+    """Report a configuration value that a constructor rejects as a
+    usage error."""
+    try:
+        yield
+    except (ValueError, InvalidNoise) as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _parse_outage(text):
@@ -122,42 +135,33 @@ def _geodetic_rows(table):
     return geodetic_in_range(np.radians(table[:, 1]), np.radians(table[:, 2]), table[:, 3])
 
 
-def _read_geodetic(path):
-    """The t, lat, lon (radians) and alt columns of a gnss.csv or truth.csv."""
-    table = _read_table(path, _GEODETIC_HEADER, 4, valid=_geodetic_rows)
-    return table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]), table[:, 3]
-
-
 def read_imu_csv(path):
+    """An imu.csv as an :class:`ImuStream`."""
     table = _read_table(path, _IMU_HEADER, 7)
-    return [
-        ImuSample(t, gyro, accel)
-        for t, gyro, accel in zip(table[:, 0].tolist(), table[:, 1:4], table[:, 4:7])
-    ]
+    return ImuStream(table[:, 0], table[:, 1:4], table[:, 4:7])
 
 
 def read_gnss_csv(path):
-    return [GnssFix(*row) for row in zip(*(c.tolist() for c in _read_geodetic(path)))]
+    """A gnss.csv or truth.csv as a :class:`GnssStream` without receiver
+    sigmas."""
+    table = _read_table(path, _GEODETIC_HEADER, 4, valid=_geodetic_rows)
+    return GnssStream(table[:, 0], np.radians(table[:, 1]), np.radians(table[:, 2]), table[:, 3])
 
 
-def write_imu_csv(samples, path):
-    table = [(s.t, *s.gyro, *s.accel) for s in samples]
-    _write_table(path, _IMU_HEADER, table)
+def write_imu_csv(imu, path):
+    _write_table(path, _IMU_HEADER, np.column_stack([imu.t, imu.gyro, imu.accel]))
 
 
-def write_gnss_csv(fixes, path):
-    t, lat, lon, alt = stack_fixes(fixes)
-    table = np.column_stack([t, np.degrees(lat), np.degrees(lon), alt])
+def write_gnss_csv(gnss, path):
+    table = np.column_stack([gnss.t, np.degrees(gnss.lat), np.degrees(gnss.lon), gnss.alt])
     _write_table(path, _GEODETIC_HEADER, table)
 
 
 def write_truth_csv(truth, origin, path):
-    frame = EnuFrame(origin)
-    table = []
-    for pose in truth:
-        g = ecef_to_geodetic(frame.to_ecef(pose.position))
-        table.append((pose.t, math.degrees(g.lat), math.degrees(g.lon), g.height))
-    _write_table(path, _GEODETIC_HEADER, table)
+    """Write the :class:`Truth` positions, ENU offsets from ``origin``, as
+    geodetic rows."""
+    ecef = EnuFrame(origin).points_to_ecef(truth.position)
+    write_gnss_csv(GnssStream(truth.t, *ecef_to_geodetic(ecef)), path)
 
 
 _ESTIMATE_HEADER = (
@@ -201,7 +205,7 @@ def _cmd_simulate(args):
     seed = res.get("seed", None, int)
     if profile_kind is None or duration is None or seed is None:
         raise _UsageError("--profile, --duration, and --seed are required")
-    try:
+    with _usage_errors():
         profile = TrajectoryProfile(
             kind=profile_kind,
             duration=duration,
@@ -217,8 +221,6 @@ def _cmd_simulate(args):
             gnss=GnssNoise(*(3 * [res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)])),
             outages=tuple(_parse_outage(o) for o in (args.gnss_outage or [])),
         )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
 
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, corruption, gnss_rate=profile.gnss_rate)
@@ -273,10 +275,11 @@ def _cmd_fuse(args):
     if bool(args.kitti) == bool(args.imu or args.gnss):
         raise _UsageError("provide either --kitti DIR or both --imu and --gnss")
     res = _Resolver(args)
-    cfg = _fusion_config(res)
+    with _usage_errors():
+        cfg = _fusion_config(res)
 
     if args.kitti:
-        imu, gnss = load_sequence(args.kitti, gnss_rate=res.get("gnss_rate", 1.0))
+        imu, gnss = _load_kitti(args, res)
         inputs = {"kitti": args.kitti}
     else:
         if not (args.imu and args.gnss):
@@ -287,8 +290,7 @@ def _cmd_fuse(args):
 
     outages = [_parse_outage(o) for o in (args.gnss_outage or [])]
     if outages:
-        dropped = outage_mask([f.t for f in gnss], outages)
-        gnss = [f for f, drop in zip(gnss, dropped.tolist()) if not drop]
+        gnss = gnss.take(~outage_mask(gnss.t, outages))
 
     result = run_fusion(imu, gnss, cfg)
 
@@ -299,16 +301,16 @@ def _cmd_fuse(args):
     if args.truth:
         # Each fix was converted once, in run_fusion; result.gnss_track is
         # reused for the baseline and the track cells.
-        t, lat, lon, alt = _read_geodetic(args.truth)
-        if not len(t):
+        rows = read_gnss_csv(args.truth)
+        if not len(rows):
             raise EmptyStream(f"{args.truth}: no truth rows")
-        origin = result.origin or GeodeticCoord(lat[0], lon[0], alt[0])
-        truth = (t, geodetic_to_enu(lat, lon, alt, origin))
+        origin = result.origin or GeodeticCoord(rows.lat[0], rows.lon[0], rows.alt[0])
+        truth = run_gnss_only(rows, origin)
         fused_err = align_and_diff(result.track, truth)
         export_errors_csv(fused_err, out / "errors.csv")
 
         reports = []
-        if gnss:
+        if len(gnss):
             reports.append(rmse(align_and_diff(result.gnss_track, truth), "GNSS"))
         reports.append(rmse(fused_err, "GNSS-IMU"))
         export_rmse_csv(reports, out / "rmse.csv")
@@ -341,9 +343,16 @@ def _cmd_fuse(args):
     return 0
 
 
+def _load_kitti(args, res):
+    rate = res.get("gnss_rate", 1.0)
+    if not 0.0 < rate < math.inf:
+        raise _UsageError(f"--gnss-rate must be finite and > 0, got {rate}")
+    return load_sequence(args.kitti, gnss_rate=rate)
+
+
 def _cmd_kitti_convert(args):
     res = _Resolver(args)
-    imu, gnss = load_sequence(args.kitti, gnss_rate=res.get("gnss_rate", 1.0))
+    imu, gnss = _load_kitti(args, res)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_imu_csv(imu, out / "imu.csv")

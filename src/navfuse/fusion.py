@@ -42,10 +42,11 @@ gets one ``eigh`` that both feeds :func:`navfuse.ukf.check_innovation_eigs`
 (:class:`SingularInnovationCov`) and inverts it; and a non-finite S or
 v raises ``ValueError``.
 
-A run is one pass over arrays.  At entry :func:`run_fusion` stacks the
-IMU times and the fixes once, checks time order with array comparisons,
-converts every fix to the local frame in one
-:func:`navfuse.geodesy.geodetic_to_enu` call, builds the R of every
+A run is one pass over arrays.  Its inputs are an
+:class:`navfuse.strapdown.ImuStream` and a :class:`navfuse.gnss.GnssStream`,
+columns whose shapes, values and time order were checked when they were
+built.  At entry :func:`run_fusion` converts every fix to the local frame
+in one :func:`navfuse.geodesy.geodetic_to_enu` call, builds the R of every
 anchored fix once, computes the process-noise diagonals of all steps
 from the dt array, and anchors each fix to its IMU step with one
 ``searchsorted``.  The loop then runs only the two kernels and writes one
@@ -63,9 +64,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyImuStream, EmptyStream, NonMonotonicTime
-from .geodesy import geodetic_to_enu
-from .gnss import GnssNoise, measurement_covs, stack_fixes
+from .errors import EmptyImuStream, EmptyStream
+from .geodesy import GeodeticCoord, geodetic_to_enu
+from .gnss import GnssNoise, measurement_covs
 from .strapdown import (
     CONJ,
     ERROR_DIM,
@@ -90,6 +91,11 @@ from .ukf import (
 )
 
 
+# The initial standard deviations of the error blocks [dp, dv, dtheta, dbg, dba].
+_INIT_STDS = ("init_position_std", "init_velocity_std", "init_attitude_std",
+              "init_gyro_bias_std", "init_accel_bias_std")
+
+
 @dataclass(frozen=True)
 class FusionConfig:
     """Filter tuning: sigma scaling, sensor noise, and initial uncertainty.
@@ -111,29 +117,16 @@ class FusionConfig:
     init_attitude_std: float = 0.01
     init_gyro_bias_std: float = 1e-4
     init_accel_bias_std: float = 1e-3
-    initial_orientation: np.ndarray = field(default_factory=quat_identity)
     gnss_gate: float | None = None
     trace_ceiling: float = 1e9
 
     def __post_init__(self):
-        for name in (
-            "init_position_std",
-            "init_velocity_std",
-            "init_attitude_std",
-            "init_gyro_bias_std",
-            "init_accel_bias_std",
-        ):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+        for name in _INIT_STDS:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
 
     def initial_covariance(self):
-        stds = [
-            self.init_position_std,
-            self.init_velocity_std,
-            self.init_attitude_std,
-            self.init_gyro_bias_std,
-            self.init_accel_bias_std,
-        ]
+        stds = [getattr(self, name) for name in _INIT_STDS]
         return np.diag(np.repeat(np.square(stds), 3))
 
     def sigma_params(self):
@@ -175,24 +168,16 @@ class FusionResult:
         return self.t, self.state[:, 0:3]
 
 
-def _check_times(t, label, strict):
-    """Raise :class:`NonMonotonicTime` at the first index whose time
-    regresses (or repeats, when ``strict``)."""
-    bad = t[1:] <= t[:-1] if strict else t[1:] < t[:-1]
-    if bad.any():
-        i = int(bad.argmax()) + 1
-        raise NonMonotonicTime(f"{label} timestamps regress: {t[i - 1]} -> {t[i]}", i)
-
-
 # Convergence tolerance and iteration cap of the attitude mean.
 _MEAN_TOL = 1e-9
 _MEAN_MAX_ITER = 20
 
 
-def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
+def _predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag):
     """One sigma-point prediction of the nominal state and its error
-    covariance, as the module docstring describes; ``q_diag`` is the
-    diagonal of the additive process noise."""
+    covariance over the IMU readings ``gyro`` and ``accel`` (3,), as the
+    module docstring describes; ``q_diag`` is the diagonal of the additive
+    process noise."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     n = ERROR_DIM
@@ -205,7 +190,7 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     # bias-corrected turns omega * dt.
     rotvecs = np.empty((3, n + m))
     rotvecs[:, :n] = offsets[6:9, 1 : n + 1]
-    np.multiply(sample.gyro[:, None] - bias[0:3], dt, out=rotvecs[:, n:])
+    np.multiply(gyro[:, None] - bias[0:3], dt, out=rotvecs[:, n:])
     exps = quat_exp(rotvecs)
 
     # Retraction q0 * exp(dtheta); exp(-r) = conj(exp(r)) gives the minus half.
@@ -215,7 +200,7 @@ def _predict(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
     rot[:, n + 1 :] = exps[:, :n] * CONJ[:, None]
     q = quat_normalized(quat_left(*state[6:10]) @ rot)
 
-    p, v, q = step(pv[0:3], pv[3:6], q, sample.accel[:, None] - bias[3:6], exps[:, n:], dt)
+    p, v, q = step(pv[0:3], pv[3:6], q, accel[:, None] - bias[3:6], exps[:, n:], dt)
     pv = np.concatenate([p, v])
 
     # Mean: linear parts by weight, attitude by iterative rotation-vector
@@ -300,28 +285,25 @@ def _update(state, cov, y, r_cov, gate):
 
 
 def run_fusion(imu, gnss, cfg):
-    """Run the filter over time-ordered IMU and GNSS streams.
+    """Run the filter over an :class:`ImuStream` and a
+    :class:`GnssStream`.
 
     Returns a columnar :class:`FusionResult` with one row per IMU sample,
     timestamped exactly at the IMU times.  Covariance growth past
     ``cfg.trace_ceiling`` flags rows as diverged instead of raising.
     """
-    imu = list(imu)
-    gnss = list(gnss)
-    if not imu:
+    if not len(imu):
         raise EmptyImuStream("at least one IMU sample is required")
-    t = np.array([s.t for s in imu], dtype=float)
-    _check_times(t, "IMU", strict=True)
-    origin = gnss[0].geodetic() if gnss else None
-    gnss_track = run_gnss_only(gnss, origin) if gnss else (np.empty(0), np.empty((0, 3)))
+    t = imu.t
+    origin = GeodeticCoord(gnss.lat[0], gnss.lon[0], gnss.alt[0]) if len(gnss) else None
+    gnss_track = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
     fix_t, fix_enu = gnss_track
-    _check_times(fix_t, "GNSS", strict=False)
 
     # Fixes before the first IMU sample have no step to anchor to; as the
     # fix times do not decrease, the anchored ones are a suffix.
     anchor = np.searchsorted(t, fix_t, side="right") - 1
     first = int(np.count_nonzero(anchor < 0))
-    r_covs = measurement_covs(gnss[first:], cfg.gnss_noise)
+    r_covs = measurement_covs(gnss.std[first:], cfg.gnss_noise)
     anchor = anchor.tolist()
 
     dts = np.diff(t)
@@ -329,9 +311,7 @@ def run_fusion(imu, gnss, cfg):
     dts = dts.tolist()
     params = cfg.sigma_params()
     w_mean, w_cov = compute_weights(params)
-    state = np.concatenate(
-        [np.zeros(6), np.asarray(cfg.initial_orientation, dtype=float), np.zeros(6)]
-    )
+    state = np.concatenate([np.zeros(6), quat_identity(), np.zeros(6)])
     cov = cfg.initial_covariance()
 
     n = len(imu)
@@ -340,15 +320,15 @@ def run_fusion(imu, gnss, cfg):
     nis = np.full(n, np.nan)
     updates = []
     j = first
-    for i, sample in enumerate(imu):
+    for i, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
         if i > 0:
             state, cov = _predict(
-                state, cov, sample, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
+                state, cov, gyro, accel, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
             )
-        while j < len(gnss) and anchor[j] == i:
+        while j < len(fix_t) and anchor[j] == i:
             state, cov, event = _update(state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate)
             nis[i] = event["nis"]
-            updates.append(UpdateEvent(t=sample.t, imu_index=i, **event))
+            updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
             j += 1
         states[i] = state
         cov_diag[i] = cov.diagonal()
@@ -357,11 +337,9 @@ def run_fusion(imu, gnss, cfg):
 
 
 def run_gnss_only(gnss, origin):
-    """Map raw fixes into the local frame anchored at ``origin`` (a
-    :class:`GeodeticCoord` or an :class:`EnuFrame`) as a no-filter
-    baseline: the track (t, positions (M, 3))."""
-    gnss = list(gnss)
-    if not gnss:
+    """Map the fixes of a :class:`GnssStream` into the local frame anchored
+    at ``origin`` (a :class:`GeodeticCoord` or an :class:`EnuFrame`) as a
+    no-filter baseline: the track (t, positions (M, 3))."""
+    if not len(gnss):
         raise EmptyStream("GNSS stream is empty")
-    t, lat, lon, alt = stack_fixes(gnss)
-    return t, geodetic_to_enu(lat, lon, alt, origin)
+    return gnss.t, geodetic_to_enu(gnss.lat, gnss.lon, gnss.alt, origin)

@@ -7,7 +7,9 @@ standard orthonormal rotation so that local distances equal ECEF chord
 distances.
 
 Geodetic points convert to ENU in one array pass,
-:func:`geodetic_to_enu`; the scalar conversions are that pass applied
+:func:`geodetic_to_enu`, ENU offsets to ECEF in one,
+:meth:`EnuFrame.points_to_ecef`, and ECEF points to geodetic in one,
+:func:`ecef_to_geodetic`; the scalar conversions are those passes applied
 to one point, so every path gives the same bits.
 """
 
@@ -67,6 +69,16 @@ def _range_error(lat, lon, height):
 def geodetic_in_range(lat, lon, height):
     """Elementwise form of the :class:`GeodeticCoord` range checks."""
     return (np.abs(lat) <= math.pi / 2) & (np.abs(lon) <= math.pi) & np.isfinite(height)
+
+
+def check_geodetic(lat, lon, height):
+    """Raise ``ValueError`` with the :class:`GeodeticCoord` message of the
+    first point (arrays of equal length) out of range, naming its row."""
+    ok = geodetic_in_range(lat, lon, height)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        error = _range_error(float(lat[k]), float(lon[k]), float(height[k]))
+        raise ValueError(f"row {k}: {error}")
 
 
 @dataclass(frozen=True)
@@ -139,52 +151,59 @@ def geodetic_to_ecef(g):
 
 
 def ecef_to_geodetic(p):
-    """Invert :func:`geodetic_to_ecef`.
+    """Invert :func:`geodetic_to_ecef`: an :class:`EcefCoord` gives a
+    :class:`GeodeticCoord`, and an (n, 3) array of ECEF points the arrays
+    (lat, lon, height), each point with the bits it gets alone.
 
     Uses a Bowring-style starting latitude followed by a fixed-point
-    refinement (at most 10 iterations, convergence 1e-12 rad).  The
-    fixed point iterates tan(lat) = (z + e^2 R_N sin(lat)) / rho, which
-    stays well conditioned at all latitudes.  Longitude at the poles is
-    reported as 0 by convention.
+    refinement (at most 10 iterations, convergence 1e-12 rad), elementwise:
+    a point is frozen at the iteration where it converges.  The fixed
+    point iterates tan(lat) = (z + e^2 R_N sin(lat)) / rho, which stays
+    well conditioned at all latitudes.  On the polar axis the latitude is
+    +-pi/2 and the longitude 0 by convention.
 
     Raises
     ------
     NearSingularity
-        If the point lies within 1 km of the Earth's center.
+        If a point lies within 1 km of the Earth's center.
     """
+    if isinstance(p, EcefCoord):
+        lat, lon, height = ecef_to_geodetic(p.as_array()[None])
+        return GeodeticCoord(lat[0], lon[0], height[0])
     a, b, e2 = WGS84.a, WGS84.b, WGS84.e2
-    r = math.sqrt(p.x * p.x + p.y * p.y + p.z * p.z)
-    if r < 1000.0:
-        raise NearSingularity(f"point {r:.1f} m from Earth's center cannot be inverted")
-    rho = math.hypot(p.x, p.y)
-    if rho < 1e-9:
-        # On the polar axis: latitude is +-pi/2, longitude 0 by convention.
-        lat = math.copysign(math.pi / 2, p.z)
-        return GeodeticCoord(lat, 0.0, abs(p.z) - b)
-    lon = math.atan2(p.y, p.x)
+    # Contiguous rows, so that every point takes the same ufunc loops.
+    x, y, z = np.array(p, dtype=float).reshape(-1, 3).T.copy()
+    r = np.sqrt(x * x + y * y + z * z)
+    if (r < 1000.0).any():
+        raise NearSingularity(f"point {r.min():.1f} m from Earth's center cannot be inverted")
+    rho = np.hypot(x, y)
+    polar = rho < 1e-9
+    lon = np.where(polar, 0.0, np.arctan2(y, x))
 
     ep2 = (a * a - b * b) / (b * b)
-    beta = math.atan2(p.z * a, rho * b)
-    lat = math.atan2(
-        p.z + ep2 * b * math.sin(beta) ** 3,
-        rho - e2 * a * math.cos(beta) ** 3,
+    beta = np.arctan2(z * a, rho * b)
+    lat = np.arctan2(
+        z + ep2 * b * np.float_power(np.sin(beta), 3.0),
+        rho - e2 * a * np.float_power(np.cos(beta), 3.0),
     )
+    active = np.flatnonzero(~polar)
     for _ in range(10):
-        s = math.sin(lat)
-        rn = a / math.sqrt(1.0 - e2 * s * s)
-        new_lat = math.atan2(p.z + e2 * rn * s, rho)
-        done = abs(new_lat - lat) < 1e-12
-        lat = new_lat
-        if done:
+        s = np.sin(lat[active])
+        rn = a / np.sqrt(1.0 - e2 * s * s)
+        new_lat = np.arctan2(z[active] + e2 * rn * s, rho[active])
+        done = np.abs(new_lat - lat[active]) < 1e-12
+        lat[active] = new_lat
+        active = active[~done]
+        if not active.size:
             break
 
-    s, c = math.sin(lat), math.cos(lat)
-    rn = a / math.sqrt(1.0 - e2 * s * s)
-    if abs(c) > abs(s):
-        height = rho / c - rn
-    else:
-        height = p.z / s - rn * (1.0 - e2)
-    return GeodeticCoord(lat, lon, height)
+    s, c = np.sin(lat), np.cos(lat)
+    rn = a / np.sqrt(1.0 - e2 * s * s)
+    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
+        height = np.where(np.abs(c) > np.abs(s), rho / c - rn, z / s - rn * (1.0 - e2))
+    lat = np.where(polar, np.copysign(math.pi / 2, z), lat)
+    height = np.where(polar, np.abs(z) - b, height)
+    return lat, lon, height
 
 
 def enu_rotation(origin):
@@ -235,7 +254,13 @@ class EnuFrame:
 
     def to_ecef(self, l):
         """Invert :meth:`to_local`."""
-        return EcefCoord(*(self.origin_ecef + self.rotation.T @ l.as_array()))
+        return EcefCoord(*self.points_to_ecef(l.as_array()[None])[0])
+
+    def points_to_ecef(self, enu):
+        """Invert :meth:`points_to_local`: ENU offsets (n, 3) as (n, 3) ECEF
+        points, each with the bits of origin_ecef + rotation.T @ offset."""
+        rotated = (self.rotation.T @ np.asarray(enu, dtype=float)[:, :, None])[:, :, 0]
+        return self.origin_ecef + rotated
 
 
 def enu_frame(origin):
@@ -249,14 +274,11 @@ def geodetic_to_enu(lat, lon, height, origin):
     meters) as (n, 3) ENU offsets in the frame anchored at ``origin`` (a
     :class:`GeodeticCoord` or an :class:`EnuFrame`).
 
-    Raises ``ValueError`` with the :class:`GeodeticCoord` message for the
-    first point out of range, and when an offset is not finite.
+    Raises ``ValueError`` as :func:`check_geodetic`, and when an offset is
+    not finite.
     """
     lat, lon, height = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (lat, lon, height))
-    ok = geodetic_in_range(lat, lon, height)
-    if not ok.all():
-        k = int(np.argmin(ok))
-        raise ValueError(_range_error(float(lat[k]), float(lon[k]), float(height[k])))
+    check_geodetic(lat, lon, height)
     return enu_frame(origin).points_to_local(np.stack(_ecef_xyz(lat, lon, height), axis=-1))
 
 

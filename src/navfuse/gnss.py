@@ -1,4 +1,5 @@
-"""GNSS position measurement model for the local-frame filter."""
+"""GNSS fix streams and the position measurement model of the local-frame
+filter."""
 
 import math
 from dataclasses import dataclass
@@ -6,32 +7,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidNoise
-from .geodesy import GeodeticCoord, LocalEnu, geodetic_to_enu
+from .geodesy import check_geodetic
+from .strapdown import SensorStream
 
 
-@dataclass(frozen=True)
-class GnssFix:
-    """One timestamped geodetic position fix (radians / meters).
+@dataclass(frozen=True, eq=False)
+class GnssStream(SensorStream):
+    """Geodetic position fixes: times ``t``, ``lat`` and ``lon`` (radians)
+    and ``alt`` (meters), each (M,), and ``std`` (M, 3), the receiver's
+    per-axis ENU sigmas, where an all-NaN row (the default) means "use the
+    filter's :class:`GnssNoise`".  Checked once for non-decreasing times
+    and in-range positions (:func:`navfuse.geodesy.check_geodetic`);
+    :func:`measurement_covs` checks the sigmas."""
 
-    ``std`` optionally carries per-axis ENU standard deviations reported
-    by the receiver; when absent the filter falls back to its configured
-    :class:`GnssNoise`.
-    """
-
-    t: float
-    lat: float
-    lon: float
-    alt: float
-    std: tuple | None = None
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+    alt: np.ndarray
+    std: np.ndarray | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError("timestamp must be finite")
-        # Reuse the geodetic bounds checks.
-        GeodeticCoord(self.lat, self.lon, self.alt)
-
-    def geodetic(self):
-        return GeodeticCoord(self.lat, self.lon, self.alt)
+        self._freeze({"t": None, "lat": None, "lon": None, "alt": None, "std": 3}, strict=False)
+        check_geodetic(self.lat, self.lon, self.alt)
 
 
 @dataclass(frozen=True)
@@ -49,13 +46,8 @@ class GnssNoise:
 
     def __post_init__(self):
         for name in ("sigma_e", "sigma_n", "sigma_u"):
-            if getattr(self, name) < 0:
-                raise InvalidNoise(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
-def stack_fixes(fixes):
-    """The columns t, lat, lon, alt of a fix sequence, as four arrays."""
-    return np.array([(f.t, f.lat, f.lon, f.alt) for f in fixes], dtype=float).reshape(-1, 4).T
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidNoise(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def decimate_indices(times, rate):
@@ -79,13 +71,6 @@ def outage_mask(times, outages):
     return mask
 
 
-def fix_to_local(fix, origin):
-    """Map one geodetic fix into the ENU frame anchored at ``origin`` (a
-    :class:`GeodeticCoord` or an :class:`EnuFrame`): :func:`geodetic_to_enu`
-    applied to one point."""
-    return LocalEnu(*geodetic_to_enu(fix.lat, fix.lon, fix.alt, origin)[0])
-
-
 def measurement_cov(noise):
     """Diagonal measurement covariance R from per-axis sigmas."""
     for name in ("sigma_e", "sigma_n", "sigma_u"):
@@ -96,27 +81,23 @@ def measurement_cov(noise):
     )
 
 
-def measurement_covs(fixes, default_noise):
-    """R (m, 3, 3) for m fixes: each fix's receiver sigmas when it has
-    them, else the ``default_noise`` of :func:`measurement_cov`.
+def measurement_covs(std, default_noise):
+    """R (m, 3, 3) for the ``std`` (m, 3) of m fixes: a row's receiver
+    sigmas, or the ``default_noise`` of :func:`measurement_cov` where the
+    row is all NaN.
 
     Raises :class:`InvalidNoise` when a receiver sigma is not positive,
-    and when a fix without sigmas meets a default that
+    and when a row without sigmas meets a default that
     :func:`measurement_cov` rejects.
     """
-    fixes = list(fixes)
-    own = np.array([f.std is not None for f in fixes], dtype=bool)
-    sigmas = np.zeros((len(fixes), 3))
-    if own.any():
-        sigmas[own] = [f.std for f in fixes if f.std is not None]
-        bad = ~(sigmas[own] > 0).all(axis=1)
-        if bad.any():
-            raise InvalidNoise(f"receiver sigmas must be > 0, got {sigmas[own][bad][0]}")
+    own = ~np.isnan(std).all(axis=1)
+    sigmas = np.where(own[:, None], std, 0.0)
+    bad = own & ~(sigmas > 0).all(axis=1)
+    if bad.any():
+        raise InvalidNoise(f"receiver sigmas must be > 0, got {sigmas[bad][0]}")
     # float_power is libm pow, as Python's ** in measurement_cov; the
     # ndarray ** operator squares by multiplication and can differ in the last bit.
     variances = np.float_power(sigmas, 2.0)
     if not own.all():
         variances[~own] = np.diag(measurement_cov(default_noise))
-    covs = np.zeros((len(fixes), 3, 3))
-    covs[:, [0, 1, 2], [0, 1, 2]] = variances
-    return covs
+    return variances[:, None, :] * np.eye(3)

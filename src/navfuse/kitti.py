@@ -5,24 +5,21 @@ nanosecond fraction per line) and ``oxts/data/NNNNNNNNNN.txt`` (one
 30-field whitespace-separated record per frame).  Parsing transcribes
 the file faithfully: angles stay in the recorded units (degrees for
 lat/lon) and are converted at the domain boundary in
-:func:`load_sequence`.
+:func:`load_sequence`, which parses one record file per frame and
+returns the drive as an :class:`ImuStream` and a :class:`GnssStream`;
+the streams check the time order.
 """
 
-import math
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    MalformedRecord,
-    MissingTimestamps,
-    NonMonotonicTime,
-    RecordCountMismatch,
-)
-from .gnss import GnssFix, decimate_indices
-from .strapdown import ImuSample
+from .errors import MalformedRecord, MissingTimestamps, RecordCountMismatch
+from .gnss import GnssStream, decimate_indices
+from .strapdown import ImuStream
+
 
 #: OXTS record layout, in file order.
 OXTS_FIELDS = (
@@ -35,40 +32,8 @@ OXTS_FIELDS = (
     "navstat", "numsats", "posmode", "velmode", "orimode",
 )
 _INT_FIELDS = {"navstat", "numsats", "posmode", "velmode", "orimode"}
-
-
-@dataclass(frozen=True)
-class OxtsRecord:
-    lat: float
-    lon: float
-    alt: float
-    roll: float
-    pitch: float
-    yaw: float
-    vn: float
-    ve: float
-    vf: float
-    vl: float
-    vu: float
-    ax: float
-    ay: float
-    az: float
-    af: float
-    al: float
-    au: float
-    wx: float
-    wy: float
-    wz: float
-    wf: float
-    wl: float
-    wu: float
-    pos_accuracy: float
-    vel_accuracy: float
-    navstat: int
-    numsats: int
-    posmode: int
-    velmode: int
-    orimode: int
+#: One OXTS record: floats, and ints for the status fields.
+OxtsRecord = namedtuple("OxtsRecord", OXTS_FIELDS)
 
 
 def parse_oxts_record(line, context=""):
@@ -111,13 +76,14 @@ def parse_timestamp(line):
 
 
 def load_sequence(drive_dir, gnss_rate=1.0):
-    """Load a KITTI drive into (IMU stream, GNSS stream).
+    """Load a KITTI drive into (:class:`ImuStream`, :class:`GnssStream`).
 
     IMU samples take the body-frame channels (wf, wl, wu) and
     (af, al, au) at the full recording rate; GNSS fixes take (lat, lon,
     alt), converted to radians, decimated to ``gnss_rate`` by keeping
-    the first record of each time bucket.  Timestamps become seconds
-    relative to the first record.
+    the first record of each time bucket, with the receiver sigma
+    ``pos_accuracy`` on every axis where it is positive.  Timestamps
+    become seconds relative to the first record.
     """
     drive_dir = Path(drive_dir)
     ts_path = drive_dir / "oxts" / "timestamps.txt"
@@ -132,40 +98,15 @@ def load_sequence(drive_dir, gnss_rate=1.0):
         )
 
     base_dt, base_frac = parse_timestamp(ts_lines[0])
-    times = []
-    for line in ts_lines:
-        stamp, frac = parse_timestamp(line)
-        times.append((stamp - base_dt).total_seconds() + (frac - base_frac))
+    times = np.array([
+        (stamp - base_dt).total_seconds() + (frac - base_frac)
+        for stamp, frac in map(parse_timestamp, ts_lines)
+    ])
+    records = [parse_oxts_record(path.read_text().strip(), path.name) for path in data_files]
+    # The drive's columns, one array per field.
+    c = OxtsRecord(*np.array(records).T)
+    imu = ImuStream(times, np.stack([c.wf, c.wl, c.wu], 1), np.stack([c.af, c.al, c.au], 1))
 
-    imu = []
-    records = []
-    for k, path in enumerate(data_files):
-        record = parse_oxts_record(path.read_text().strip(), context=path.name)
-        t = times[k]
-        if k > 0 and t <= times[k - 1]:
-            raise NonMonotonicTime(f"timestamps regress: {times[k - 1]} -> {t}", k)
-        records.append(record)
-        imu.append(
-            ImuSample(
-                t,
-                np.array([record.wf, record.wl, record.wu]),
-                np.array([record.af, record.al, record.au]),
-            )
-        )
-
-    gnss = []
-    for k in decimate_indices(np.array(times), gnss_rate).tolist():
-        record = records[k]
-        std = None
-        if record.pos_accuracy > 0:
-            std = (record.pos_accuracy, record.pos_accuracy, record.pos_accuracy)
-        gnss.append(
-            GnssFix(
-                times[k],
-                math.radians(record.lat),
-                math.radians(record.lon),
-                record.alt,
-                std=std,
-            )
-        )
-    return imu, gnss
+    k = decimate_indices(times, gnss_rate)
+    std = np.where(c.pos_accuracy[k] > 0, c.pos_accuracy[k], np.nan)[:, None].repeat(3, axis=1)
+    return imu, GnssStream(times[k], np.radians(c.lat[k]), np.radians(c.lon[k]), c.alt[k], std)

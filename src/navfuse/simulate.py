@@ -9,6 +9,10 @@ gravity reaction restored.  This is what an incremental (delta-velocity)
 IMU reports, and it makes strapdown re-integration of the ideal stream
 reproduce the truth to second order in dt.
 
+Everything is computed on whole arrays (a columnar :class:`Truth`, an
+:class:`ImuStream` and a :class:`GnssStream`), each fix mapped to
+geodetic in one :func:`navfuse.geodesy.ecef_to_geodetic` call.
+
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit
 run seed; the draw order is fixed (gyro white noise, accel white noise,
 gyro bias steps, accel bias steps, GNSS noise), so identical seeds and
@@ -21,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownProfileKind
-from .geodesy import EnuFrame, GeodeticCoord, LocalEnu, ecef_to_geodetic
-from .gnss import GnssFix, GnssNoise, decimate_indices, outage_mask
-from .strapdown import GRAVITY, ImuNoiseParams, ImuSample
+from .geodesy import EnuFrame, GeodeticCoord, ecef_to_geodetic
+from .gnss import GnssNoise, GnssStream, decimate_indices, outage_mask
+from .strapdown import GRAVITY, ImuNoiseParams, ImuStream
 
 #: Fixed geodetic anchor of simulated scenarios, so generated GNSS data
 #: exercises the full geodetic conversion path.
@@ -50,18 +54,21 @@ class TrajectoryProfile:
     accel: float = 1.0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
-        if self.imu_rate <= 0 or self.gnss_rate <= 0:
-            raise ValueError("rates must be > 0")
+        for name in ("duration", "imu_rate", "gnss_rate"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.imu_rate < self.gnss_rate:
             raise ValueError("imu_rate must be >= gnss_rate")
 
 
-@dataclass(frozen=True)
-class TruthPose:
-    t: float
-    position: LocalEnu
+@dataclass(frozen=True, eq=False)
+class Truth:
+    """Ground truth at the IMU times as columns: ``t`` (N,), ENU
+    ``position`` and ``velocity`` (N, 3) in the scenario frame, and the
+    body-to-ENU ``orientation`` quaternions (N, 4), scalar first."""
+
+    t: np.ndarray
+    position: np.ndarray
     velocity: np.ndarray
     orientation: np.ndarray
 
@@ -135,7 +142,7 @@ def _kinematics(profile, t):
 
 
 def generate_truth(profile):
-    """Generate (truth poses, ideal IMU stream) at the IMU rate.
+    """Generate (:class:`Truth`, ideal :class:`ImuStream`) at the IMU rate.
 
     The vehicle heads along the track with level attitude (yaw only), so
     the ideal gyro is a pure z rate and the ideal accelerometer reads the
@@ -150,16 +157,8 @@ def generate_truth(profile):
     t = np.arange(n) * dt
 
     pos, vel, acc, yaw, yaw_rate = _kinematics(profile, t)
-    half = np.array([np.cos(yaw / 2.0), np.sin(yaw / 2.0)])
-    truth = [
-        TruthPose(
-            float(t[k]),
-            LocalEnu(*pos[k]),
-            vel[k],
-            np.array([half[0, k], 0.0, 0.0, half[1, k]]),
-        )
-        for k in range(n)
-    ]
+    zero = np.zeros(n)
+    truth = Truth(t, pos, vel, np.column_stack([np.cos(yaw / 2.0), zero, zero, np.sin(yaw / 2.0)]))
 
     rate_z = np.empty(n)
     rate_z[0] = yaw_rate[0]
@@ -176,19 +175,14 @@ def generate_truth(profile):
     f_forward = cos_y * a_nav[:, 0] + sin_y * a_nav[:, 1]
     f_lateral = -sin_y * a_nav[:, 0] + cos_y * a_nav[:, 1]
     f_up = a_nav[:, 2] + GRAVITY
-    ideal = [
-        ImuSample(
-            float(t[k]),
-            np.array([0.0, 0.0, rate_z[k]]),
-            np.array([f_forward[k], f_lateral[k], f_up[k]]),
-        )
-        for k in range(n)
-    ]
+    gyro = np.column_stack([zero, zero, rate_z])
+    ideal = ImuStream(t, gyro, np.column_stack([f_forward, f_lateral, f_up]))
     return truth, ideal
 
 
 def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN):
-    """Produce noisy IMU and GNSS streams from truth.
+    """Produce a noisy :class:`ImuStream` and :class:`GnssStream` from a
+    :class:`Truth` and its ideal IMU stream.
 
     IMU readings get additive white noise plus a per-axis bias random
     walk b_k = b_{k-1} + rw * sqrt(dt_k) * eta.  GNSS fixes are truth
@@ -200,7 +194,7 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     """
     rng = np.random.default_rng(corruption.seed)
     n = len(ideal_imu)
-    times = np.array([s.t for s in ideal_imu])
+    times = ideal_imu.t
     dts = np.diff(times, prepend=times[0])
 
     imu_cfg = corruption.imu
@@ -212,29 +206,18 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     accel_steps[0] = 0.0
     gyro_bias = np.cumsum(gyro_steps, axis=0)
     accel_bias = np.cumsum(accel_steps, axis=0)
+    imu_out = ImuStream(
+        times,
+        ideal_imu.gyro + gyro_bias + gyro_white,
+        ideal_imu.accel + accel_bias + accel_white,
+    )
 
-    imu_out = [
-        ImuSample(
-            s.t,
-            s.gyro + gyro_bias[k] + gyro_white[k],
-            s.accel + accel_bias[k] + accel_white[k],
-        )
-        for k, s in enumerate(ideal_imu)
-    ]
-
-    truth_times = np.array([p.t for p in truth])
-    fix_idx = decimate_indices(truth_times, gnss_rate)
+    fix_idx = decimate_indices(truth.t, gnss_rate)
     sigmas = np.array([corruption.gnss.sigma_e, corruption.gnss.sigma_n, corruption.gnss.sigma_u])
     noise = rng.standard_normal((fix_idx.shape[0], 3)) * sigmas
 
-    gnss_out = []
-    frame = EnuFrame(origin)
-    dropped = outage_mask(truth_times[fix_idx], corruption.outages)
-    for j, k in enumerate(fix_idx):
-        if dropped[j]:
-            continue
-        t = float(truth_times[k])
-        enu = LocalEnu(*(truth[k].position.as_array() + noise[j]))
-        g = ecef_to_geodetic(frame.to_ecef(enu))
-        gnss_out.append(GnssFix(t, g.lat, g.lon, g.height))
-    return imu_out, gnss_out
+    kept = ~outage_mask(truth.t[fix_idx], corruption.outages)
+    fix_idx = fix_idx[kept]
+    enu = truth.position[fix_idx] + noise[kept]
+    lat, lon, alt = ecef_to_geodetic(EnuFrame(origin).points_to_ecef(enu))
+    return imu_out, GnssStream(truth.t[fix_idx], lat, lon, alt)

@@ -17,9 +17,11 @@ outputs.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .errors import NonMonotonicTime
 
 GRAVITY = 9.80665
 GRAVITY_ENU = np.array([0.0, 0.0, -GRAVITY])
@@ -153,20 +155,62 @@ class NavState:
         return cls(x[0:3], x[3:6], x[6:10], x[10:13], x[13:16])
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    """One timestamped body-frame IMU reading (rates rad/s, specific
-    force m/s^2)."""
+def _first_bad_row(ok, message):
+    """Raise ``ValueError`` naming the first row where ``ok`` is False."""
+    if not ok.all():
+        raise ValueError(f"row {int(np.argmin(ok))}: {message}")
 
-    t: float
+
+class SensorStream:
+    """Base of the sensor streams: a frozen dataclass whose fields are
+    read-only float columns over the rows of ``t``."""
+
+    def _freeze(self, widths, strict):
+        """Replace the fields by read-only float copies of shape (N,), where
+        ``widths`` gives None, or (N, width), N being the size of ``t``; a
+        field left None becomes all NaN.  Then check the times.  Raises
+        ``ValueError`` on another shape or a non-finite time, and
+        :class:`NonMonotonicTime` at the first time that regresses (or
+        repeats, when ``strict``)."""
+        n = np.size(self.t)
+        for name, width in widths.items():
+            shape = (n,) if width is None else (n, width)
+            value = getattr(self, name)
+            column = np.full(shape, np.nan) if value is None else np.array(value, dtype=float)
+            if column.shape != shape:
+                raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        t = self.t
+        _first_bad_row(np.isfinite(t), "timestamp must be finite")
+        bad = t[1:] <= t[:-1] if strict else t[1:] < t[:-1]
+        if bad.any():
+            i = int(bad.argmax()) + 1
+            raise NonMonotonicTime(f"timestamps regress: {t[i - 1]} -> {t[i]}", i)
+
+    def __len__(self):
+        return self.t.shape[0]
+
+    def take(self, index):
+        """The rows selected by ``index`` (a slice, a boolean mask or
+        increasing row numbers), as a new stream."""
+        return type(self)(*(getattr(self, f.name)[index] for f in fields(self)))
+
+
+@dataclass(frozen=True, eq=False)
+class ImuStream(SensorStream):
+    """Body-frame IMU readings: times ``t`` (N,) in s, rates ``gyro``
+    (N, 3) in rad/s and specific force ``accel`` (N, 3) in m/s^2, checked
+    once for strictly increasing times and finite readings."""
+
+    t: np.ndarray
     gyro: np.ndarray
     accel: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise ValueError("timestamp must be finite")
-        object.__setattr__(self, "gyro", _vec3(self.gyro))
-        object.__setattr__(self, "accel", _vec3(self.accel))
+        self._freeze({"t": None, "gyro": 3, "accel": 3}, strict=True)
+        finite = np.isfinite(self.gyro).all(axis=1) & np.isfinite(self.accel).all(axis=1)
+        _first_bad_row(finite, "vector components must be finite")
 
 
 @dataclass(frozen=True)
@@ -180,8 +224,8 @@ class ImuNoiseParams:
 
     def __post_init__(self):
         for name in ("gyro_std", "accel_std", "gyro_bias_rw", "accel_bias_rw"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +253,15 @@ def step(p, v, q, f, turn, dt):
     )
 
 
-def propagate(state, sample, dt):
-    """Propagate a :class:`NavState` by one IMU step of length ``dt``:
-    :func:`step` on one column.  Biases are left unchanged (their random
-    walk enters through the process noise)."""
+def propagate(state, gyro, accel, dt):
+    """Propagate a :class:`NavState` by one IMU step of length ``dt`` with
+    the readings ``gyro`` and ``accel`` (3,): :func:`step` on one column.
+    Biases are left unchanged (their random walk enters through the
+    process noise)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    turn = quat_exp(((sample.gyro - state.gyro_bias) * dt)[:, None])
-    f = (sample.accel - state.accel_bias)[:, None]
+    turn = quat_exp(((gyro - state.gyro_bias) * dt)[:, None])
+    f = (accel - state.accel_bias)[:, None]
     p, v, q = step(
         state.position[:, None], state.velocity[:, None], state.orientation[:, None], f, turn, dt
     )

@@ -152,7 +152,7 @@ def _retract(state, deltas):
     return out
 
 
-def reference_predict(state, cov, sample, dt, params, w_mean, w_cov, q_cov):
+def reference_predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_cov):
     """Sigma-point prediction on scipy rotations: retract the 31 points,
     push each through the strapdown step, take the iterative
     rotation-vector mean (tol 1e-9, at most 20 iterations) from the
@@ -165,9 +165,9 @@ def reference_predict(state, cov, sample, dt, params, w_mean, w_cov, q_cov):
     p, v, bias = points[:, 0:3], points[:, 3:6], points[:, 10:16]
     attitude = Rotation.from_quat(points[:, 6:10], scalar_first=True)
 
-    a_nav = attitude.apply(sample.accel - bias[:, 3:6]) + GRAVITY_ENU
+    a_nav = attitude.apply(accel - bias[:, 3:6]) + GRAVITY_ENU
     pv = np.hstack([p + v * dt + 0.5 * a_nav * dt * dt, v + a_nav * dt])
-    attitude = attitude * Rotation.from_rotvec((sample.gyro - bias[:, 0:3]) * dt)
+    attitude = attitude * Rotation.from_rotvec((gyro - bias[:, 0:3]) * dt)
 
     ref = attitude[int(np.argmax(w_mean))]
     for _ in range(20):

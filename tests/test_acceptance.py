@@ -21,21 +21,14 @@ from navfuse.geodesy import (
     GeodeticCoord,
     ecef_to_geodetic,
     enu_rotation,
-    enu_to_ecef,
     geodetic_to_ecef,
 )
-from navfuse.gnss import GnssFix
 from navfuse.kitti import load_sequence, parse_oxts_record
-from navfuse.simulate import (
-    SCENARIO_ORIGIN,
-    SensorCorruption,
-    TrajectoryProfile,
-    corrupt,
-    generate_truth,
-)
-from navfuse.strapdown import GRAVITY, ImuSample, NavState, propagate
+from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
+from navfuse.strapdown import GRAVITY, NavState, propagate
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_predict, unscented_update
 
+from helpers import truth_fixes
 from oracles import LinearKalmanFilter
 
 
@@ -55,21 +48,13 @@ def _table1_streams(outages=()):
     return truth, imu, gnss
 
 
-def _truth_in_frame(truth, origin):
-    fixes = []
-    for pose in truth:
-        g = ecef_to_geodetic(enu_to_ecef(pose.position, SCENARIO_ORIGIN))
-        fixes.append(GnssFix(pose.t, g.lat, g.lon, g.height))
-    return run_gnss_only(fixes, origin)
-
-
 @pytest.fixture(scope="module")
 def table1_run():
     start = time.perf_counter()
     truth, imu, gnss = _table1_streams()
     result = run_fusion(imu, gnss, FusionConfig())
     elapsed = time.perf_counter() - start
-    truth_local = _truth_in_frame(truth, result.origin)
+    truth_local = run_gnss_only(truth_fixes(truth), result.origin)
     fused = rmse(align_and_diff(result.track, truth_local), "GNSS-IMU")
     baseline = rmse(
         align_and_diff(run_gnss_only(gnss, result.origin), truth_local), "GNSS"
@@ -84,7 +69,7 @@ def outage_run():
     truth, imu, gnss = _table1_streams(outages=((30.0, 40.0),))
     result = run_fusion(imu, gnss, FusionConfig())
     elapsed = time.perf_counter() - start
-    truth_local = _truth_in_frame(truth, result.origin)
+    truth_local = run_gnss_only(truth_fixes(truth), result.origin)
     return dict(result=result, imu=imu, truth_local=truth_local, elapsed=elapsed)
 
 
@@ -214,7 +199,7 @@ def test_criterion_5_outage_robustness(outage_run):
     result = outage_run["result"]
     imu = outage_run["imu"]
     assert len(result.t) == len(imu)
-    assert result.t.tolist() == [s.t for s in imu]
+    assert result.t.tolist() == imu.t.tolist()
 
     t = result.t
     traces = result.cov_diag.sum(axis=1)
@@ -280,9 +265,9 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
 def test_criterion_8_strapdown_fixed_point():
     state = NavState.identity()
     reference = state.as_vector()
-    sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, GRAVITY]))
+    gyro, accel = np.zeros(3), np.array([0.0, 0.0, GRAVITY])
     for _ in range(1000):
-        state = propagate(state, sample, 0.01)
+        state = propagate(state, gyro, accel, 0.01)
         assert np.max(np.abs(state.as_vector() - reference)) <= 1e-12
     report(8, "strapdown fixed point")
 
@@ -294,12 +279,12 @@ def test_criterion_8_strapdown_fixed_point():
 def test_criterion_9_kitti_format_fidelity(kitti_drive, tmp_path):
     imu, gnss = load_sequence(kitti_drive)
     assert len(imu) == 3 and len(gnss) == 1
-    assert imu[0].t == 0.0
-    np.testing.assert_allclose(imu[0].gyro, [0.0011, -0.0021, 0.0101])
-    np.testing.assert_allclose(imu[0].accel, [0.31, -0.21, 9.81])
-    np.testing.assert_allclose(imu[2].gyro, [0.0015, -0.0025, 0.0105])
-    assert gnss[0].lat == pytest.approx(math.radians(49.0), abs=1e-15)
-    assert gnss[0].alt == 115.0
+    assert imu.t[0] == 0.0
+    np.testing.assert_allclose(imu.gyro[0], [0.0011, -0.0021, 0.0101])
+    np.testing.assert_allclose(imu.accel[0], [0.31, -0.21, 9.81])
+    np.testing.assert_allclose(imu.gyro[2], [0.0015, -0.0025, 0.0105])
+    assert gnss.lat[0] == pytest.approx(math.radians(49.0), abs=1e-15)
+    assert gnss.alt[0] == 115.0
 
     record = parse_oxts_record(
         "49.0 8.43 115.0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0"

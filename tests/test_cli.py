@@ -6,8 +6,7 @@ import pytest
 
 import navfuse.geodesy
 from navfuse.cli import main
-from navfuse.geodesy import GeodeticCoord
-from navfuse.gnss import GnssFix, fix_to_local
+from navfuse.geodesy import GeodeticCoord, geodetic_to_enu
 
 
 def run(args):
@@ -178,10 +177,10 @@ class TestFuseCommand:
                     "--truth", sim / "truth.csv", "--out", out]) == 0
         first = [float(cell) for cell in lines[1].split(",")]
         origin = GeodeticCoord(math.radians(first[1]), math.radians(first[2]), first[3])
-        later = GnssFix(t + 0.004, math.radians(lat), math.radians(lon + 1e-5), alt)
+        later = geodetic_to_enu(math.radians(lat), math.radians(lon + 1e-5), alt, origin)
         rows = [line.split(",") for line in (out / "track.csv").read_text().splitlines()[1:]]
         cells = [[float(c) for c in row[7:10]] for row in rows if float(row[0]) == 5.0]
-        assert cells == [fix_to_local(later, origin).as_array().tolist()]
+        assert cells == later.tolist()
 
 
 class TestMalformedStreams:
@@ -258,6 +257,29 @@ class TestParser:
 
     def test_unknown_command(self):
         assert run(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["simulate", "--profile", "circular", "--duration", "nan", "--seed", "1"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--imu-rate", "nan",
+             "--seed", "1"],
+            ["fuse", "--kitti", "KITTI", "--gyro-std", "-1"],
+            ["fuse", "--kitti", "KITTI", "--init-position-std", "-1"],
+            ["fuse", "--kitti", "KITTI", "--gyro-std", "nan"],
+            ["fuse", "--kitti", "KITTI", "--gnss-rate", "0"],
+            ["kitti-convert", "--kitti", "KITTI", "--gnss-rate", "0"],
+        ],
+        ids=["duration-nan", "imu-rate-nan", "gyro-std-negative", "init-position-std-negative",
+             "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero"],
+    )
+    def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
+        args = [kitti_drive if arg == "KITTI" else arg for arg in command]
+        code = run([*args, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert "Traceback" not in err
 
     def test_bad_outage_format(self, tmp_path):
         sim = simulate_into(tmp_path)

@@ -159,10 +159,7 @@ def circular_run():
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
     result = run_fusion(imu, gnss, FusionConfig())
-    truth_track = (
-        np.array([pose.t for pose in truth]),
-        np.array([pose.position.as_array() for pose in truth]),
-    )
+    truth_track = (truth.t, truth.position)
     err = align_and_diff(result.track, truth_track)
     t, est = result.track
     cells = np.full((len(t), 3), np.nan)

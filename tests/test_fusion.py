@@ -4,8 +4,8 @@ import pytest
 from navfuse.errors import EmptyImuStream, EmptyStream, NonMonotonicTime
 from navfuse.evaluate import align_and_diff, rmse
 from navfuse.fusion import FusionConfig, run_fusion, run_gnss_only
-from navfuse.geodesy import ecef_to_geodetic, enu_to_ecef
-from navfuse.gnss import GnssFix, GnssNoise
+from navfuse.geodesy import EnuFrame, ecef_to_geodetic
+from navfuse.gnss import GnssNoise, GnssStream
 from navfuse.simulate import (
     SCENARIO_ORIGIN,
     SensorCorruption,
@@ -13,38 +13,36 @@ from navfuse.simulate import (
     corrupt,
     generate_truth,
 )
-from navfuse.strapdown import GRAVITY, ImuNoiseParams, ImuSample
+from navfuse.strapdown import GRAVITY, ImuNoiseParams, ImuStream
+
+from helpers import NO_FIXES, truth_fixes
 
 QUIET = ImuNoiseParams(0.0, 0.0, 0.0, 0.0)
+ORIGIN_FIX = GnssStream([0.0], [SCENARIO_ORIGIN.lat], [SCENARIO_ORIGIN.lon],
+                        [SCENARIO_ORIGIN.height])
 
 
-def truth_as_fixes(truth, origin=SCENARIO_ORIGIN):
-    fixes = []
-    for pose in truth:
-        g = ecef_to_geodetic(enu_to_ecef(pose.position, origin))
-        fixes.append(GnssFix(pose.t, g.lat, g.lon, g.height))
-    return fixes
-
-
-def stationary_imu(n, dt=0.01):
-    return [ImuSample(k * dt, np.zeros(3), np.array([0.0, 0.0, GRAVITY])) for k in range(n)]
+def stationary_imu(n, dt=0.01, t0=0.0):
+    level = np.tile([0.0, 0.0, GRAVITY], (n, 1))
+    return ImuStream(t0 + np.arange(n) * dt, np.zeros((n, 3)), level)
 
 
 class TestRunFusion:
     def test_empty_imu_rejected(self):
         with pytest.raises(EmptyImuStream):
-            run_fusion([], [], FusionConfig())
+            run_fusion(stationary_imu(0), NO_FIXES, FusionConfig())
 
     def test_non_monotonic_imu_reports_index(self):
         imu = stationary_imu(3)
-        imu[2] = ImuSample(imu[1].t, np.zeros(3), np.array([0.0, 0.0, GRAVITY]))
+        t = imu.t.copy()
+        t[2] = t[1]
         with pytest.raises(NonMonotonicTime) as info:
-            run_fusion(imu, [], FusionConfig())
+            ImuStream(t, imu.gyro, imu.accel)
         assert info.value.index == 2
 
     def test_dead_reckoning_without_gnss(self):
         imu = stationary_imu(500)
-        result = run_fusion(imu, [], FusionConfig())
+        result = run_fusion(imu, NO_FIXES, FusionConfig())
         assert len(result.t) == len(imu)
         assert result.state.shape == (len(imu), 16)
         assert result.origin is None
@@ -56,7 +54,7 @@ class TestRunFusion:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=2), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
-        assert result.t.tolist() == [s.t for s in imu]
+        assert result.t.tolist() == imu.t.tolist()
 
     def test_stationary_beats_measurement_noise(self):
         # Perfect IMU (and a filter model that says so), 1 m GNSS noise:
@@ -71,7 +69,7 @@ class TestRunFusion:
             gnss_noise=GnssNoise(1.0, 1.0, 1.0),
         )
         result = run_fusion(imu, gnss, cfg)
-        truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
+        truth_local = run_gnss_only(truth_fixes(truth), result.origin)
         err = align_and_diff(result.track, truth_local)
         late = err.t >= 10.0
         for channel in (err.ex, err.ey, err.ez):
@@ -93,7 +91,7 @@ class TestRunFusion:
             truth, ideal = generate_truth(profile)
             imu, gnss = corrupt(truth, ideal, noiseless, gnss_rate=1.0)
             result = run_fusion(imu, gnss, cfg)
-            truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
+            truth_local = run_gnss_only(truth_fixes(truth), result.origin)
             err = align_and_diff(result.track, truth_local)
             settled = err.t >= skip
             rms = np.sqrt(np.mean(
@@ -106,7 +104,7 @@ class TestRunFusion:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
-        truth_local = run_gnss_only(truth_as_fixes(truth), result.origin)
+        truth_local = run_gnss_only(truth_fixes(truth), result.origin)
         fused = rmse(align_and_diff(result.track, truth_local), "GNSS-IMU")
         baseline = rmse(
             align_and_diff(run_gnss_only(gnss, result.origin), truth_local), "GNSS"
@@ -153,7 +151,7 @@ class TestRunFusion:
     def test_divergence_flag_instead_of_crash(self):
         imu = stationary_imu(50)
         cfg = FusionConfig(trace_ceiling=1e-6)
-        result = run_fusion(imu, [], cfg)
+        result = run_fusion(imu, NO_FIXES, cfg)
         assert result.diverged.dtype == bool
         assert result.diverged.all()
 
@@ -163,22 +161,20 @@ class TestRunFusion:
         corr = SensorCorruption(seed=4, imu=QUIET, gnss=GnssNoise(1.0, 1.0, 1.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
         # Shift one fix far off-track.
-        outlier = gnss[3]
-        g = ecef_to_geodetic(enu_to_ecef(
-            type(truth[0].position)(500.0, 0.0, 0.0), SCENARIO_ORIGIN))
-        gnss[3] = GnssFix(outlier.t, g.lat, g.lon, g.height)
+        far = ecef_to_geodetic(EnuFrame(SCENARIO_ORIGIN).points_to_ecef([[500.0, 0.0, 0.0]]))
+        columns = [gnss.lat.copy(), gnss.lon.copy(), gnss.alt.copy()]
+        for column, value in zip(columns, far):
+            column[3] = value[0]
+        gnss = GnssStream(gnss.t, *columns)
         cfg = FusionConfig(gnss_noise=GnssNoise(1.0, 1.0, 1.0), gnss_gate=16.27)
         result = run_fusion(imu, gnss, cfg)
         rejected = [u for u in result.updates if not u.accepted]
         assert len(rejected) == 1
-        assert rejected[0].t == outlier.t
+        assert rejected[0].t == gnss.t[3]
         assert rejected[0].trace_after == rejected[0].trace_before
 
     def test_fix_before_first_imu_sample_skipped(self):
-        imu = [ImuSample(10.0 + k * 0.01, np.zeros(3), np.array([0.0, 0.0, GRAVITY]))
-               for k in range(10)]
-        early = GnssFix(0.0, SCENARIO_ORIGIN.lat, SCENARIO_ORIGIN.lon, SCENARIO_ORIGIN.height)
-        result = run_fusion(imu, [early], FusionConfig())
+        result = run_fusion(stationary_imu(10, t0=10.0), ORIGIN_FIX, FusionConfig())
         assert result.updates == []
 
     def test_nis_recorded_on_update_estimates(self):
@@ -207,8 +203,7 @@ class TestRunFusion:
 
 class TestRunGnssOnly:
     def test_single_fix_at_origin(self):
-        fix = GnssFix(0.0, SCENARIO_ORIGIN.lat, SCENARIO_ORIGIN.lon, SCENARIO_ORIGIN.height)
-        t, positions = run_gnss_only([fix], SCENARIO_ORIGIN)
+        t, positions = run_gnss_only(ORIGIN_FIX, SCENARIO_ORIGIN)
         assert t.tolist() == [0.0]
         assert positions.shape == (1, 3)
         assert np.linalg.norm(positions[0]) < 1e-9
@@ -216,7 +211,7 @@ class TestRunGnssOnly:
     def test_truth_fixes_give_zero_rmse(self):
         profile = TrajectoryProfile("circular", duration=10.0)
         truth, _ = generate_truth(profile)
-        fixes = truth_as_fixes(truth)
+        fixes = truth_fixes(truth)
         out = run_gnss_only(fixes, SCENARIO_ORIGIN)
         err = align_and_diff(out, run_gnss_only(fixes, SCENARIO_ORIGIN))
         report = rmse(err, "GNSS")
@@ -227,11 +222,11 @@ class TestRunGnssOnly:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
         baseline = run_gnss_only(gnss, SCENARIO_ORIGIN)
-        truth_local = run_gnss_only(truth_as_fixes(truth), SCENARIO_ORIGIN)
+        truth_local = run_gnss_only(truth_fixes(truth), SCENARIO_ORIGIN)
         report = rmse(align_and_diff(baseline, truth_local), "GNSS")
         for value in (report.rmse_x, report.rmse_y, report.rmse_z):
             assert value == pytest.approx(13.0, rel=0.10)
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyStream):
-            run_gnss_only([], SCENARIO_ORIGIN)
+            run_gnss_only(NO_FIXES, SCENARIO_ORIGIN)

@@ -80,6 +80,26 @@ class TestGeodeticToEcef:
             assert p.z == pytest.approx(hz, abs=1e-6)
 
 
+def one_point_inverse(points):
+    """ecef_to_geodetic called on one EcefCoord per point, as the arrays
+    (lat, lon, height)."""
+    coords = [ecef_to_geodetic(EcefCoord(*p)) for p in np.asarray(points, dtype=float)]
+    return tuple(np.array([getattr(g, name) for g in coords]) for name in ("lat", "lon", "height"))
+
+
+def array_inverse(points):
+    """ecef_to_geodetic called once on all points."""
+    return ecef_to_geodetic(np.asarray(points, dtype=float))
+
+
+# Each inverse test runs both forms of the call.
+INVERSES = (one_point_inverse, array_inverse)
+
+
+def ecef_points(geodetics):
+    return np.array([geodetic_to_ecef(g).as_array() for g in geodetics])
+
+
 class TestEcefToGeodetic:
     def test_equator_inverse(self):
         g = ecef_to_geodetic(EcefCoord(WGS84.a, 0.0, 0.0))
@@ -88,28 +108,73 @@ class TestEcefToGeodetic:
         assert g.height == pytest.approx(0.0, abs=1e-7)
 
     def test_pole_longitude_convention(self):
-        g = ecef_to_geodetic(EcefCoord(0.0, 0.0, WGS84.b))
-        assert g.lat == pytest.approx(math.pi / 2, abs=1e-12)
-        assert g.lon == 0.0
-        assert g.height == pytest.approx(0.0, abs=1e-7)
+        for inverse in INVERSES:
+            lat, lon, height = inverse([[0.0, 0.0, WGS84.b], [0.0, 0.0, -WGS84.b - 5.0]])
+            np.testing.assert_allclose(lat, [math.pi / 2, -math.pi / 2], rtol=0, atol=1e-12)
+            assert lon.tolist() == [0.0, 0.0], inverse.__name__
+            np.testing.assert_allclose(height, [0.0, 5.0], rtol=0, atol=1e-7)
 
     def test_round_trip_over_terrestrial_shell(self):
-        for g in random_geodetics(1000, seed=7):
-            back = ecef_to_geodetic(geodetic_to_ecef(g))
-            assert back.lat == pytest.approx(g.lat, abs=1e-9)
-            assert back.height == pytest.approx(g.height, abs=1e-6)
-            # longitude is degenerate at the poles
-            if abs(g.lat) < math.pi / 2 - 1e-6:
-                assert back.lon == pytest.approx(g.lon, abs=1e-9)
-            p = geodetic_to_ecef(back)
-            q = geodetic_to_ecef(g)
-            assert abs(p.x - q.x) < 1e-6
-            assert abs(p.y - q.y) < 1e-6
-            assert abs(p.z - q.z) < 1e-6
+        geodetics = random_geodetics(1000, seed=7)
+        for inverse in INVERSES:
+            lat, lon, height = inverse(ecef_points(geodetics))
+            for k, g in enumerate(geodetics):
+                back = GeodeticCoord(lat[k], lon[k], height[k])
+                assert back.lat == pytest.approx(g.lat, abs=1e-9)
+                assert back.height == pytest.approx(g.height, abs=1e-6)
+                # longitude is degenerate at the poles
+                if abs(g.lat) < math.pi / 2 - 1e-6:
+                    assert back.lon == pytest.approx(g.lon, abs=1e-9)
+                p = geodetic_to_ecef(back)
+                q = geodetic_to_ecef(g)
+                assert abs(p.x - q.x) < 1e-6
+                assert abs(p.y - q.y) < 1e-6
+                assert abs(p.z - q.z) < 1e-6
 
     def test_near_center_rejected(self):
-        with pytest.raises(NearSingularity):
-            ecef_to_geodetic(EcefCoord(100.0, 50.0, 10.0))
+        for inverse in INVERSES:
+            with pytest.raises(NearSingularity):
+                inverse([[WGS84.a, 0.0, 0.0], [100.0, 50.0, 10.0]])
+
+    def test_matches_high_precision_oracle(self):
+        # ECEF points of random geodetic points at 50 digits invert back
+        # to the geodetic point to the resolution of the ECEF doubles.
+        geodetics = random_geodetics(50, seed=3)
+        points = [hp_geodetic_to_ecef(g.lat, g.lon, g.height) for g in geodetics]
+        for inverse in INVERSES:
+            lat, lon, height = inverse(points)
+            np.testing.assert_allclose(lat, [g.lat for g in geodetics], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(lon, [g.lon for g in geodetics], rtol=0, atol=1e-14)
+            np.testing.assert_allclose(height, [g.height for g in geodetics], rtol=0, atol=1e-8)
+
+    def test_karlsruhe_fixture(self):
+        for inverse in INVERSES:
+            lat, lon, height = inverse([KARLSRUHE])
+            assert lat[0] == pytest.approx(math.radians(49.0), abs=1e-14)
+            assert lon[0] == pytest.approx(math.radians(8.43), abs=1e-14)
+            assert height[0] == pytest.approx(115.0, abs=1e-8)
+
+    def test_array_call_gives_one_point_bits(self):
+        # The polar axis (exactly on it, and within the 1e-9 m of the
+        # convention), the equator, and points whose fixed point converges
+        # after one, two and three refinements (the height sets the count).
+        geodetics = [
+            GeodeticCoord(0.0, 0.0, 0.0),
+            GeodeticCoord(math.radians(49.0), math.radians(8.43), 115.0),
+            GeodeticCoord(-1.2, 3.0, 4e5),
+            GeodeticCoord(0.3, 1.0, 2e7),
+            GeodeticCoord(1.0, 2.0, 1e6),
+            GeodeticCoord(-0.01, 0.2, -900.0),
+        ]
+        points = np.vstack([
+            [[0.0, 0.0, WGS84.b], [0.0, 0.0, -WGS84.b], [3e-10, -2e-10, 7e6]],
+            ecef_points(geodetics),
+            ecef_points(random_geodetics(200, seed=61, h_high=4e7)),
+        ])
+        one = one_point_inverse(points)
+        for got, want in zip(array_inverse(points), one):
+            assert np.array_equal(got, want)
+        assert one[0][2] == math.pi / 2 and one[1][2] == 0.0
 
 
 class TestEnu:

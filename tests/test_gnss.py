@@ -5,90 +5,91 @@ import pytest
 
 from oracles import reference_ecef
 
-from navfuse.errors import InvalidNoise
+from navfuse.errors import InvalidNoise, NonMonotonicTime
 from navfuse.geodesy import WGS84, EnuFrame, GeodeticCoord, enu_rotation, geodetic_to_ecef
 from navfuse.gnss import (
-    GnssFix,
     GnssNoise,
+    GnssStream,
     decimate_indices,
-    fix_to_local,
     measurement_cov,
     measurement_covs,
     outage_mask,
-    stack_fixes,
 )
 from navfuse.fusion import run_gnss_only
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_measurement
 
 ORIGIN = GeodeticCoord(math.radians(49.0), math.radians(8.43), 115.0)
+NAN_ROW = [math.nan] * 3
+
+
+def fix(lat, lon, alt, t=0.0):
+    return GnssStream([t], [lat], [lon], [alt])
+
+
+def to_local(fixes, origin):
+    """The ENU positions of ``fixes`` in the frame anchored at ``origin``."""
+    return run_gnss_only(fixes, origin)[1]
 
 
 class TestFixToLocal:
     def test_fix_at_origin(self):
-        fix = GnssFix(0.0, ORIGIN.lat, ORIGIN.lon, ORIGIN.height)
-        local = fix_to_local(fix, ORIGIN)
-        assert np.linalg.norm(local.as_array()) < 1e-9
+        local = to_local(fix(ORIGIN.lat, ORIGIN.lon, ORIGIN.height), ORIGIN)[0]
+        assert np.linalg.norm(local) < 1e-9
 
     def test_vertical_offset(self):
-        fix = GnssFix(0.0, ORIGIN.lat, ORIGIN.lon, ORIGIN.height + 5.0)
-        local = fix_to_local(fix, ORIGIN)
-        assert local.up == pytest.approx(5.0, abs=1e-6)
-        assert abs(local.east) < 1e-6
-        assert abs(local.north) < 1e-6
+        east, north, up = to_local(fix(ORIGIN.lat, ORIGIN.lon, ORIGIN.height + 5.0), ORIGIN)[0]
+        assert up == pytest.approx(5.0, abs=1e-6)
+        assert abs(east) < 1e-6
+        assert abs(north) < 1e-6
 
     def test_longitude_offset_at_equator(self):
         equator = GeodeticCoord(0.0, 0.0, 0.0)
-        fix = GnssFix(0.0, 0.0, 1e-5, 0.0)
-        local = fix_to_local(fix, equator)
-        assert local.east == pytest.approx(WGS84.a * 1e-5, abs=1e-3)
-        assert abs(local.north) < 1e-3
+        east, north, _ = to_local(fix(0.0, 1e-5, 0.0), equator)[0]
+        assert east == pytest.approx(WGS84.a * 1e-5, abs=1e-3)
+        assert abs(north) < 1e-3
 
     def test_metric_consistency_with_ecef_chord(self):
         rng = np.random.default_rng(29)
         for _ in range(50):
-            a = GnssFix(0.0, ORIGIN.lat + rng.uniform(-1e-3, 1e-3),
-                        ORIGIN.lon + rng.uniform(-1e-3, 1e-3),
-                        ORIGIN.height + rng.uniform(-50, 50))
-            b = GnssFix(1.0, ORIGIN.lat + rng.uniform(-1e-3, 1e-3),
-                        ORIGIN.lon + rng.uniform(-1e-3, 1e-3),
-                        ORIGIN.height + rng.uniform(-50, 50))
-            local = np.linalg.norm(
-                fix_to_local(a, ORIGIN).as_array() - fix_to_local(b, ORIGIN).as_array()
-            )
+            lat = ORIGIN.lat + rng.uniform(-1e-3, 1e-3, 2)
+            lon = ORIGIN.lon + rng.uniform(-1e-3, 1e-3, 2)
+            alt = ORIGIN.height + rng.uniform(-50, 50, 2)
+            a, b = to_local(GnssStream([0.0, 1.0], lat, lon, alt), ORIGIN)
             chord = np.linalg.norm(
-                geodetic_to_ecef(a.geodetic()).as_array()
-                - geodetic_to_ecef(b.geodetic()).as_array()
+                geodetic_to_ecef(GeodeticCoord(lat[0], lon[0], alt[0])).as_array()
+                - geodetic_to_ecef(GeodeticCoord(lat[1], lon[1], alt[1])).as_array()
             )
-            assert local == pytest.approx(chord, rel=1e-9)
-
+            assert np.linalg.norm(a - b) == pytest.approx(chord, rel=1e-9)
 
     def test_frame_bit_identical_to_origin(self):
         # Random fixes within ~10 km of random origins: a frame built once
         # per run, and the array conversion of a whole run's fixes, map
-        # each fix to the same bits as the per-fix formula.
+        # each fix to the same bits as the per-fix formula and as the fix
+        # converted alone.
         rng = np.random.default_rng(43)
         for _ in range(200):
             origin = GeodeticCoord(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1),
                                    rng.uniform(-100.0, 3000.0))
             frame = EnuFrame(origin)
-            fixes = []
-            expected = []
-            for k in range(5):
-                fix = GnssFix(float(k), origin.lat + rng.uniform(-1e-3, 1e-3),
-                              origin.lon + rng.uniform(-1e-3, 1e-3),
-                              origin.height + rng.uniform(-50.0, 50.0))
-                want = enu_rotation(origin) @ (
-                    reference_ecef(fix.lat, fix.lon, fix.alt)
+            fixes = GnssStream(
+                np.arange(5.0),
+                origin.lat + rng.uniform(-1e-3, 1e-3, 5),
+                origin.lon + rng.uniform(-1e-3, 1e-3, 5),
+                origin.height + rng.uniform(-50.0, 50.0, 5),
+            )
+            expected = np.array([
+                enu_rotation(origin) @ (
+                    reference_ecef(lat, lon, alt)
                     - reference_ecef(origin.lat, origin.lon, origin.height)
                 )
-                assert np.array_equal(fix_to_local(fix, frame).as_array(), want)
-                assert np.array_equal(fix_to_local(fix, origin).as_array(), want)
-                fixes.append(fix)
-                expected.append(want)
+                for lat, lon, alt in zip(fixes.lat, fixes.lon, fixes.alt)
+            ])
             for anchor in (frame, origin):
                 t, positions = run_gnss_only(fixes, anchor)
                 assert np.array_equal(t, np.arange(5.0))
-                assert np.array_equal(positions, np.array(expected))
+                assert np.array_equal(positions, expected)
+                for k in range(5):
+                    assert np.array_equal(to_local(fixes.take([k]), anchor)[0], expected[k])
 
 
 class TestMeasurementCov:
@@ -111,11 +112,12 @@ class TestMeasurementCov:
     def test_negative_sigma_rejected_at_construction(self):
         with pytest.raises(InvalidNoise):
             GnssNoise(-1.0, 1.0, 1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidNoise):
+                GnssNoise(1.0, bad, 1.0)
 
     def test_per_fix_sigma_overrides_default(self):
-        fix = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 2.0, 3.0))
-        plain = GnssFix(0.0, 0.0, 0.0, 0.0)
-        covs = measurement_covs([fix, plain], GnssNoise())
+        covs = measurement_covs(np.array([[1.0, 2.0, 3.0], NAN_ROW]), GnssNoise())
         np.testing.assert_array_equal(covs[0], np.diag([1.0, 4.0, 9.0]))
         np.testing.assert_array_equal(covs[1], 169.0 * np.eye(3))
 
@@ -131,38 +133,78 @@ class TestMeasurementCov:
         sigmas = np.concatenate([split, rng.uniform(0.1, 30.0, 450)])
         rng.shuffle(sigmas)
         default = GnssNoise(13.0, 7.3, 2.9)
-        fixes = []
-        for k in range(600):
-            std = tuple(sigmas[3 * (k // 2): 3 * (k // 2) + 3]) if k % 2 else None
-            fixes.append(GnssFix(float(k), 0.0, 0.0, 0.0, std=std))
-        covs = measurement_covs(fixes, default)
+        std = np.full((600, 3), math.nan)
+        std[1::2] = sigmas.reshape(300, 3)
+        covs = measurement_covs(std, default)
         assert covs.shape == (600, 3, 3)
-        for fix, cov in zip(fixes, covs):
-            noise = default if fix.std is None else GnssNoise(*fix.std)
+        for row, cov in zip(std.tolist(), covs):
+            noise = default if math.isnan(row[0]) else GnssNoise(*row)
             assert np.array_equal(cov, measurement_cov(noise))
 
     def test_array_covs_reject_bad_sigmas(self):
-        good = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 1.0, 1.0))
+        good = [1.0, 1.0, 1.0]
         for std in ((1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (math.nan, 1.0, 1.0)):
             with pytest.raises(InvalidNoise):
-                measurement_covs([good, GnssFix(1.0, 0.0, 0.0, 0.0, std=std)], GnssNoise())
-        plain = GnssFix(0.0, 0.0, 0.0, 0.0)
+                measurement_covs(np.array([good, std]), GnssNoise())
         with pytest.raises(InvalidNoise):
-            measurement_covs([good, plain], GnssNoise(0.0, 1.0, 1.0))
+            measurement_covs(np.array([good, NAN_ROW]), GnssNoise(0.0, 1.0, 1.0))
         # The default is only needed by a fix without receiver sigmas.
-        assert measurement_covs([good], GnssNoise(0.0, 1.0, 1.0)).shape == (1, 3, 3)
-        assert measurement_covs([], GnssNoise(0.0, 1.0, 1.0)).shape == (0, 3, 3)
+        assert measurement_covs(np.array([good]), GnssNoise(0.0, 1.0, 1.0)).shape == (1, 3, 3)
+        assert measurement_covs(np.empty((0, 3)), GnssNoise(0.0, 1.0, 1.0)).shape == (0, 3, 3)
 
 
 class TestStreams:
-    def test_stack_fixes(self):
-        fixes = [GnssFix(0.5, 0.1, 0.2, 3.0), GnssFix(1.5, -0.1, -0.2, 4.0)]
-        t, lat, lon, alt = stack_fixes(fixes)
-        assert t.tolist() == [0.5, 1.5]
-        assert lat.tolist() == [0.1, -0.1]
-        assert lon.tolist() == [0.2, -0.2]
-        assert alt.tolist() == [3.0, 4.0]
-        assert all(column.shape == (0,) for column in stack_fixes([]))
+    def test_gnss_stream_columns_and_take(self):
+        fixes = GnssStream([0.5, 1.5, 1.5], [0.1, -0.1, 0.0], [0.2, -0.2, 0.0], [3.0, 4.0, 5.0],
+                           [[1.0, 2.0, 3.0], NAN_ROW, NAN_ROW])
+        assert len(fixes) == 3
+        assert fixes.t.tolist() == [0.5, 1.5, 1.5]
+        assert fixes.lat.tolist() == [0.1, -0.1, 0.0]
+        assert fixes.lon.tolist() == [0.2, -0.2, 0.0]
+        assert fixes.alt.tolist() == [3.0, 4.0, 5.0]
+        assert fixes.std[0].tolist() == [1.0, 2.0, 3.0]
+        assert np.isnan(fixes.std[1:]).all()
+        for index in ([0, 2], np.array([True, False, True]), slice(0, 3, 2)):
+            kept = fixes.take(index)
+            assert kept.alt.tolist() == [3.0, 5.0]
+            assert kept.std[0].tolist() == [1.0, 2.0, 3.0] and np.isnan(kept.std[1]).all()
+        assert np.isnan(GnssStream([0.0], [0.0], [0.0], [0.0]).std).all()
+        assert len(GnssStream(*np.empty((4, 0)))) == 0
+
+    def test_gnss_stream_is_a_read_only_copy(self):
+        lat = np.array([0.1, 0.2])
+        fixes = GnssStream([0.0, 1.0], lat, [0.0, 0.0], [0.0, 0.0])
+        lat[0] = 9.0
+        assert fixes.lat[0] == 0.1
+        with pytest.raises(ValueError):
+            fixes.lat[0] = 0.3
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([0.0, 1.0], [0.1], [0.2, 0.2], [3.0, 3.0]), r"lat has shape \(1,\)"),
+            (([0.0, 1.0], [0.1, 0.1], [0.2, 0.2], [3.0, 3.0], [[1.0, 1.0, 1.0]]),
+             r"std has shape \(1, 3\)"),
+            (([0.0, math.nan, 2.0], [0.1] * 3, [0.2] * 3, [3.0] * 3),
+             "row 1: timestamp must be finite"),
+            (([0.0, 1.0, math.inf], [0.1] * 3, [0.2] * 3, [3.0] * 3),
+             "row 2: timestamp must be finite"),
+            (([0.0, 1.0, 2.0], [0.1, 1.6, 2.0], [0.2] * 3, [3.0] * 3),
+             "row 1: latitude 1.6 outside"),
+            (([0.0, 1.0, 2.0], [0.1] * 3, [0.2, 0.2, -3.5], [3.0] * 3),
+             "row 2: longitude -3.5 outside"),
+            (([0.0, 1.0, 2.0], [0.1] * 3, [0.2] * 3, [3.0, math.nan, 3.0]),
+             "row 1: height must be finite"),
+        ],
+    )
+    def test_gnss_stream_rejects_bad_rows(self, columns, message):
+        with pytest.raises(ValueError, match=message):
+            GnssStream(*columns)
+
+    def test_gnss_stream_time_regression(self):
+        with pytest.raises(NonMonotonicTime) as info:
+            GnssStream([0.0, 1.0, 1.0, 0.5], [0.1] * 4, [0.2] * 4, [3.0] * 4)
+        assert info.value.index == 3
 
     def test_outage_mask_half_open_windows(self):
         times = np.array([0.0, 1.0, 1.5, 2.0, 5.0, 6.0, 7.0])

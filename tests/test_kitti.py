@@ -75,19 +75,19 @@ class TestLoadSequence:
     def test_fixture_drive(self, kitti_drive):
         imu, gnss = load_sequence(kitti_drive)
         assert len(imu) == 3
-        assert imu[0].t == 0.0
-        assert imu[1].t == pytest.approx(0.1, abs=1e-9)
-        assert imu[2].t == pytest.approx(0.2, abs=1e-9)
+        assert imu.t[0] == 0.0
+        assert imu.t[1] == pytest.approx(0.1, abs=1e-9)
+        assert imu.t[2] == pytest.approx(0.2, abs=1e-9)
         # Body-frame channels (wf, wl, wu) / (af, al, au).
-        np.testing.assert_allclose(imu[0].gyro, [0.0011, -0.0021, 0.0101])
-        np.testing.assert_allclose(imu[0].accel, [0.31, -0.21, 9.81])
+        np.testing.assert_allclose(imu.gyro[0], [0.0011, -0.0021, 0.0101])
+        np.testing.assert_allclose(imu.accel[0], [0.31, -0.21, 9.81])
         # All three records fall into the same one-second bucket.
         assert len(gnss) == 1
-        assert gnss[0].t == 0.0
-        assert gnss[0].lat == pytest.approx(math.radians(49.0), abs=1e-15)
-        assert gnss[0].lon == pytest.approx(math.radians(8.43), abs=1e-15)
-        assert gnss[0].alt == 115.0
-        assert gnss[0].std == (0.5, 0.5, 0.5)
+        assert gnss.t[0] == 0.0
+        assert gnss.lat[0] == pytest.approx(math.radians(49.0), abs=1e-15)
+        assert gnss.lon[0] == pytest.approx(math.radians(8.43), abs=1e-15)
+        assert gnss.alt[0] == 115.0
+        assert gnss.std[0].tolist() == [0.5, 0.5, 0.5]
 
     def test_missing_timestamps(self, tmp_path):
         (tmp_path / "oxts" / "data").mkdir(parents=True)
@@ -122,8 +122,9 @@ class TestLoadSequence:
             "2011-09-26 13:02:26.000000000\n"
             "2011-09-26 13:02:25.950000000\n"
         )
-        with pytest.raises(NonMonotonicTime):
+        with pytest.raises(NonMonotonicTime) as info:
             load_sequence(drive)
+        assert info.value.index == 2
 
     def test_decimation_across_buckets(self, tmp_path):
         data = tmp_path / "oxts" / "data"
@@ -139,4 +140,16 @@ class TestLoadSequence:
         assert len(imu) == 25
         # 2.5 s at 10 Hz spans three whole-second buckets.
         assert len(gnss) == 3
-        assert [f.t for f in gnss] == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
+        assert gnss.t.tolist() == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
+
+    def test_unreported_accuracy_leaves_default_noise(self, kitti_drive, tmp_path):
+        # pos_accuracy 0 means "not reported": the fix gets an all-NaN
+        # sigma row, which the filter replaces by its configured noise.
+        drive = tmp_path / "drive"
+        shutil.copytree(kitti_drive, drive)
+        for path in (drive / "oxts" / "data").glob("*.txt"):
+            fields = path.read_text().split()
+            fields[OXTS_FIELDS.index("pos_accuracy")] = "0"
+            path.write_text(" ".join(fields) + "\n")
+        _, gnss = load_sequence(drive)
+        assert np.isnan(gnss.std).all()

@@ -17,7 +17,7 @@ import navfuse.fusion as fusion
 from navfuse.errors import DecompositionFailure
 from navfuse.fusion import FusionConfig, run_fusion
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
-from navfuse.strapdown import ImuSample, process_noise_diag
+from navfuse.strapdown import ImuStream, process_noise_diag
 from navfuse.ukf import compute_weights
 
 RTOL = 1e-11
@@ -25,6 +25,8 @@ CFG = FusionConfig()
 PARAMS = CFG.sigma_params()
 W_MEAN, W_COV = compute_weights(PARAMS)
 DT = 0.01
+# Gyro and accelerometer readings of a turning, accelerating vehicle.
+TURNING = (np.array([0.2, 0.1, -0.4]), np.array([1.0, -0.5, 9.7]))
 
 
 def assert_within(diff, scale):
@@ -41,10 +43,12 @@ def assert_matches(kernel, oracle):
     assert_within(np.abs(cov_k - cov_o), np.outer(sd, sd))
 
 
-def predict_both(state, cov, sample):
+def predict_both(state, cov, gyro, accel):
     q_diag = process_noise_diag(CFG.imu_noise, DT)
-    kernel = fusion._predict(state, cov, sample, DT, PARAMS, W_MEAN, W_COV, q_diag)
-    oracle = reference_predict(state, cov, sample, DT, PARAMS, W_MEAN, W_COV, np.diag(q_diag))
+    kernel = fusion._predict(state, cov, gyro, accel, DT, PARAMS, W_MEAN, W_COV, q_diag)
+    oracle = reference_predict(
+        state, cov, gyro, accel, DT, PARAMS, W_MEAN, W_COV, np.diag(q_diag)
+    )
     return kernel, oracle
 
 
@@ -58,7 +62,7 @@ def circ90():
     drive at seed 42."""
     truth, ideal = generate_truth(TrajectoryProfile("circular", duration=90.0))
     imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
-    return imu[:1001], [f for f in gnss if f.t <= 10.0]
+    return imu.take(slice(0, 1001)), gnss.take(gnss.t <= 10.0)
 
 
 def run_checked(monkeypatch, imu, gnss):
@@ -67,9 +71,11 @@ def run_checked(monkeypatch, imu, gnss):
     kernel = fusion._predict
     steps = []
 
-    def checked(state, cov, sample, dt, params, w_mean, w_cov, q_diag):
-        out = kernel(state, cov, sample, dt, params, w_mean, w_cov, q_diag)
-        oracle = reference_predict(state, cov, sample, dt, params, w_mean, w_cov, np.diag(q_diag))
+    def checked(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag):
+        out = kernel(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag)
+        oracle = reference_predict(
+            state, cov, gyro, accel, dt, params, w_mean, w_cov, np.diag(q_diag)
+        )
         assert_matches(out, oracle)
         steps.append(dt)
         return out
@@ -89,15 +95,15 @@ class TestAgainstOracle:
         imu, gnss = circ90
         jitter = np.random.default_rng(7).uniform(-0.003, 0.003, len(imu))
         jitter[0] = 0.0  # keep the first fix (t = 0) anchored to the first sample
-        jittered = [ImuSample(s.t + e, s.gyro, s.accel) for s, e in zip(imu, jitter)]
+        jittered = ImuStream(imu.t + jitter, imu.gyro, imu.accel)
         steps = run_checked(monkeypatch, jittered, gnss)
         assert len(steps) == 1000
         assert len(set(steps)) == 1000
 
     def test_zero_covariance(self):
         # cholesky_sqrt short-circuits to a zero factor: 31 identical points.
-        sample = ImuSample(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.0, 9.8]))
-        kernel, oracle = predict_both(nominal(), np.zeros((15, 15)), sample)
+        gyro, accel = np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.0, 9.8])
+        kernel, oracle = predict_both(nominal(), np.zeros((15, 15)), gyro, accel)
         assert_matches(kernel, oracle)
         np.testing.assert_allclose(np.diag(kernel[1]), process_noise_diag(CFG.imu_noise, DT))
 
@@ -109,15 +115,13 @@ class TestAgainstOracle:
         # take its jitter retry.
         cov = CFG.initial_covariance()
         cov[6:12, 6:12] = variance * np.eye(6)
-        sample = ImuSample(0.0, np.zeros(3), np.array([0.0, 0.0, 9.80665]))
-        kernel, oracle = predict_both(nominal(), cov, sample)
+        kernel, oracle = predict_both(nominal(), cov, np.zeros(3), np.array([0.0, 0.0, 9.80665]))
         assert_matches(kernel, oracle)
 
     def test_nominal_quaternion_with_negative_w(self):
         q = np.array([-0.8, 0.1, -0.3, 0.5])
         state = nominal(q / np.linalg.norm(q))
-        sample = ImuSample(0.0, np.array([0.2, 0.1, -0.4]), np.array([1.0, -0.5, 9.7]))
-        kernel, oracle = predict_both(state, CFG.initial_covariance(), sample)
+        kernel, oracle = predict_both(state, CFG.initial_covariance(), *TURNING)
         assert kernel[0][6] < 0.0
         assert_matches(kernel, oracle)
 
@@ -129,24 +133,21 @@ class TestAgainstOracle:
         corr = b @ b.T + 15.0 * np.eye(15)
         corr /= np.sqrt(np.outer(np.diag(corr), np.diag(corr)))
         sd = np.repeat([10.0, 3.0, 1.0, 0.05, 0.1], 3)
-        sample = ImuSample(0.0, np.array([0.2, 0.1, -0.4]), np.array([1.0, -0.5, 9.7]))
-        kernel, oracle = predict_both(nominal(), corr * np.outer(sd, sd), sample)
+        kernel, oracle = predict_both(nominal(), corr * np.outer(sd, sd), *TURNING)
         assert_matches(kernel, oracle)
 
     def test_indefinite_covariance_raises(self):
         cov = CFG.initial_covariance()
         cov[0, 0] = -1.0
-        sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
         with pytest.raises(DecompositionFailure):
             fusion._predict(
-                nominal(), cov, sample, DT, PARAMS, W_MEAN, W_COV, np.zeros(15)
+                nominal(), cov, np.zeros(3), np.zeros(3), DT, PARAMS, W_MEAN, W_COV, np.zeros(15)
             )
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_non_positive_dt_rejected(self, dt):
-        sample = ImuSample(0.0, np.zeros(3), np.zeros(3))
         with pytest.raises(ValueError):
             fusion._predict(
-                nominal(), CFG.initial_covariance(), sample, dt, PARAMS, W_MEAN, W_COV,
-                np.zeros(15),
+                nominal(), CFG.initial_covariance(), np.zeros(3), np.zeros(3), dt, PARAMS,
+                W_MEAN, W_COV, np.zeros(15),
             )

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from navfuse.errors import UnknownProfileKind
-from navfuse.gnss import GnssNoise, fix_to_local
+from navfuse.fusion import run_gnss_only
+from navfuse.gnss import GnssNoise
 from navfuse.simulate import (
     SCENARIO_ORIGIN,
     SensorCorruption,
@@ -18,31 +19,30 @@ QUIET = ImuNoiseParams(0.0, 0.0, 0.0, 0.0)
 
 
 def reintegrate(truth, ideal):
-    state = NavState(truth[0].position.as_array(), truth[0].velocity,
-                     truth[0].orientation, np.zeros(3), np.zeros(3))
+    state = NavState(truth.position[0], truth.velocity[0], truth.orientation[0],
+                     np.zeros(3), np.zeros(3))
     errs = []
     for k in range(1, len(ideal)):
-        state = propagate(state, ideal[k], ideal[k].t - ideal[k - 1].t)
-        errs.append(np.linalg.norm(state.position - truth[k].position.as_array()))
+        state = propagate(state, ideal.gyro[k], ideal.accel[k], ideal.t[k] - ideal.t[k - 1])
+        errs.append(np.linalg.norm(state.position - truth.position[k]))
     return np.array(errs)
 
 
 class TestGenerateTruth:
     def test_stationary(self):
         truth, ideal = generate_truth(TrajectoryProfile("stationary", duration=10.0))
-        assert len(truth) == 1000
-        assert all(np.linalg.norm(p.position.as_array()) == 0.0 for p in truth)
-        for s in ideal:
-            np.testing.assert_array_equal(s.gyro, np.zeros(3))
-            np.testing.assert_array_equal(s.accel, [0.0, 0.0, GRAVITY])
+        assert len(truth.t) == len(ideal) == 1000
+        assert not truth.position.any()
+        assert not ideal.gyro.any()
+        assert (ideal.accel == [0.0, 0.0, GRAVITY]).all()
 
     def test_straight_constant_accel(self):
         profile = TrajectoryProfile("straight-constant-accel", duration=10.0, accel=1.0)
         truth, _ = generate_truth(profile)
         # Last sample sits at t = duration - dt.
-        t_last = truth[-1].t
-        assert truth[-1].position.east == pytest.approx(0.5 * t_last**2, abs=1e-9)
-        assert truth[-1].velocity[0] == pytest.approx(t_last, abs=1e-12)
+        t_last = truth.t[-1]
+        assert truth.position[-1, 0] == pytest.approx(0.5 * t_last**2, abs=1e-9)
+        assert truth.velocity[-1, 0] == pytest.approx(t_last, abs=1e-12)
         # Endpoint of the motion law itself.
         assert 0.5 * 1.0 * 10.0**2 == 50.0
 
@@ -51,11 +51,10 @@ class TestGenerateTruth:
         # (w dt)^2 / 24 ~ 3e-7 effect at these rates.
         profile = TrajectoryProfile("circular", duration=30.0, radius=20.0, speed=5.0)
         _, ideal = generate_truth(profile)
-        for s in ideal[1:]:
-            horizontal = math.hypot(s.accel[0], s.accel[1])
-            assert horizontal == pytest.approx(5.0**2 / 20.0, abs=1e-5)
-            assert s.accel[2] == pytest.approx(GRAVITY, abs=1e-12)
-            assert s.gyro[2] == pytest.approx(5.0 / 20.0, abs=1e-9)
+        horizontal = np.hypot(ideal.accel[1:, 0], ideal.accel[1:, 1])
+        np.testing.assert_allclose(horizontal, 5.0**2 / 20.0, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(ideal.accel[1:, 2], GRAVITY, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ideal.gyro[1:, 2], 5.0 / 20.0, rtol=0, atol=1e-9)
 
     def test_circular_closes_loop(self):
         # The period lands between samples; the nearest grid point is at
@@ -65,7 +64,7 @@ class TestGenerateTruth:
                                     radius=20.0, speed=5.0)
         truth, ideal = generate_truth(profile)
         k = int(round(period * profile.imu_rate))
-        assert np.linalg.norm(truth[k].position.as_array()) <= 5.0 * 0.01
+        assert np.linalg.norm(truth.position[k]) <= 5.0 * 0.01
         # Strapdown re-integration agrees with the analytic loop.
         errs = reintegrate(truth, ideal)
         assert errs.max() < 1e-3
@@ -88,6 +87,11 @@ class TestGenerateTruth:
             TrajectoryProfile("circular", duration=0.0)
         with pytest.raises(ValueError):
             TrajectoryProfile("circular", duration=1.0, imu_rate=1.0, gnss_rate=10.0)
+        for bad in (math.nan, math.inf):
+            for field in ("duration", "imu_rate", "gnss_rate"):
+                kwargs = {"duration": 1.0, field: bad}
+                with pytest.raises(ValueError, match=field):
+                    TrajectoryProfile("circular", **kwargs)
 
 
 class TestCorrupt:
@@ -96,13 +100,11 @@ class TestCorrupt:
         truth, ideal = generate_truth(profile)
         corr = SensorCorruption(seed=1, imu=QUIET, gnss=GnssNoise(0.0, 0.0, 0.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
-        for noisy, clean in zip(imu, ideal):
-            np.testing.assert_array_equal(noisy.gyro, clean.gyro)
-            np.testing.assert_array_equal(noisy.accel, clean.accel)
-        for fix in gnss:
-            k = int(round(fix.t * profile.imu_rate))
-            local = fix_to_local(fix, SCENARIO_ORIGIN).as_array()
-            np.testing.assert_allclose(local, truth[k].position.as_array(), atol=1e-6)
+        np.testing.assert_array_equal(imu.gyro, ideal.gyro)
+        np.testing.assert_array_equal(imu.accel, ideal.accel)
+        k = np.round(gnss.t * profile.imu_rate).astype(int)
+        _, local = run_gnss_only(gnss, SCENARIO_ORIGIN)
+        np.testing.assert_allclose(local, truth.position[k], atol=1e-6)
 
     def test_gnss_sample_std_calibration(self):
         profile = TrajectoryProfile("stationary", duration=300.0)
@@ -110,7 +112,7 @@ class TestCorrupt:
         corr = SensorCorruption(seed=42, imu=QUIET)
         _, gnss = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
         assert len(gnss) == 300
-        residuals = np.array([fix_to_local(f, SCENARIO_ORIGIN).as_array() for f in gnss])
+        _, residuals = run_gnss_only(gnss, SCENARIO_ORIGIN)
         stds = residuals.std(axis=0, ddof=1)
         np.testing.assert_allclose(stds, 13.0, rtol=0.10)
 
@@ -119,8 +121,8 @@ class TestCorrupt:
         truth, ideal = generate_truth(profile)
         corr = SensorCorruption(seed=3, imu=ImuNoiseParams(0.01, 0.05, 0.0, 0.0))
         imu, _ = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
-        gyro = np.array([s.gyro for s in imu])
-        accel = np.array([s.accel for s in imu]) - [0.0, 0.0, GRAVITY]
+        gyro = imu.gyro
+        accel = imu.accel - [0.0, 0.0, GRAVITY]
         assert gyro.std(ddof=1) == pytest.approx(0.01, rel=0.10)
         assert accel.std(ddof=1) == pytest.approx(0.05, rel=0.10)
 
@@ -130,7 +132,7 @@ class TestCorrupt:
         walk = 1e-3
         corr = SensorCorruption(seed=5, imu=ImuNoiseParams(0.0, 0.0, walk, 0.0))
         imu, _ = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
-        bias = np.array([s.gyro for s in imu])
+        bias = imu.gyro
         # Wiener process: variance grows like walk^2 * t.
         final = bias[-1]
         assert np.all(np.abs(final) < 6 * walk * math.sqrt(100.0))
@@ -144,11 +146,11 @@ class TestCorrupt:
         _, gnss_full = corrupt(truth, ideal, base, gnss_rate=profile.gnss_rate)
         _, gnss_gap = corrupt(truth, ideal, gapped, gnss_rate=profile.gnss_rate)
         assert len(gnss_full) - len(gnss_gap) == 10
-        assert not any(30.0 <= f.t < 40.0 for f in gnss_gap)
+        assert not ((30.0 <= gnss_gap.t) & (gnss_gap.t < 40.0)).any()
         # Identical draws outside the window.
-        kept = [f for f in gnss_full if not 30.0 <= f.t < 40.0]
-        for a, b in zip(kept, gnss_gap):
-            assert (a.t, a.lat, a.lon, a.alt) == (b.t, b.lat, b.lon, b.alt)
+        kept = gnss_full.take(~((30.0 <= gnss_full.t) & (gnss_full.t < 40.0)))
+        for name in ("t", "lat", "lon", "alt"):
+            assert np.array_equal(getattr(kept, name), getattr(gnss_gap, name))
 
     def test_deterministic_for_fixed_seed(self):
         profile = TrajectoryProfile("figure-eight", duration=10.0)
@@ -156,11 +158,10 @@ class TestCorrupt:
         corr = SensorCorruption(seed=1234)
         imu_a, gnss_a = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
         imu_b, gnss_b = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
-        for a, b in zip(imu_a, imu_b):
-            np.testing.assert_array_equal(a.gyro, b.gyro)
-            np.testing.assert_array_equal(a.accel, b.accel)
-        for a, b in zip(gnss_a, gnss_b):
-            assert (a.t, a.lat, a.lon, a.alt) == (b.t, b.lat, b.lon, b.alt)
+        np.testing.assert_array_equal(imu_a.gyro, imu_b.gyro)
+        np.testing.assert_array_equal(imu_a.accel, imu_b.accel)
+        for name in ("t", "lat", "lon", "alt"):
+            assert np.array_equal(getattr(gnss_a, name), getattr(gnss_b, name))
 
     def test_gnss_rate_decimation(self):
         profile = TrajectoryProfile("stationary", duration=10.0, gnss_rate=2.0)

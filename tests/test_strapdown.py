@@ -11,7 +11,7 @@ from navfuse.strapdown import (
     CONJ,
     GRAVITY,
     ImuNoiseParams,
-    ImuSample,
+    ImuStream,
     NavState,
     process_noise_diag,
     propagate,
@@ -22,13 +22,11 @@ from navfuse.strapdown import (
     quat_normalized,
     quat_products,
 )
+from navfuse.errors import NonMonotonicTime
 from navfuse.ukf import compute_weights
 
 LEVEL_ACCEL = np.array([0.0, 0.0, GRAVITY])
-
-
-def stationary_sample(t=0.0):
-    return ImuSample(t, np.zeros(3), LEVEL_ACCEL.copy())
+STILL = (np.zeros(3), LEVEL_ACCEL)
 
 
 def exp(r):
@@ -42,11 +40,11 @@ def rotate(q, v):
     return quat_products(quat_products(q[:, None], f), (q * CONJ)[:, None])[1:, 0]
 
 
-def reference_step(state, sample, dt):
+def reference_step(state, gyro, accel, dt):
     """One strapdown step on scipy rotations: (p, v, q) after ``dt``."""
     attitude = Rotation.from_quat(state.orientation, scalar_first=True)
-    a_nav = attitude.apply(sample.accel - state.accel_bias) + np.array([0.0, 0.0, -GRAVITY])
-    turn = Rotation.from_rotvec((sample.gyro - state.gyro_bias) * dt)
+    a_nav = attitude.apply(accel - state.accel_bias) + np.array([0.0, 0.0, -GRAVITY])
+    turn = Rotation.from_rotvec((gyro - state.gyro_bias) * dt)
     return (
         state.position + state.velocity * dt + 0.5 * a_nav * dt * dt,
         state.velocity + a_nav * dt,
@@ -101,55 +99,54 @@ class TestQuaternions:
 class TestPropagate:
     def test_gravity_compensated_fixed_point(self):
         state = NavState.identity()
-        out = propagate(state, stationary_sample(), 0.01)
+        out = propagate(state, *STILL, 0.01)
         np.testing.assert_array_equal(out.as_vector(), state.as_vector())
 
     def test_fixed_point_over_1000_steps(self):
         state = NavState.identity()
         reference = state.as_vector()
         for _ in range(1000):
-            state = propagate(state, stationary_sample(), 0.01)
+            state = propagate(state, *STILL, 0.01)
             assert np.max(np.abs(state.as_vector() - reference)) <= 1e-12
 
     def test_constant_forward_acceleration(self):
         state = NavState.identity()
-        sample = ImuSample(0.0, np.zeros(3), np.array([1.0, 0.0, GRAVITY]))
+        accel = np.array([1.0, 0.0, GRAVITY])
         for _ in range(100):
-            state = propagate(state, sample, 0.01)
+            state = propagate(state, np.zeros(3), accel, 0.01)
         np.testing.assert_allclose(state.velocity, [1.0, 0.0, 0.0], atol=1e-9)
         np.testing.assert_allclose(state.position, [0.5, 0.0, 0.0], atol=1e-9)
 
     def test_yaw_rate_integration(self):
         state = NavState.identity()
-        sample = ImuSample(0.0, np.array([0.0, 0.0, math.pi / 2]), np.zeros(3))
+        gyro = np.array([0.0, 0.0, math.pi / 2])
         for _ in range(100):
-            state = propagate(state, sample, 0.01)
+            state = propagate(state, gyro, np.zeros(3), 0.01)
         yaw = 2.0 * math.atan2(state.orientation[3], state.orientation[0])
         assert yaw == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_bias_correction_applied(self):
         bias = np.array([0.0, 0.0, 0.1])
         state = NavState(np.zeros(3), np.zeros(3), quat_identity(), bias, np.zeros(3))
-        sample = ImuSample(0.0, bias, LEVEL_ACCEL)
-        out = propagate(state, sample, 0.01)
+        out = propagate(state, bias, LEVEL_ACCEL, 0.01)
         np.testing.assert_allclose(out.orientation, quat_identity(), atol=1e-15)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            propagate(NavState.identity(), stationary_sample(), 0.0)
+            propagate(NavState.identity(), *STILL, 0.0)
 
     def test_quaternion_stays_normalized(self):
         rng = np.random.default_rng(11)
         state = NavState.identity()
-        for k in range(500):
-            sample = ImuSample(k * 0.01, rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL)
-            state = propagate(state, sample, 0.01)
+        for _ in range(500):
+            gyro, accel = rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL
+            state = propagate(state, gyro, accel, 0.01)
             assert abs(np.linalg.norm(state.orientation) - 1.0) <= 1e-9
 
     def test_deterministic(self):
-        sample = ImuSample(0.0, np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.1, 9.9]))
-        a = propagate(NavState.identity(), sample, 0.01)
-        b = propagate(NavState.identity(), sample, 0.01)
+        gyro, accel = np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.1, 9.9])
+        a = propagate(NavState.identity(), gyro, accel, 0.01)
+        b = propagate(NavState.identity(), gyro, accel, 0.01)
         np.testing.assert_array_equal(a.as_vector(), b.as_vector())
 
     def test_matches_scipy_reference_step(self):
@@ -161,9 +158,9 @@ class TestPropagate:
             q *= (-1) ** k * np.sign(q[0]) / np.linalg.norm(q)
             state = NavState(rng.standard_normal(3), rng.standard_normal(3), q,
                              0.01 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
-            sample = ImuSample(0.0, rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL)
-            out = propagate(state, sample, 0.02)
-            p, v, q_ref = reference_step(state, sample, 0.02)
+            gyro, accel = rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL
+            out = propagate(state, gyro, accel, 0.02)
+            p, v, q_ref = reference_step(state, gyro, accel, 0.02)
             np.testing.assert_allclose(out.position, p, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.velocity, v, rtol=0, atol=1e-12)
             np.testing.assert_allclose(out.orientation, q_ref, rtol=0, atol=1e-12)
@@ -178,11 +175,12 @@ class TestPropagate:
             profile = TrajectoryProfile("circular", duration=10.0, imu_rate=rate,
                                         radius=20.0, speed=5.0)
             truth, ideal = generate_truth(profile)
-            state = NavState(truth[0].position.as_array(), truth[0].velocity,
-                             truth[0].orientation, np.zeros(3), np.zeros(3))
+            state = NavState(truth.position[0], truth.velocity[0], truth.orientation[0],
+                             np.zeros(3), np.zeros(3))
             for k in range(1, len(ideal)):
-                state = propagate(state, ideal[k], ideal[k].t - ideal[k - 1].t)
-            errors[rate] = np.linalg.norm(state.position - truth[-1].position.as_array())
+                state = propagate(state, ideal.gyro[k], ideal.accel[k],
+                                  ideal.t[k] - ideal.t[k - 1])
+            errors[rate] = np.linalg.norm(state.position - truth.position[-1])
         assert errors[100.0] / errors[200.0] >= 2.0
 
 
@@ -234,6 +232,9 @@ class TestProcessNoise:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             ImuNoiseParams(gyro_std=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="accel_bias_rw"):
+                ImuNoiseParams(accel_bias_rw=bad)
 
 
 def predict_still(state, variances):
@@ -241,9 +242,8 @@ def predict_still(state, variances):
     specific force, from a diagonal covariance and no process noise."""
     params = FusionConfig().sigma_params()
     w_mean, w_cov = compute_weights(params)
-    sample = ImuSample(0.0, np.zeros(3), LEVEL_ACCEL)
     return fusion._predict(
-        state, np.diag(variances), sample, 0.01, params, w_mean, w_cov, np.zeros(15)
+        state, np.diag(variances), *STILL, 0.01, params, w_mean, w_cov, np.zeros(15)
     )
 
 
@@ -302,3 +302,53 @@ class TestNavState:
         with pytest.raises(ValueError):
             NavState(np.array([np.nan, 0, 0]), np.zeros(3), quat_identity(),
                      np.zeros(3), np.zeros(3))
+
+
+class TestImuStream:
+    def test_columns_are_read_only_copies(self):
+        t = np.array([0.0, 0.01, 0.02])
+        gyro = np.zeros((3, 3))
+        imu = ImuStream(t, gyro, np.tile(LEVEL_ACCEL, (3, 1)))
+        assert len(imu) == 3
+        assert imu.take([0, 2]).t.tolist() == [0.0, 0.02]
+        t[0] = -1.0
+        gyro[0, 0] = 1.0
+        assert imu.t[0] == 0.0 and imu.gyro[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            imu.accel[0, 0] = 1.0
+        assert len(ImuStream(np.empty(0), np.empty((0, 3)), np.empty((0, 3)))) == 0
+
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (1, "t", math.nan, "row 1: timestamp must be finite"),
+            (2, "gyro", math.inf, "row 2: vector components must be finite"),
+            (1, "accel", math.nan, "row 1: vector components must be finite"),
+        ],
+    )
+    def test_rejects_non_finite_rows(self, row, column, value, message):
+        columns = {"t": np.arange(4) * 0.01, "gyro": np.zeros((4, 3)),
+                   "accel": np.tile(LEVEL_ACCEL, (4, 1))}
+        columns[column][row] = value
+        columns[column][3] = value  # a later bad row is not the one named
+        with pytest.raises(ValueError, match=message):
+            ImuStream(**columns)
+
+    @pytest.mark.parametrize(
+        "t, gyro, accel, message",
+        [
+            ([0.0, 0.01], np.zeros((3, 3)), np.zeros((2, 3)), r"gyro has shape \(3, 3\)"),
+            ([0.0, 0.01], np.zeros((2, 3)), np.zeros((2, 2)), r"accel has shape \(2, 2\)"),
+            (0.0, np.zeros((1, 3)), np.zeros((1, 3)), r"t has shape \(\)"),
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, t, gyro, accel, message):
+        with pytest.raises(ValueError, match=message):
+            ImuStream(t, gyro, accel)
+
+    @pytest.mark.parametrize("t, index", [([0.0, 0.01, 0.01], 2), ([0.0, 0.02, 0.01, 0.0], 2)])
+    def test_time_must_increase_strictly(self, t, index):
+        n = len(t)
+        with pytest.raises(NonMonotonicTime) as info:
+            ImuStream(t, np.zeros((n, 3)), np.zeros((n, 3)))
+        assert info.value.index == index

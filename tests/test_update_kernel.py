@@ -21,13 +21,13 @@ import navfuse.fusion as fusion
 import navfuse.ukf as ukf
 from navfuse.errors import DecompositionFailure, SingularInnovationCov
 from navfuse.fusion import FusionConfig, run_fusion
-from navfuse.gnss import GnssFix, GnssNoise, measurement_covs
+from navfuse.gnss import GnssNoise, measurement_covs
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 
 RTOL = 1e-11
 CFG = FusionConfig()
 PARAMS = CFG.sigma_params()
-R_DEFAULT = measurement_covs([GnssFix(0.0, 0.0, 0.0, 0.0)], CFG.gnss_noise)[0]
+R_DEFAULT = measurement_covs(np.full((1, 3), np.nan), CFG.gnss_noise)[0]
 
 
 def assert_within(diff, scale, what):
@@ -92,8 +92,8 @@ class TestAgainstOracle:
         # its first 60 s: 601 updates, ten predictions apart.
         truth, ideal = generate_truth(TrajectoryProfile("circular", duration=90.0))
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=10.0)
-        imu = [s for s in imu if s.t <= 60.0]
-        gnss = [f for f in gnss if f.t <= 60.0]
+        imu = imu.take(imu.t <= 60.0)
+        gnss = gnss.take(gnss.t <= 60.0)
         assert len(run_checked(monkeypatch, imu, gnss)) >= 500
 
     def test_gated_stream_rejects_some_fixes(self, monkeypatch):
@@ -122,8 +122,7 @@ class TestEdgeCases:
         assert event["trace_after"] == event["trace_before"]
 
     def test_per_fix_std(self):
-        fix = GnssFix(0.0, 0.0, 0.0, 0.0, std=(1.0, 2.0, 3.0))
-        r_cov = measurement_covs([fix], GnssNoise())[0]
+        r_cov = measurement_covs(np.array([[1.0, 2.0, 3.0]]), GnssNoise())[0]
         update_both(nominal(), CFG.initial_covariance(), np.array([5.0, -2.0, 0.0]), r_cov)
 
     def test_nominal_quaternion_with_negative_w(self):
