@@ -6,13 +6,10 @@ from .errors import NavFuseError
 from .fusion import FusionConfig, FusionResult, run_fusion, run_gnss_only
 from .geodesy import (
     WGS84,
-    EcefCoord,
     GeodeticCoord,
-    LocalEnu,
     Wgs84Constants,
-    ecef_to_enu,
     ecef_to_geodetic,
-    enu_to_ecef,
+    enu_to_geodetic,
     geodetic_to_ecef,
     geodetic_to_enu,
     normal_radius,
@@ -38,13 +35,10 @@ __all__ = [
     "run_fusion",
     "run_gnss_only",
     "WGS84",
-    "EcefCoord",
     "GeodeticCoord",
-    "LocalEnu",
     "Wgs84Constants",
-    "ecef_to_enu",
     "ecef_to_geodetic",
-    "enu_to_ecef",
+    "enu_to_geodetic",
     "geodetic_to_ecef",
     "geodetic_to_enu",
     "normal_radius",

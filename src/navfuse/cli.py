@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import EmptyStream, InvalidNoise, NavFuseError
+from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError
 from .evaluate import (
     _fmt,
     _read_table,
@@ -38,12 +38,7 @@ from .evaluate import (
     rmse,
 )
 from .fusion import FusionConfig, run_fusion, run_gnss_only
-from .geodesy import (
-    EnuFrame,
-    GeodeticCoord,
-    ecef_to_geodetic,
-    geodetic_in_range,
-)
+from .geodesy import GeodeticCoord, enu_to_geodetic, geodetic_in_range
 from .gnss import GnssNoise, GnssStream, outage_mask
 from .kitti import load_sequence
 from .simulate import (
@@ -67,7 +62,7 @@ def _usage_errors():
     usage error."""
     try:
         yield
-    except (ValueError, InvalidNoise) as exc:
+    except (ValueError, InvalidNoise, InvalidScaling) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -160,8 +155,7 @@ def write_gnss_csv(gnss, path):
 def write_truth_csv(truth, origin, path):
     """Write the :class:`Truth` positions, ENU offsets from ``origin``, as
     geodetic rows."""
-    ecef = EnuFrame(origin).points_to_ecef(truth.position)
-    write_gnss_csv(GnssStream(truth.t, *ecef_to_geodetic(ecef)), path)
+    write_gnss_csv(GnssStream(truth.t, *enu_to_geodetic(truth.position, origin)), path)
 
 
 _ESTIMATE_HEADER = (
@@ -316,7 +310,7 @@ def _cmd_fuse(args):
         export_rmse_csv(reports, out / "rmse.csv")
 
         t, est = result.track
-        truth_interp = est - np.column_stack([fused_err.ex, fused_err.ey, fused_err.ez])
+        truth_interp = est - fused_err[1]
         gnss_cells = np.full((len(t), 3), np.nan)
         fix_t, fix_enu = result.gnss_track
         step = np.searchsorted(t, fix_t, side="right") - 1

@@ -20,23 +20,6 @@ from .errors import EmptySeries, MalformedRecord, NavFuseError, TimeSpanMismatch
 
 
 @dataclass(frozen=True)
-class ErrorSeries:
-    """Per-axis position errors (estimate - truth) over time."""
-
-    t: np.ndarray
-    ex: np.ndarray
-    ey: np.ndarray
-    ez: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.t)
-        if not (len(self.ex) == len(self.ey) == len(self.ez) == n):
-            raise ValueError("series columns must have equal length")
-        if n > 1 and np.any(np.diff(self.t) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-
-
-@dataclass(frozen=True)
 class RmseReport:
     """Per-axis RMSE of one method."""
 
@@ -49,8 +32,9 @@ class RmseReport:
 def align_and_diff(estimates, truth):
     """Interpolate truth to the estimate timestamps and subtract.
 
-    Both arguments are tracks, pairs (t (n,), positions (n, 3)); truth
-    interpolation is linear per axis.  Raises :class:`TimeSpanMismatch`
+    Both arguments are tracks, pairs (t (n,), positions (n, 3)), and so is
+    the result, the error track (t, estimate - truth); truth interpolation
+    is linear per axis.  Raises :class:`TimeSpanMismatch`
     when an estimate timestamp falls outside the truth span.
     """
     et, est = estimates
@@ -62,19 +46,15 @@ def align_and_diff(estimates, truth):
             f"estimates span [{et.min()}, {et.max()}] but truth spans [{tt[0]}, {tt[-1]}]"
         )
     diffs = [est[:, i] - np.interp(et, tt, tru[:, i]) for i in range(3)]
-    return ErrorSeries(et, *diffs)
+    return et, np.column_stack(diffs)
 
 
-def rmse(series, method):
-    """Root-mean-square error per axis."""
-    if len(series.t) == 0:
+def rmse(errors, method):
+    """Root-mean-square error per axis of an error track."""
+    t, e = errors
+    if len(t) == 0:
         raise EmptySeries("cannot compute RMSE of an empty series")
-    return RmseReport(
-        method,
-        float(np.sqrt(np.mean(series.ex**2))),
-        float(np.sqrt(np.mean(series.ey**2))),
-        float(np.sqrt(np.mean(series.ez**2))),
-    )
+    return RmseReport(method, *(float(np.sqrt(np.mean(e[:, i] ** 2))) for i in range(3)))
 
 
 def _fmt(value):
@@ -156,9 +136,9 @@ def _write_table(path, header, table, labels=None):
     atomic_write_text(path, header + "\n" + text)
 
 
-def export_errors_csv(series, path):
-    """Write an error series as ``t,ex,ey,ez`` rows."""
-    _write_table(path, "t,ex,ey,ez", np.column_stack([series.t, series.ex, series.ey, series.ez]))
+def export_errors_csv(errors, path):
+    """Write an error track as ``t,ex,ey,ez`` rows."""
+    _write_table(path, "t,ex,ey,ez", np.column_stack(errors))
 
 
 def export_rmse_csv(reports, path):

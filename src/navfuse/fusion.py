@@ -124,6 +124,11 @@ class FusionConfig:
         for name in _INIT_STDS:
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        for name in ("gnss_gate", "trace_ceiling"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        self.sigma_params()  # raises InvalidScaling
 
     def initial_covariance(self):
         stds = [getattr(self, name) for name in _INIT_STDS]
@@ -338,8 +343,8 @@ def run_fusion(imu, gnss, cfg):
 
 def run_gnss_only(gnss, origin):
     """Map the fixes of a :class:`GnssStream` into the local frame anchored
-    at ``origin`` (a :class:`GeodeticCoord` or an :class:`EnuFrame`) as a
-    no-filter baseline: the track (t, positions (M, 3))."""
+    at the :class:`GeodeticCoord` ``origin`` as a no-filter baseline: the
+    track (t, positions (M, 3))."""
     if not len(gnss):
         raise EmptyStream("GNSS stream is empty")
     return gnss.t, geodetic_to_enu(gnss.lat, gnss.lon, gnss.alt, origin)

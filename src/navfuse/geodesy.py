@@ -6,11 +6,11 @@ at a fixed reference origin, and the ECEF->ENU transform uses the
 standard orthonormal rotation so that local distances equal ECEF chord
 distances.
 
-Geodetic points convert to ENU in one array pass,
-:func:`geodetic_to_enu`, ENU offsets to ECEF in one,
-:meth:`EnuFrame.points_to_ecef`, and ECEF points to geodetic in one,
-:func:`ecef_to_geodetic`; the scalar conversions are those passes applied
-to one point, so every path gives the same bits.
+Every conversion takes and returns whole arrays, one point per row:
+:func:`geodetic_to_ecef` and its inverse :func:`ecef_to_geodetic`, and
+:func:`geodetic_to_enu` and its inverse :func:`enu_to_geodetic` about a
+:class:`GeodeticCoord` origin, whose ECEF position and rotation each
+call computes.
 """
 
 import math
@@ -81,42 +81,6 @@ def check_geodetic(lat, lon, height):
         raise ValueError(f"row {k}: {error}")
 
 
-@dataclass(frozen=True)
-class EcefCoord:
-    """Earth-centered Earth-fixed Cartesian coordinates in meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(map(math.isfinite, (self.x, self.y, self.z))):
-            raise ValueError("ECEF components must be finite")
-
-    def as_array(self):
-        return np.array([self.x, self.y, self.z])
-
-
-@dataclass(frozen=True)
-class LocalEnu:
-    """East-North-Up offsets in meters relative to a fixed origin."""
-
-    east: float
-    north: float
-    up: float
-
-    def __post_init__(self):
-        for name in ("east", "north", "up"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(map(math.isfinite, (self.east, self.north, self.up))):
-            raise ValueError("ENU components must be finite")
-
-    def as_array(self):
-        return np.array([self.east, self.north, self.up])
-
-
 def normal_radius(lat):
     """Prime-vertical radius of curvature at geodetic latitude ``lat`` (a
     scalar or an array).
@@ -128,32 +92,27 @@ def normal_radius(lat):
     return WGS84.a / np.sqrt(1.0 - WGS84.e2 * s * s)
 
 
-def _ecef_xyz(lat, lon, height):
-    """ECEF x, y, z of geodetic coordinates (scalars or arrays):
+def geodetic_to_ecef(lat, lon, height):
+    """ECEF points (n, 3) of geodetic points (equal-length arrays, or
+    scalars, of radians and meters):
 
     x = (R_N + h) cos(lat) cos(lon)
     y = (R_N + h) cos(lat) sin(lon)
     z = (R_N (1 - e^2) + h) sin(lat)
     """
+    lat, lon, height = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (lat, lon, height))
     rn = normal_radius(lat)
     cl, sl = np.cos(lat), np.sin(lat)
     co, so = np.cos(lon), np.sin(lon)
-    return (
-        (rn + height) * cl * co,
-        (rn + height) * cl * so,
-        (rn * (1.0 - WGS84.e2) + height) * sl,
+    return np.stack(
+        [(rn + height) * cl * co, (rn + height) * cl * so, (rn * (1.0 - WGS84.e2) + height) * sl],
+        axis=-1,
     )
 
 
-def geodetic_to_ecef(g):
-    """Convert geodetic coordinates to ECEF (see :func:`_ecef_xyz`)."""
-    return EcefCoord(*_ecef_xyz(g.lat, g.lon, g.height))
-
-
-def ecef_to_geodetic(p):
-    """Invert :func:`geodetic_to_ecef`: an :class:`EcefCoord` gives a
-    :class:`GeodeticCoord`, and an (n, 3) array of ECEF points the arrays
-    (lat, lon, height), each point with the bits it gets alone.
+def ecef_to_geodetic(points):
+    """Invert :func:`geodetic_to_ecef`: ECEF points (n, 3) as the arrays
+    (lat, lon, height).
 
     Uses a Bowring-style starting latitude followed by a fixed-point
     refinement (at most 10 iterations, convergence 1e-12 rad), elementwise:
@@ -167,12 +126,9 @@ def ecef_to_geodetic(p):
     NearSingularity
         If a point lies within 1 km of the Earth's center.
     """
-    if isinstance(p, EcefCoord):
-        lat, lon, height = ecef_to_geodetic(p.as_array()[None])
-        return GeodeticCoord(lat[0], lon[0], height[0])
     a, b, e2 = WGS84.a, WGS84.b, WGS84.e2
     # Contiguous rows, so that every point takes the same ufunc loops.
-    x, y, z = np.array(p, dtype=float).reshape(-1, 3).T.copy()
+    x, y, z = np.array(points, dtype=float).reshape(-1, 3).T.copy()
     r = np.sqrt(x * x + y * y + z * z)
     if (r < 1000.0).any():
         raise NearSingularity(f"point {r.min():.1f} m from Earth's center cannot be inverted")
@@ -223,71 +179,28 @@ def enu_rotation(origin):
     )
 
 
-@dataclass(frozen=True, eq=False)
-class EnuFrame:
-    """The ENU frame anchored at ``origin``, with the origin's ECEF position
-    and the ECEF->ENU rotation computed once for any number of conversions."""
-
-    origin: GeodeticCoord
-    origin_ecef: np.ndarray = field(init=False, repr=False)
-    rotation: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "origin_ecef", geodetic_to_ecef(self.origin).as_array())
-        object.__setattr__(self, "rotation", enu_rotation(self.origin))
-
-    def to_local(self, p):
-        """ECEF point ``p`` in this frame."""
-        return LocalEnu(*self.points_to_local(p.as_array()[None])[0])
-
-    def points_to_local(self, ecef):
-        """ECEF points (n, 3) in this frame, as (n, 3) ENU offsets.
-
-        The stacked product rotation @ d[:, :, None] gives each point the
-        bits of rotation @ d; ``d @ rotation.T`` would not.  Raises
-        ``ValueError`` when an offset is not finite, as :class:`LocalEnu`.
-        """
-        enu = (self.rotation @ (ecef - self.origin_ecef)[:, :, None])[:, :, 0]
-        if not np.isfinite(enu).all():
-            raise ValueError("ENU components must be finite")
-        return enu
-
-    def to_ecef(self, l):
-        """Invert :meth:`to_local`."""
-        return EcefCoord(*self.points_to_ecef(l.as_array()[None])[0])
-
-    def points_to_ecef(self, enu):
-        """Invert :meth:`points_to_local`: ENU offsets (n, 3) as (n, 3) ECEF
-        points, each with the bits of origin_ecef + rotation.T @ offset."""
-        rotated = (self.rotation.T @ np.asarray(enu, dtype=float)[:, :, None])[:, :, 0]
-        return self.origin_ecef + rotated
-
-
-def enu_frame(origin):
-    """``origin`` as an :class:`EnuFrame`: a frame passes through, a
-    :class:`GeodeticCoord` gets a new one."""
-    return origin if isinstance(origin, EnuFrame) else EnuFrame(origin)
-
-
 def geodetic_to_enu(lat, lon, height, origin):
     """Geodetic points (equal-length arrays, or scalars, of radians and
-    meters) as (n, 3) ENU offsets in the frame anchored at ``origin`` (a
-    :class:`GeodeticCoord` or an :class:`EnuFrame`).
+    meters) as (n, 3) ENU offsets in the frame anchored at the
+    :class:`GeodeticCoord` ``origin``.
 
-    Raises ``ValueError`` as :func:`check_geodetic`, and when an offset is
-    not finite.
+    The stacked product rotation @ d[:, :, None] gives each point the bits
+    of rotation @ d; ``d @ rotation.T`` would not.  Raises ``ValueError``
+    as :func:`check_geodetic`, and when an offset is not finite.
     """
     lat, lon, height = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (lat, lon, height))
     check_geodetic(lat, lon, height)
-    return enu_frame(origin).points_to_local(np.stack(_ecef_xyz(lat, lon, height), axis=-1))
+    d = geodetic_to_ecef(lat, lon, height) - geodetic_to_ecef(origin.lat, origin.lon, origin.height)
+    enu = (enu_rotation(origin) @ d[:, :, None])[:, :, 0]
+    if not np.isfinite(enu).all():
+        raise ValueError("ENU components must be finite")
+    return enu
 
 
-def ecef_to_enu(p, origin):
-    """Express ECEF point ``p`` in the ENU frame anchored at ``origin``
-    (a :class:`GeodeticCoord` or an :class:`EnuFrame`)."""
-    return enu_frame(origin).to_local(p)
-
-
-def enu_to_ecef(l, origin):
-    """Invert :func:`ecef_to_enu` for the same ``origin``."""
-    return enu_frame(origin).to_ecef(l)
+def enu_to_geodetic(enu, origin):
+    """Invert :func:`geodetic_to_enu`: ENU offsets (n, 3) from the
+    :class:`GeodeticCoord` ``origin`` as the arrays (lat, lon, height),
+    each point the :func:`ecef_to_geodetic` of origin_ecef + rotation.T @
+    offset."""
+    rotated = (enu_rotation(origin).T @ np.asarray(enu, dtype=float)[:, :, None])[:, :, 0]
+    return ecef_to_geodetic(geodetic_to_ecef(origin.lat, origin.lon, origin.height) + rotated)

@@ -10,6 +10,7 @@ returns the drive as an :class:`ImuStream` and a :class:`GnssStream`;
 the streams check the time order.
 """
 
+import math
 from collections import namedtuple
 from datetime import datetime
 from pathlib import Path
@@ -40,7 +41,7 @@ def parse_oxts_record(line, context=""):
     """Parse one 30-field OXTS line into an :class:`OxtsRecord`.
 
     Raises :class:`MalformedRecord` on a wrong field count or a
-    non-numeric token, naming the offending line.
+    non-numeric or non-finite token, naming the offending line or field.
     """
     where = f" in {context}" if context else ""
     tokens = line.split()
@@ -54,6 +55,8 @@ def parse_oxts_record(line, context=""):
             number = float(token)
         except ValueError:
             raise MalformedRecord(f"non-numeric field {name}={token!r}{where}") from None
+        if not math.isfinite(number):
+            raise MalformedRecord(f"non-finite field {name}={token!r}{where}")
         values[name] = int(number) if name in _INT_FIELDS else number
     record = OxtsRecord(**values)
     if not (-90.0 <= record.lat <= 90.0 and -180.0 <= record.lon <= 180.0):

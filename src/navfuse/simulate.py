@@ -11,7 +11,7 @@ reproduce the truth to second order in dt.
 
 Everything is computed on whole arrays (a columnar :class:`Truth`, an
 :class:`ImuStream` and a :class:`GnssStream`), each fix mapped to
-geodetic in one :func:`navfuse.geodesy.ecef_to_geodetic` call.
+geodetic in one :func:`navfuse.geodesy.enu_to_geodetic` call.
 
 All randomness comes from numpy's PCG64 generator seeded with the 64-bit
 run seed; the draw order is fixed (gyro white noise, accel white noise,
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import UnknownProfileKind
-from .geodesy import EnuFrame, GeodeticCoord, ecef_to_geodetic
+from .geodesy import GeodeticCoord, enu_to_geodetic
 from .gnss import GnssNoise, GnssStream, decimate_indices, outage_mask
 from .strapdown import GRAVITY, ImuNoiseParams, ImuStream
 
@@ -219,5 +219,5 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     kept = ~outage_mask(truth.t[fix_idx], corruption.outages)
     fix_idx = fix_idx[kept]
     enu = truth.position[fix_idx] + noise[kept]
-    lat, lon, alt = ecef_to_geodetic(EnuFrame(origin).points_to_ecef(enu))
+    lat, lon, alt = enu_to_geodetic(enu, origin)
     return imu_out, GnssStream(truth.t[fix_idx], lat, lon, alt)

@@ -44,8 +44,8 @@ class SigmaParams:
     gamma : float
         Secondary scaling factor, typically 1.
 
-    The derived ``kappa`` = alpha^2 (n + gamma) - n must satisfy
-    n + kappa > 0.
+    alpha, beta and gamma must be finite, and the derived ``kappa`` =
+    alpha^2 (n + gamma) - n must satisfy n + kappa > 0.
     """
 
     n: int
@@ -60,8 +60,9 @@ class SigmaParams:
     def __post_init__(self):
         if self.n < 1:
             raise InvalidScaling(f"state dimension must be >= 1, got {self.n}")
-        if not math.isfinite(self.beta):
-            raise InvalidScaling("beta must be finite")
+        for name in ("alpha", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidScaling(f"{name} must be finite, got {getattr(self, name)}")
         if self.n + self.kappa <= 0:
             raise InvalidScaling(
                 f"n + kappa must be positive, got {self.n + self.kappa}"

@@ -7,9 +7,9 @@ prediction is the sigma-point recursion with every rotation done by
 ``scipy.spatial.transform.Rotation``, and the GNSS update is the generic
 UKF of ``navfuse.ukf`` that the closed-form kernel replaces, with the
 same scipy retraction.  The per-point ECEF formula in scalar ``math``
-and the per-cell CSV writers are the forms that the array conversion
-and ``evaluate._write_table`` must reproduce bit for bit and byte for
-byte.
+and the per-cell CSV writers are the forms that the array conversions
+(``geodesy.geodetic_to_enu`` and ``geodesy.enu_to_geodetic``) and
+``evaluate._write_table`` must reproduce bit for bit and byte for byte.
 """
 
 import math
@@ -58,7 +58,7 @@ def hp_geodetic_to_ecef(lat, lon, height):
 
 def reference_ecef(lat, lon, height):
     """ECEF of one geodetic point in scalar ``math``: the per-point formula
-    whose bits ``geodesy.geodetic_to_enu`` reproduces."""
+    whose bits ``geodesy.geodetic_to_ecef`` reproduces."""
     s = math.sin(lat)
     rn = WGS84.a / math.sqrt(1.0 - WGS84.e2 * s * s)
     cl, sl = math.cos(lat), math.sin(lat)
@@ -93,13 +93,13 @@ def reference_estimates_text(result):
     return "\n".join(lines) + "\n"
 
 
-def reference_errors_text(series):
-    """``errors.csv`` of an ErrorSeries, formatted cell by cell."""
+def reference_errors_text(errors):
+    """``errors.csv`` of an error track (t, errors (n, 3)), formatted cell
+    by cell."""
+    t, e = errors
     lines = ["t,ex,ey,ez"]
-    for k in range(len(series.t)):
-        lines.append(
-            f"{_fmt(series.t[k])},{_fmt(series.ex[k])},{_fmt(series.ey[k])},{_fmt(series.ez[k])}"
-        )
+    for k in range(len(t)):
+        lines.append(",".join(_fmt(v) for v in (t[k], *e[k])))
     return "\n".join(lines) + "\n"
 
 

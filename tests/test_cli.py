@@ -1,4 +1,5 @@
 import math
+import shutil
 import sys
 
 import numpy as np
@@ -105,6 +106,21 @@ class TestFuseCommand:
         assert code == 0
         est_lines = (out / "estimate.csv").read_text().splitlines()
         assert len(est_lines) == 1 + 3
+
+    def test_non_finite_kitti_channel_is_data_error(self, tmp_path, kitti_drive, capsys):
+        drive = tmp_path / "drive"
+        shutil.copytree(kitti_drive, drive)
+        record = drive / "oxts" / "data" / "0000000001.txt"
+        fields = record.read_text().split()
+        fields[20] = "nan"  # wf
+        record.write_text(" ".join(fields) + "\n")
+        capsys.readouterr()
+        code = run(["fuse", "--kitti", drive, "--out", tmp_path / "o"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "wf='nan' in 0000000001.txt" in err
+        assert "Traceback" not in err
 
     def test_config_file_and_flag_precedence(self, tmp_path):
         sim = simulate_into(tmp_path)
@@ -269,9 +285,16 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--gyro-std", "nan"],
             ["fuse", "--kitti", "KITTI", "--gnss-rate", "0"],
             ["kitti-convert", "--kitti", "KITTI", "--gnss-rate", "0"],
+            ["fuse", "--kitti", "KITTI", "--alpha", "nan"],
+            ["fuse", "--kitti", "KITTI", "--gamma", "nan"],
+            ["fuse", "--kitti", "KITTI", "--alpha", "0"],
+            ["fuse", "--kitti", "KITTI", "--gate", "nan"],
+            ["fuse", "--kitti", "KITTI", "--gate", "-1"],
+            ["fuse", "--kitti", "KITTI", "--trace-ceiling", "nan"],
         ],
         ids=["duration-nan", "imu-rate-nan", "gyro-std-negative", "init-position-std-negative",
-             "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero"],
+             "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
+             "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]

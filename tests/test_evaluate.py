@@ -8,7 +8,6 @@ from oracles import reference_errors_text, reference_estimates_text, reference_t
 from navfuse.cli import write_estimates_csv
 from navfuse.errors import EmptySeries, MalformedRecord, NavFuseError, TimeSpanMismatch
 from navfuse.evaluate import (
-    ErrorSeries,
     RmseReport,
     _fmt,
     _read_table,
@@ -30,23 +29,29 @@ def track(*poses):
     return rows[:, 0], rows[:, 1:4]
 
 
+def errors(t, ex, ey, ez):
+    """An error track (t, errors (n, 3)) from its columns."""
+    return t, np.column_stack([ex, ey, ez])
+
+
 class TestAlignAndDiff:
     def test_identical_series_is_zero(self):
         poses = track(*[(t, t * 2.0, -t, 1.0) for t in (0.0, 0.5, 1.0)])
-        err = align_and_diff(poses, poses)
-        assert not err.ex.any() and not err.ey.any() and not err.ez.any()
+        t, err = align_and_diff(poses, poses)
+        assert np.array_equal(t, poses[0])
+        assert err.shape == (3, 3) and not err.any()
 
     def test_constant_offset(self):
         truth = track(*[(t, 0.0, 0.0, 0.0) for t in (0.0, 1.0, 2.0)])
         est = track(*[(t, 3.0, 0.0, 0.0) for t in (0.0, 1.0, 2.0)])
-        err = align_and_diff(est, truth)
-        np.testing.assert_array_equal(err.ex, 3.0)
+        _, err = align_and_diff(est, truth)
+        np.testing.assert_array_equal(err[:, 0], 3.0)
 
     def test_linear_interpolation_midpoint(self):
         truth = track((0.0, 0.0, 0.0, 0.0), (1.0, 2.0, 0.0, 0.0))
         est = track((0.5, 1.0, 0.0, 0.0))
-        err = align_and_diff(est, truth)
-        assert err.ex[0] == pytest.approx(0.0, abs=1e-15)
+        _, err = align_and_diff(est, truth)
+        assert err[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_span_mismatch(self):
         truth = track((0.0, 0, 0, 0), (1.0, 0, 0, 0))
@@ -60,41 +65,33 @@ class TestAlignAndDiff:
 
 class TestRmse:
     def test_zero_series(self):
-        series = ErrorSeries(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3))
-        report = rmse(series, "m")
+        report = rmse(errors(np.arange(3.0), np.zeros(3), np.zeros(3), np.zeros(3)), "m")
         assert (report.rmse_x, report.rmse_y, report.rmse_z) == (0.0, 0.0, 0.0)
 
     def test_constant_offset(self):
-        series = ErrorSeries(np.arange(5.0), np.full(5, 3.0), np.zeros(5), np.zeros(5))
+        series = errors(np.arange(5.0), np.full(5, 3.0), np.zeros(5), np.zeros(5))
         assert rmse(series, "m").rmse_x == pytest.approx(3.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
         e = rng.standard_normal(20)
         t = np.arange(20.0)
-        base = rmse(ErrorSeries(t, e, e, e), "m")
+        base = rmse(errors(t, e, e, e), "m")
         perm = rng.permutation(20)
-        shuffled = rmse(ErrorSeries(t, e[perm], e[perm], e[perm]), "m")
+        shuffled = rmse(errors(t, e[perm], e[perm], e[perm]), "m")
         assert shuffled.rmse_x == pytest.approx(base.rmse_x, rel=1e-12)
 
     def test_linear_scaling(self):
         rng = np.random.default_rng(2)
         e = rng.standard_normal(20)
         t = np.arange(20.0)
-        base = rmse(ErrorSeries(t, e, e, e), "m")
-        scaled = rmse(ErrorSeries(t, -2.5 * e, -2.5 * e, -2.5 * e), "m")
+        base = rmse(errors(t, e, e, e), "m")
+        scaled = rmse(errors(t, -2.5 * e, -2.5 * e, -2.5 * e), "m")
         assert scaled.rmse_x == pytest.approx(2.5 * base.rmse_x, rel=1e-12)
 
     def test_empty_series_rejected(self):
-        series = ErrorSeries(np.array([]), np.array([]), np.array([]), np.array([]))
         with pytest.raises(EmptySeries):
-            rmse(series, "m")
-
-    def test_series_validation(self):
-        with pytest.raises(ValueError):
-            ErrorSeries(np.arange(3.0), np.zeros(2), np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            ErrorSeries(np.array([1.0, 0.0]), np.zeros(2), np.zeros(2), np.zeros(2))
+            rmse((np.array([]), np.empty((0, 3))), "m")
 
 
 class TestExport:
@@ -104,7 +101,7 @@ class TestExport:
         assert path.read_text() == "method,rmse_x,rmse_y,rmse_z\n"
 
     def test_errors_csv_round_trips_exactly(self, tmp_path):
-        series = ErrorSeries(
+        series = errors(
             np.array([0.0, 1.0 / 3.0]),
             np.array([1.23456789012345678, -2.0]),
             np.array([0.1, 0.2]),
@@ -115,14 +112,11 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "t,ex,ey,ez"
         parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-        np.testing.assert_array_equal(parsed[:, 0], series.t)
-        np.testing.assert_array_equal(parsed[:, 1], series.ex)
-        np.testing.assert_array_equal(parsed[:, 2], series.ey)
-        np.testing.assert_array_equal(parsed[:, 3], series.ez)
+        np.testing.assert_array_equal(parsed[:, 0], series[0])
+        np.testing.assert_array_equal(parsed[:, 1:], series[1])
 
     def test_seventeen_significant_digits(self, tmp_path):
-        series = ErrorSeries(np.array([0.0]), np.array([1.0 / 3.0]),
-                             np.array([0.0]), np.array([0.0]))
+        series = errors(np.array([0.0]), np.array([1.0 / 3.0]), np.array([0.0]), np.array([0.0]))
         path = tmp_path / "errors.csv"
         export_errors_csv(series, path)
         row = path.read_text().splitlines()[1]
@@ -154,7 +148,7 @@ class TestExport:
 
 @pytest.fixture(scope="module")
 def circular_run():
-    """A 20 s circular run: the result, its error series and track cells."""
+    """A 20 s circular run: the result, its error track and track cells."""
     profile = TrajectoryProfile("circular", duration=20.0)
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
@@ -183,7 +177,7 @@ class TestWriteTable:
         export_errors_csv(err, tmp_path / "errors.csv")
         assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
         t, est = result.track
-        truth = est - np.column_stack([err.ex, err.ey, err.ez])
+        truth = est - err[1]
         export_track_csv(t, est, truth, cells, tmp_path / "track.csv")
         assert (tmp_path / "track.csv").read_text() == reference_track_text(t, est, truth, cells)
 

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from navfuse.errors import EmptyImuStream, EmptyStream, NonMonotonicTime
+from navfuse.errors import EmptyImuStream, EmptyStream, InvalidScaling, NonMonotonicTime
 from navfuse.evaluate import align_and_diff, rmse
 from navfuse.fusion import FusionConfig, run_fusion, run_gnss_only
-from navfuse.geodesy import EnuFrame, ecef_to_geodetic
+from navfuse.geodesy import enu_to_geodetic
 from navfuse.gnss import GnssNoise, GnssStream
 from navfuse.simulate import (
     SCENARIO_ORIGIN,
@@ -70,9 +72,9 @@ class TestRunFusion:
         )
         result = run_fusion(imu, gnss, cfg)
         truth_local = run_gnss_only(truth_fixes(truth), result.origin)
-        err = align_and_diff(result.track, truth_local)
-        late = err.t >= 10.0
-        for channel in (err.ex, err.ey, err.ez):
+        t, err = align_and_diff(result.track, truth_local)
+        late = t >= 10.0
+        for channel in err.T:
             assert np.sqrt(np.mean(channel[late] ** 2)) < 1.0
 
     def test_zero_corruption_self_consistency(self):
@@ -92,11 +94,8 @@ class TestRunFusion:
             imu, gnss = corrupt(truth, ideal, noiseless, gnss_rate=1.0)
             result = run_fusion(imu, gnss, cfg)
             truth_local = run_gnss_only(truth_fixes(truth), result.origin)
-            err = align_and_diff(result.track, truth_local)
-            settled = err.t >= skip
-            rms = np.sqrt(np.mean(
-                err.ex[settled] ** 2 + err.ey[settled] ** 2 + err.ez[settled] ** 2
-            ))
+            t, err = align_and_diff(result.track, truth_local)
+            rms = np.sqrt(np.mean(np.sum(err[t >= skip] ** 2, axis=1)))
             assert rms <= 0.1
 
     def test_fused_beats_gnss_only_per_axis(self):
@@ -161,7 +160,7 @@ class TestRunFusion:
         corr = SensorCorruption(seed=4, imu=QUIET, gnss=GnssNoise(1.0, 1.0, 1.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
         # Shift one fix far off-track.
-        far = ecef_to_geodetic(EnuFrame(SCENARIO_ORIGIN).points_to_ecef([[500.0, 0.0, 0.0]]))
+        far = enu_to_geodetic([[500.0, 0.0, 0.0]], SCENARIO_ORIGIN)
         columns = [gnss.lat.copy(), gnss.lon.copy(), gnss.alt.copy()]
         for column, value in zip(columns, far):
             column[3] = value[0]
@@ -199,6 +198,20 @@ class TestRunFusion:
         baseline_t, baseline = run_gnss_only(gnss, result.origin)
         assert np.array_equal(t, baseline_t)
         assert np.array_equal(positions, baseline)
+
+
+class TestFusionConfig:
+    def test_rejects_bad_gate_and_ceiling(self):
+        for kwargs in ({"gnss_gate": math.nan}, {"gnss_gate": 0.0}, {"gnss_gate": -1.0},
+                       {"trace_ceiling": math.nan}, {"trace_ceiling": 0.0}):
+            with pytest.raises(ValueError, match="must be positive"):
+                FusionConfig(**kwargs)
+        assert FusionConfig(gnss_gate=None, trace_ceiling=math.inf).gnss_gate is None
+
+    def test_rejects_bad_sigma_scaling(self):
+        for kwargs in ({"alpha": math.nan}, {"gamma": math.nan}, {"alpha": 0.0}):
+            with pytest.raises(InvalidScaling):
+                FusionConfig(**kwargs)
 
 
 class TestRunGnssOnly:

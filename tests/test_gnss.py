@@ -6,7 +6,7 @@ import pytest
 from oracles import reference_ecef
 
 from navfuse.errors import InvalidNoise, NonMonotonicTime
-from navfuse.geodesy import WGS84, EnuFrame, GeodeticCoord, enu_rotation, geodetic_to_ecef
+from navfuse.geodesy import WGS84, GeodeticCoord, enu_rotation, geodetic_to_ecef
 from navfuse.gnss import (
     GnssNoise,
     GnssStream,
@@ -55,22 +55,18 @@ class TestFixToLocal:
             lon = ORIGIN.lon + rng.uniform(-1e-3, 1e-3, 2)
             alt = ORIGIN.height + rng.uniform(-50, 50, 2)
             a, b = to_local(GnssStream([0.0, 1.0], lat, lon, alt), ORIGIN)
-            chord = np.linalg.norm(
-                geodetic_to_ecef(GeodeticCoord(lat[0], lon[0], alt[0])).as_array()
-                - geodetic_to_ecef(GeodeticCoord(lat[1], lon[1], alt[1])).as_array()
-            )
+            p, q = geodetic_to_ecef(lat, lon, alt)
+            chord = np.linalg.norm(p - q)
             assert np.linalg.norm(a - b) == pytest.approx(chord, rel=1e-9)
 
     def test_frame_bit_identical_to_origin(self):
-        # Random fixes within ~10 km of random origins: a frame built once
-        # per run, and the array conversion of a whole run's fixes, map
-        # each fix to the same bits as the per-fix formula and as the fix
-        # converted alone.
+        # Random fixes within ~10 km of random origins: the array
+        # conversion of a whole run's fixes maps each fix to the same bits
+        # as the per-fix formula and as the fix converted alone.
         rng = np.random.default_rng(43)
         for _ in range(200):
             origin = GeodeticCoord(rng.uniform(-1.5, 1.5), rng.uniform(-3.1, 3.1),
                                    rng.uniform(-100.0, 3000.0))
-            frame = EnuFrame(origin)
             fixes = GnssStream(
                 np.arange(5.0),
                 origin.lat + rng.uniform(-1e-3, 1e-3, 5),
@@ -84,12 +80,11 @@ class TestFixToLocal:
                 )
                 for lat, lon, alt in zip(fixes.lat, fixes.lon, fixes.alt)
             ])
-            for anchor in (frame, origin):
-                t, positions = run_gnss_only(fixes, anchor)
-                assert np.array_equal(t, np.arange(5.0))
-                assert np.array_equal(positions, expected)
-                for k in range(5):
-                    assert np.array_equal(to_local(fixes.take([k]), anchor)[0], expected[k])
+            t, positions = run_gnss_only(fixes, origin)
+            assert np.array_equal(t, np.arange(5.0))
+            assert np.array_equal(positions, expected)
+            for k in range(5):
+                assert np.array_equal(to_local(fixes.take([k]), origin)[0], expected[k])
 
 
 class TestMeasurementCov:

@@ -54,6 +54,13 @@ class TestParseRecord:
         with pytest.raises(MalformedRecord, match="alt"):
             parse_oxts_record(bad)
 
+    def test_non_finite_token_named(self):
+        fields = VALID_LINE.split()
+        for token in ("nan", "inf", "-inf"):
+            bad = " ".join(fields[:20] + [token] + fields[21:])
+            with pytest.raises(MalformedRecord, match=f"non-finite field wf='{token}' in 07.txt"):
+                parse_oxts_record(bad, "07.txt")
+
     def test_out_of_bounds_latitude(self):
         bad = VALID_LINE.replace("49.0", "95.0", 1)
         with pytest.raises(MalformedRecord):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,9 @@ class TestSigmaParams:
             SigmaParams(1, alpha=0.0)
         with pytest.raises(InvalidScaling):
             SigmaParams(2, alpha=1.0, gamma=-3.0)
+        for kwargs in ({"alpha": math.nan}, {"gamma": math.nan}, {"beta": math.inf}):
+            with pytest.raises(InvalidScaling, match="must be finite"):
+                SigmaParams(15, **kwargs)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidScaling):
