@@ -29,6 +29,7 @@ from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError
 from .evaluate import (
     _fmt,
     _read_table,
+    _read_text,
     _write_table,
     align_and_diff,
     atomic_write_text,
@@ -79,7 +80,7 @@ def _parse_outage(text):
 
 def _read_config_file(path):
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in _read_text(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

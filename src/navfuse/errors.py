@@ -21,6 +21,11 @@ class SingularInnovationCov(NavFuseError):
     """Innovation covariance is not invertible within tolerance."""
 
 
+class InvalidCovariance(NavFuseError, ValueError):
+    """Covariance matrix is not finite, not symmetric or not positive
+    semidefinite within tolerance."""
+
+
 class InvalidNoise(NavFuseError):
     """Noise standard deviations must be strictly positive."""
 

@@ -77,16 +77,26 @@ def atomic_write_text(path, text):
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
+def _read_text(path):
+    """The UTF-8 text of the file at ``path``; bytes that do not decode
+    raise :class:`MalformedRecord` naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_table(path, header, ncols, valid=None):
     """Read a table written by :func:`_write_table` as an (n, ncols) array.
 
     Blank lines are skipped.  A wrong header or a non-numeric row raises
-    :class:`NavFuseError`; a row without ``ncols`` cells, a non-finite
-    cell, or a row that ``valid`` (table -> bool per row) rejects raises
-    :class:`MalformedRecord`.  Each message names ``path:line``.
+    :class:`NavFuseError`; bytes that are not text, a row without
+    ``ncols`` cells, a non-finite cell, or a row that ``valid`` (table ->
+    bool per row) rejects raises :class:`MalformedRecord`.  Each message
+    names ``path``, and each row error ``path:line``.
     """
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = _read_text(path).splitlines()
     except OSError as exc:
         raise NavFuseError(f"cannot read {path}: {exc}") from exc
     if not lines or lines[0] != header:

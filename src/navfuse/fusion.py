@@ -38,9 +38,10 @@ once: the prior and the posterior pass
 :func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each, which also
 gives ``UpdateEvent.cov_min_eig``); the prior keeps the jitter-retry
 :class:`DecompositionFailure` of :func:`navfuse.ukf.cholesky_sqrt`; S
-gets one ``eigh`` that both feeds :func:`navfuse.ukf.check_innovation_eigs`
-(:class:`SingularInnovationCov`) and inverts it; and a non-finite S or
-v raises ``ValueError``.
+is inverted by :func:`navfuse.ukf.innovation_inverse`, the inverse of
+the generic path, whose one ``eigh`` also feeds the
+:class:`SingularInnovationCov` check; and a non-finite S or v raises
+:class:`InvalidCovariance`.
 
 A run is one pass over arrays.  Its inputs are an
 :class:`navfuse.strapdown.ImuStream` and a :class:`navfuse.gnss.GnssStream`,
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyImuStream, EmptyStream
+from .errors import EmptyImuStream, EmptyStream, InvalidCovariance
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .gnss import GnssNoise, measurement_covs
 from .strapdown import (
@@ -83,9 +84,9 @@ from .strapdown import (
 )
 from .ukf import (
     SigmaParams,
-    check_innovation_eigs,
     cholesky_sqrt,
     compute_weights,
+    innovation_inverse,
     sigma_offsets,
     validate_cov,
 )
@@ -256,13 +257,11 @@ def _update(state, cov, y, r_cov, gate):
     s = cov[0:3, 0:3] + r_cov
     s = 0.5 * (s + s.T)
     if not np.isfinite(s).all():
-        raise ValueError("innovation covariance is not finite")
-    s_eigs, s_vecs = np.linalg.eigh(s)
-    check_innovation_eigs(s_eigs)
+        raise InvalidCovariance("innovation covariance is not finite")
+    s_inv = innovation_inverse(s)
     v = y - state[0:3]
     if not np.isfinite(v).all():
-        raise ValueError("innovation is not finite")
-    s_inv = (s_vecs / s_eigs) @ s_vecs.T
+        raise InvalidCovariance("innovation is not finite")
     nis = float(v @ s_inv @ v)
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))

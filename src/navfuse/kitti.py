@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MalformedRecord, MissingTimestamps, RecordCountMismatch
+from .evaluate import _read_text
 from .gnss import GnssStream, decimate_indices
 from .strapdown import ImuStream
 
@@ -93,7 +94,7 @@ def load_sequence(drive_dir, gnss_rate=1.0):
     data_dir = drive_dir / "oxts" / "data"
     if not ts_path.is_file():
         raise MissingTimestamps(f"missing {ts_path}")
-    ts_lines = [line for line in ts_path.read_text().splitlines() if line.strip()]
+    ts_lines = [line for line in _read_text(ts_path).splitlines() if line.strip()]
     data_files = sorted(data_dir.glob("*.txt")) if data_dir.is_dir() else []
     if not data_files or len(data_files) != len(ts_lines):
         raise RecordCountMismatch(
@@ -105,7 +106,7 @@ def load_sequence(drive_dir, gnss_rate=1.0):
         (stamp - base_dt).total_seconds() + (frac - base_frac)
         for stamp, frac in map(parse_timestamp, ts_lines)
     ])
-    records = [parse_oxts_record(path.read_text().strip(), path.name) for path in data_files]
+    records = [parse_oxts_record(_read_text(path).strip(), path.name) for path in data_files]
     # The drive's columns, one array per field.
     c = OxtsRecord(*np.array(records).T)
     imu = ImuStream(times, np.stack([c.wf, c.wl, c.wu], 1), np.stack([c.af, c.al, c.au], 1))

@@ -19,9 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DecompositionFailure, InvalidScaling, SingularInnovationCov
+from .errors import DecompositionFailure, InvalidCovariance, InvalidScaling, SingularInnovationCov
 
 #: Tolerances used by :meth:`GaussianBelief.validate`.
 SYMMETRY_TOL = 1e-12
@@ -99,16 +98,19 @@ def validate_cov(cov):
 
     Raises
     ------
-    ValueError
-        If the asymmetry exceeds :data:`SYMMETRY_TOL` or the smallest
-        eigenvalue lies below :data:`EIGEN_FLOOR`.
+    InvalidCovariance
+        If an entry is not finite, the asymmetry exceeds
+        :data:`SYMMETRY_TOL` or the smallest eigenvalue lies below
+        :data:`EIGEN_FLOOR`, checked in that order.
     """
+    if not np.isfinite(cov).all():
+        raise InvalidCovariance("covariance is not finite")
     asym = float(np.max(np.abs(cov - cov.T)))
     if asym > SYMMETRY_TOL:
-        raise ValueError(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
+        raise InvalidCovariance(f"covariance asymmetry {asym:.3e} exceeds {SYMMETRY_TOL}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
     if min_eig < EIGEN_FLOOR:
-        raise ValueError(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
+        raise InvalidCovariance(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
     return asym, min_eig
 
 
@@ -267,27 +269,25 @@ def check_innovation_eigs(eigs):
         )
 
 
-def _innovation_factor(prediction):
-    cov = prediction.cov
-    check_innovation_eigs(np.linalg.eigvalsh(cov))
-    try:
-        return cho_factor(cov, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded above
-        raise SingularInnovationCov(str(exc)) from exc
+def innovation_inverse(s):
+    """Inverse of a symmetric innovation covariance ``s`` from one ``eigh``,
+    whose eigenvalues must first pass :func:`check_innovation_eigs`."""
+    eigs, vecs = np.linalg.eigh(s)
+    check_innovation_eigs(eigs)
+    return (vecs / eigs) @ vecs.T
 
 
 def innovation_nis(prediction, y):
     """Normalized innovation squared v^T P_y^{-1} v for measurement ``y``."""
-    factor = _innovation_factor(prediction)
     v = np.asarray(y, dtype=float) - prediction.mean
-    return float(v @ cho_solve(factor, v))
+    return float(v @ innovation_inverse(prediction.cov) @ v)
 
 
 def apply_measurement(belief, prediction, y):
     """Fold measurement ``y`` into ``belief`` given predicted moments.
 
-    Computes the gain K = P_xy P_y^{-1} via Cholesky solves, the
-    innovation v = y - y_pred, the posterior mean x + K v, and the
+    Computes the gain K = P_xy P_y^{-1} with :func:`innovation_inverse`,
+    the innovation v = y - y_pred, the posterior mean x + K v, and the
     posterior covariance P - K P_y K^T (symmetrized).
 
     Returns
@@ -295,8 +295,7 @@ def apply_measurement(belief, prediction, y):
     (GaussianBelief, ndarray)
         Posterior belief and the innovation vector.
     """
-    factor = _innovation_factor(prediction)
-    gain = cho_solve(factor, prediction.cross_cov.T).T
+    gain = prediction.cross_cov @ innovation_inverse(prediction.cov)
     innovation = np.asarray(y, dtype=float) - prediction.mean
     mean = belief.mean + gain @ innovation
     cov = belief.cov - gain @ prediction.cov @ gain.T

@@ -6,8 +6,10 @@ Kalman filter is the closed-form textbook recursion, the fusion
 prediction is the sigma-point recursion with every rotation done by
 ``scipy.spatial.transform.Rotation``, and the GNSS update is the generic
 UKF of ``navfuse.ukf`` that the closed-form kernel replaces, with the
-same scipy retraction.  The per-point ECEF formula in scalar ``math``
-and the per-cell CSV writers are the forms that the array conversions
+NIS and gain solved by ``scipy.linalg.cho_solve`` in place of the
+library's eigendecomposition inverse, and the same scipy retraction.
+The per-point ECEF formula in scalar ``math`` and the per-cell CSV
+writers are the forms that the array conversions
 (``geodesy.geodetic_to_enu`` and ``geodesy.enu_to_geodetic``) and
 ``evaluate._write_table`` must reproduce bit for bit and byte for byte.
 """
@@ -16,15 +18,15 @@ import math
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.transform import Rotation
 
 from navfuse.geodesy import WGS84
 from navfuse.strapdown import ERROR_DIM
 from navfuse.ukf import (
     GaussianBelief,
-    apply_measurement,
+    check_innovation_eigs,
     cholesky_sqrt,
-    innovation_nis,
     unscented_measurement,
 )
 
@@ -183,24 +185,27 @@ def reference_predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_cov)
 
 def reference_update(state, cov, y, r_cov, gate, params):
     """GNSS position update through the generic UKF: 31 sigma points of the
-    error belief pushed through h(delta) = p + delta[0:3], the Cholesky-
-    solved gain, the retraction of the posterior error mean, and the
-    update diagnostics.  Returns ``(state, cov, fields)`` like
-    ``fusion._update``."""
+    error belief pushed through h(delta) = p + delta[0:3], the NIS and the
+    gain from Cholesky solves with S (``scipy.linalg``), the retraction of
+    the posterior error mean, and the update diagnostics.  Returns
+    ``(state, cov, fields)`` like ``fusion._update``."""
     belief = GaussianBelief(np.zeros(ERROR_DIM), cov)
     position = state[0:3]
     prediction = unscented_measurement(
         belief, lambda delta: position + delta[0:3], r_cov, params
     )
-    nis = innovation_nis(prediction, y)
+    check_innovation_eigs(np.linalg.eigvalsh(prediction.cov))
+    factor = cho_factor(prediction.cov, lower=True)
+    innovation = np.asarray(y, dtype=float) - prediction.mean
+    nis = float(innovation @ cho_solve(factor, innovation))
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))
     if accepted:
-        posterior, innovation = apply_measurement(belief, prediction, y)
+        gain = cho_solve(factor, prediction.cross_cov.T).T
+        cov = cov - gain @ prediction.cov @ gain.T
+        posterior = GaussianBelief(gain @ innovation, 0.5 * (cov + cov.T))
         state = _retract(state, posterior.mean)
         cov = posterior.cov
-    else:
-        innovation = y - prediction.mean
     fields = dict(
         nis=nis,
         accepted=accepted,

@@ -239,6 +239,35 @@ class TestMalformedStreams:
         err = self.fuse_with(tmp_path, capsys, "gnss.csv", lat_95)
         assert "value out of range" in err
 
+    def test_bytes_that_are_not_utf8(self, tmp_path, capsys):
+        sim = simulate_into(tmp_path)
+        junk = tmp_path / "junk"
+        junk.write_bytes(bytes(range(128, 256)) * 2 + bytes(44))
+        imu, gnss = ["--imu", sim / "imu.csv"], ["--gnss", sim / "gnss.csv"]
+        for inputs in (["--imu", junk, *gnss], [*imu, *gnss, "--config", junk]):
+            capsys.readouterr()
+            code = run(["fuse", *inputs, "--out", tmp_path / "fused"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err == f"error: {junk}: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    def test_absurd_imu_reading_is_data_error(self, tmp_path, capsys):
+        # A finite but absurd accelerometer cell makes the covariance
+        # indefinite at the next fix.
+        sim = simulate_into(tmp_path)
+        lines = (sim / "imu.csv").read_text().splitlines()
+        cells = lines[300].split(",")
+        cells[4] = "1e155"
+        lines[300] = ",".join(cells)
+        (sim / "imu.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--out", tmp_path / "fused"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith("error: covariance ")
+        assert "Traceback" not in err
+
 
 class TestKittiConvertCommand:
     def test_fixture_conversion(self, tmp_path, kitti_drive):

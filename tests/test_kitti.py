@@ -120,6 +120,13 @@ class TestLoadSequence:
         (drive / "oxts" / "data" / "0000000001.txt").write_text("1 2 3\n")
         with pytest.raises(MalformedRecord):
             load_sequence(drive)
+        # Bytes that are not UTF-8, in a record and in the timestamps.
+        for name in ("data/0000000001.txt", "timestamps.txt"):
+            shutil.rmtree(drive)
+            shutil.copytree(kitti_drive, drive)
+            (drive / "oxts" / name).write_bytes(b"\xff\xfe 1 2 3\n")
+            with pytest.raises(MalformedRecord, match=f"{name}: not UTF-8 text"):
+                load_sequence(drive)
 
     def test_non_monotonic_timestamps(self, kitti_drive, tmp_path):
         drive = tmp_path / "drive"

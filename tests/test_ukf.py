@@ -3,17 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from navfuse.errors import DecompositionFailure, InvalidScaling, SingularInnovationCov
+from navfuse.errors import (
+    DecompositionFailure,
+    InvalidCovariance,
+    InvalidScaling,
+    SingularInnovationCov,
+)
 from navfuse.ukf import (
     GaussianBelief,
     SigmaParams,
     cholesky_sqrt,
     compute_weights,
     generate_sigma_points,
+    innovation_inverse,
     sigma_offsets,
     unscented_measurement,
     unscented_predict,
     unscented_update,
+    validate_cov,
 )
 
 from oracles import LinearKalmanFilter
@@ -220,9 +227,12 @@ class TestUpdate:
     def test_singular_innovation_rejected(self):
         params = SigmaParams(2)
         belief = GaussianBelief(np.zeros(2), np.eye(2))
-        with pytest.raises(SingularInnovationCov):
-            # Constant measurement function with zero noise: P_y = 0.
-            unscented_update(belief, lambda x: np.zeros(1), np.zeros((1, 1)), [0.0], params)
+        # A constant measurement function gives P_y = R: zero, then
+        # positive definite with reciprocal condition 1e-15 < 1e-14.
+        for r_diag in ([0.0], [1.0, 1e-15]):
+            m = len(r_diag)
+            with pytest.raises(SingularInnovationCov):
+                unscented_update(belief, lambda x: np.zeros(m), np.diag(r_diag), np.zeros(m), params)
 
     def test_measurement_prediction_moments(self):
         rng = np.random.default_rng(43)
@@ -234,6 +244,14 @@ class TestUpdate:
         mp = unscented_measurement(belief, lambda x: x[:3], r, params)
         np.testing.assert_allclose(mp.cov, cov[:3, :3] + r, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(mp.cross_cov, cov[:, :3], rtol=1e-10, atol=1e-10)
+
+
+class TestInnovationInverse:
+    def test_matches_numpy_inverse(self):
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            s = random_psd(rng, 3, scale=rng.uniform(1e-3, 1e3))
+            np.testing.assert_allclose(innovation_inverse(s), np.linalg.inv(s), rtol=1e-12)
 
 
 class TestBeliefValidation:
@@ -249,3 +267,10 @@ class TestBeliefValidation:
     def test_small_negative_eigenvalue_tolerated(self):
         belief = GaussianBelief(np.zeros(2), np.diag([1.0, -5e-10]))
         assert belief.cov.shape == (2, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_covariance_rejected(self, bad):
+        cov = np.eye(3)
+        cov[1, 2] = cov[2, 1] = bad
+        with pytest.raises(InvalidCovariance, match="not finite"):
+            validate_cov(cov)

@@ -1,9 +1,10 @@
 """The closed-form GNSS update against the generic UKF update chain.
 
-``oracles.reference_update`` draws 31 sigma points of the error belief,
-pushes them through h(delta) = p + delta[0:3] and applies the Cholesky-
-solved gain with the generic functions of ``navfuse.ukf``, then retracts
-the posterior error mean with ``scipy.spatial.transform.Rotation``;
+``oracles.reference_update`` draws 31 sigma points of the error belief
+with the generic functions of ``navfuse.ukf``, pushes them through
+h(delta) = p + delta[0:3] and applies the gain solved by
+``scipy.linalg.cho_solve``, then retracts the posterior error mean with
+``scipy.spatial.transform.Rotation``;
 ``fusion._update`` must give the same state, covariance, NIS, innovation
 and diagnostics to 1e-11 relative.  The scales are those of the
 prediction kernel's test: |value| plus one standard deviation for the
