@@ -16,11 +16,10 @@ from .geodesy import (
 )
 from .gnss import GnssNoise, GnssStream, measurement_cov
 from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
-from .strapdown import ImuNoiseParams, ImuStream, NavState, propagate
+from .strapdown import ImuNoiseParams, ImuStream, propagate
 from .ukf import (
     GaussianBelief,
     SigmaParams,
-    SigmaSet,
     compute_weights,
     generate_sigma_points,
     unscented_predict,
@@ -51,11 +50,9 @@ __all__ = [
     "generate_truth",
     "ImuNoiseParams",
     "ImuStream",
-    "NavState",
     "propagate",
     "GaussianBelief",
     "SigmaParams",
-    "SigmaSet",
     "compute_weights",
     "generate_sigma_points",
     "unscented_predict",

@@ -30,10 +30,6 @@ class InvalidNoise(NavFuseError):
     """Noise standard deviations must be strictly positive."""
 
 
-class EmptyImuStream(NavFuseError):
-    """Fusion requires at least one IMU sample."""
-
-
 class EmptyStream(NavFuseError):
     """Operation requires a non-empty input stream."""
 

@@ -28,18 +28,18 @@ The GNSS update is closed form in error coordinates.  There the fix
 is h(delta) = p + delta[0:3], which is affine, and the unscented
 transform reproduces the mean and covariance of an affine map exactly
 for any alpha, beta and gamma (Wan and van der Merwe 2000; Julier 2002).
-So the UKF update of the paper equals the linear Kalman update:
-innovation v = y - p, S = P[0:3, 0:3] + R (symmetrized),
-K = P[:, 0:3] S^-1, NIS = v^T S^-1 v, and P+ = P - K S K^T
-(symmetrized).  The error K v is retracted onto the nominal state as in
-the prediction, with q * exp(dtheta) for the attitude.  The checks of
-the generic path in :mod:`navfuse.ukf` are kept, each matrix factored
-once: the prior and the posterior pass
-:func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each, which also
-gives ``UpdateEvent.cov_min_eig``); the prior keeps the jitter-retry
-:class:`DecompositionFailure` of :func:`navfuse.ukf.cholesky_sqrt`; S
-is inverted by :func:`navfuse.ukf.innovation_inverse`, the inverse of
-the generic path, whose one ``eigh`` also feeds the
+So the UKF update of the paper equals the linear Kalman update, and
+:func:`navfuse.ukf.kalman_correct`, the correction of the generic path,
+applies it with v = y - p, S = P[0:3, 0:3] + R (symmetrized) and the
+cross covariance P[:, 0:3].  A fix that the gate rejects keeps the
+prior.  The error K v is retracted onto the nominal state as in the
+prediction, with q * exp(dtheta) for the attitude.  The checks of the
+generic path are kept, each matrix factored once: the prior and the
+posterior pass :func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each,
+which also gives ``UpdateEvent.cov_min_eig``); the prior keeps the
+jitter-retry :class:`DecompositionFailure` of
+:func:`navfuse.ukf.cholesky_sqrt`; the one ``eigh`` of S in
+:func:`navfuse.ukf.innovation_inverse` feeds the
 :class:`SingularInnovationCov` check; and a non-finite S or v raises
 :class:`InvalidCovariance`.
 
@@ -51,13 +51,15 @@ in one :func:`navfuse.geodesy.geodetic_to_enu` call, builds the R of every
 anchored fix once, computes the process-noise diagonals of all steps
 from the dt array, and anchors each fix to its IMU step with one
 ``searchsorted``.  The loop then runs only the two kernels and writes one
-row per IMU step into preallocated arrays.  The :class:`FusionResult`
-is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
-``cov_diag`` (N, 15), ``nis`` (N, NaN where no fix was applied) and
-``diverged`` (N), plus the frame ``origin``, one :class:`UpdateEvent`
-per applied fix, and ``gnss_track``, the fixes in the local frame.  A
-track is a pair of arrays (t, positions); ``result.track`` is the
-filter's and ``gnss_track`` the GNSS-only baseline.
+row per IMU step into preallocated arrays; a floating-point overflow or
+invalid operation in it raises :class:`InvalidCovariance` naming the IMU
+sample.  The :class:`FusionResult` is columnar: ``t`` (N), ``state``
+(N, 16) as [p, v, q, bg, ba], ``cov_diag`` (N, 15), ``nis`` (N, NaN
+where no fix was applied) and ``diverged`` (N), plus the frame
+``origin``, one :class:`UpdateEvent` per applied fix, and
+``gnss_track``, the fixes in the local frame.  A track is a pair of
+arrays (t, positions); ``result.track`` is the filter's and
+``gnss_track`` the GNSS-only baseline.
 """
 
 import math
@@ -65,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyImuStream, EmptyStream, InvalidCovariance
+from .errors import EmptyStream, InvalidCovariance
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .gnss import GnssNoise, measurement_covs
 from .strapdown import (
@@ -86,7 +88,7 @@ from .ukf import (
     SigmaParams,
     cholesky_sqrt,
     compute_weights,
-    innovation_inverse,
+    kalman_correct,
     sigma_offsets,
     validate_cov,
 )
@@ -258,19 +260,15 @@ def _update(state, cov, y, r_cov, gate):
     s = 0.5 * (s + s.T)
     if not np.isfinite(s).all():
         raise InvalidCovariance("innovation covariance is not finite")
-    s_inv = innovation_inverse(s)
     v = y - state[0:3]
     if not np.isfinite(v).all():
         raise InvalidCovariance("innovation is not finite")
-    nis = float(v @ s_inv @ v)
+    dx, posterior, nis = kalman_correct(cov, cov[:, 0:3], s, v)
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))
     if accepted:
-        gain = cov[:, 0:3] @ s_inv
-        cov = cov - gain @ s @ gain.T
-        cov = 0.5 * (cov + cov.T)
+        cov = posterior
         asym, min_eig = validate_cov(cov)
-        dx = gain @ v
         new = np.empty(STATE_DIM)
         new[0:6] = state[0:6] + dx[0:6]
         new[6:10] = quat_normalized(quat_left(*state[6:10]) @ quat_exp(dx[6:9, None]))[:, 0]
@@ -297,7 +295,7 @@ def run_fusion(imu, gnss, cfg):
     ``cfg.trace_ceiling`` flags rows as diverged instead of raising.
     """
     if not len(imu):
-        raise EmptyImuStream("at least one IMU sample is required")
+        raise EmptyStream("IMU stream is empty")
     t = imu.t
     origin = GeodeticCoord(gnss.lat[0], gnss.lon[0], gnss.alt[0]) if len(gnss) else None
     gnss_track = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
@@ -324,18 +322,24 @@ def run_fusion(imu, gnss, cfg):
     nis = np.full(n, np.nan)
     updates = []
     j = first
-    for i, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
-        if i > 0:
-            state, cov = _predict(
-                state, cov, gyro, accel, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
-            )
-        while j < len(fix_t) and anchor[j] == i:
-            state, cov, event = _update(state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate)
-            nis[i] = event["nis"]
-            updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
-            j += 1
-        states[i] = state
-        cov_diag[i] = cov.diagonal()
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
+                if i > 0:
+                    state, cov = _predict(
+                        state, cov, gyro, accel, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
+                    )
+                while j < len(fix_t) and anchor[j] == i:
+                    state, cov, event = _update(
+                        state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
+                    )
+                    nis[i] = event["nis"]
+                    updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
+                    j += 1
+                states[i] = state
+                cov_diag[i] = cov.diagonal()
+    except FloatingPointError as exc:
+        raise InvalidCovariance(f"IMU sample {i}: {exc}") from exc
     diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
     return FusionResult(t, states, cov_diag, nis, diverged, origin, updates, gnss_track)
 

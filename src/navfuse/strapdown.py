@@ -1,19 +1,20 @@
 """Strapdown IMU mechanization in a local ENU frame.
 
-The navigation state carries position, velocity, a unit quaternion
-(body -> ENU, scalar first), and slowly varying gyro/accelerometer
-biases: 16 nominal components.  Filtering uses a 15-dimensional error
-parameterization [dp, dv, dtheta, dbg, dba] where attitude errors are
-body-frame rotation vectors applied by quaternion retraction, which
-keeps the covariance minimal-dimension and free of Euler singularities.
+The navigation state is one packed (16,) vector [p, v, q, bg, ba]: ENU
+position and velocity, a unit quaternion (body -> ENU, scalar first),
+and slowly varying gyro/accelerometer biases.  Filtering uses a
+15-dimensional error parameterization [dp, dv, dtheta, dbg, dba] where
+attitude errors are body-frame rotation vectors applied by quaternion
+retraction, which keeps the covariance minimal-dimension and free of
+Euler singularities.
 
 Accelerometers measure specific force, so propagation adds gravity back
 after rotating the bias-corrected reading into the navigation frame.
 The quaternion functions work on columns, (4, m) quaternions and (3, m)
 vectors, and :func:`step` is the one strapdown step: the fusion kernel
-runs it on its 31 sigma points and :func:`propagate` on one state.
-Propagation is deterministic: identical inputs give bit-identical
-outputs.
+runs it on its 31 sigma points and :func:`propagate` on one packed
+state.  Propagation is deterministic: identical inputs give
+bit-identical outputs.
 """
 
 import math
@@ -102,58 +103,8 @@ def quat_log(q):
 
 
 # ---------------------------------------------------------------------------
-# Domain types
+# Sensor streams
 # ---------------------------------------------------------------------------
-
-def _vec3(value):
-    out = np.asarray(value, dtype=float).reshape(3).copy()
-    if not np.isfinite(out).all():
-        raise ValueError("vector components must be finite")
-    return out
-
-
-@dataclass(frozen=True)
-class NavState:
-    """Nominal navigation state.
-
-    position/velocity are ENU meters and m/s; ``orientation`` is a unit
-    quaternion (scalar first) rotating body vectors into ENU; biases are
-    in sensor units.
-    """
-
-    position: np.ndarray
-    velocity: np.ndarray
-    orientation: np.ndarray
-    gyro_bias: np.ndarray
-    accel_bias: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "position", _vec3(self.position))
-        object.__setattr__(self, "velocity", _vec3(self.velocity))
-        object.__setattr__(self, "gyro_bias", _vec3(self.gyro_bias))
-        object.__setattr__(self, "accel_bias", _vec3(self.accel_bias))
-        q = np.asarray(self.orientation, dtype=float).reshape(4).copy()
-        norm = float(np.linalg.norm(q))
-        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"orientation norm {norm} not within 1e-9 of 1")
-        object.__setattr__(self, "orientation", q)
-
-    @classmethod
-    def identity(cls):
-        z = np.zeros(3)
-        return cls(z, z, quat_identity(), z, z)
-
-    def as_vector(self):
-        """Pack into a length-16 array [p, v, q, bg, ba]."""
-        return np.concatenate(
-            [self.position, self.velocity, self.orientation, self.gyro_bias, self.accel_bias]
-        )
-
-    @classmethod
-    def from_vector(cls, x):
-        x = np.asarray(x, dtype=float).reshape(STATE_DIM)
-        return cls(x[0:3], x[3:6], x[6:10], x[10:13], x[13:16])
-
 
 def _first_bad_row(ok, message):
     """Raise ``ValueError`` naming the first row where ``ok`` is False."""
@@ -254,18 +205,16 @@ def step(p, v, q, f, turn, dt):
 
 
 def propagate(state, gyro, accel, dt):
-    """Propagate a :class:`NavState` by one IMU step of length ``dt`` with
-    the readings ``gyro`` and ``accel`` (3,): :func:`step` on one column.
-    Biases are left unchanged (their random walk enters through the
-    process noise)."""
+    """Propagate the packed state [p, v, q, bg, ba] (16,) by one IMU step
+    of length ``dt`` with the readings ``gyro`` and ``accel`` (3,):
+    :func:`step` on one column.  Biases are left unchanged (their random
+    walk enters through the process noise)."""
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    turn = quat_exp(((gyro - state.gyro_bias) * dt)[:, None])
-    f = (accel - state.accel_bias)[:, None]
-    p, v, q = step(
-        state.position[:, None], state.velocity[:, None], state.orientation[:, None], f, turn, dt
-    )
-    return NavState(p[:, 0], v[:, 0], q[:, 0], state.gyro_bias, state.accel_bias)
+    col = state[:, None]
+    turn = quat_exp((gyro[:, None] - col[10:13]) * dt)
+    p, v, q = step(col[0:3], col[3:6], col[6:10], accel[:, None] - col[13:16], turn, dt)
+    return np.concatenate([p[:, 0], v[:, 0], q[:, 0], state[10:16]])
 
 
 def process_noise_diag(noise, dt):

@@ -13,6 +13,8 @@ with kappa = alpha^2 (n + gamma) - n and weights
     Wi   = 1 / (2 (n + kappa)),   i = 1 .. 2n.
 
 For Gaussian priors beta = 2 is the usual choice; gamma defaults to 1.
+:mod:`navfuse.fusion` runs the same :func:`sigma_offsets`, weights and
+:func:`kalman_correct`.
 """
 
 import math
@@ -22,7 +24,7 @@ import numpy as np
 
 from .errors import DecompositionFailure, InvalidCovariance, InvalidScaling, SingularInnovationCov
 
-#: Tolerances used by :meth:`GaussianBelief.validate`.
+#: Tolerances used by :func:`validate_cov`.
 SYMMETRY_TOL = 1e-12
 EIGEN_FLOOR = -1e-9
 
@@ -70,7 +72,8 @@ class SigmaParams:
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """Mean vector and covariance matrix of a Gaussian state estimate."""
+    """Mean vector and covariance matrix of a Gaussian state estimate; the
+    covariance must pass :func:`validate_cov`."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -83,15 +86,11 @@ class GaussianBelief:
         n = mean.shape[0]
         if mean.ndim != 1 or cov.shape != (n, n):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
-        self.validate()
-
-    def validate(self):
-        """Check symmetry and the positive-semidefinite eigenvalue floor."""
-        validate_cov(self.cov)
+        validate_cov(cov)
 
 
 def validate_cov(cov):
-    """Check a covariance matrix as :meth:`GaussianBelief.validate` does.
+    """Check the finiteness, symmetry and eigenvalue floor of a covariance.
 
     Returns ``(asymmetry, min_eig)``: the largest |cov - cov^T| entry and
     the smallest eigenvalue of the symmetrized matrix.
@@ -115,25 +114,6 @@ def validate_cov(cov):
 
 
 @dataclass(frozen=True)
-class SigmaSet:
-    """2n+1 sigma points (rows) with their mean and covariance weights."""
-
-    points: np.ndarray
-    w_mean: np.ndarray
-    w_cov: np.ndarray
-
-    def __post_init__(self):
-        count, n = self.points.shape
-        if count != 2 * n + 1:
-            raise ValueError(f"expected {2 * n + 1} points for dimension {n}, got {count}")
-        # Tiny alpha makes individual weights huge; the unit-sum check
-        # must scale with their magnitude to stay meaningful in float64.
-        tol = 1e-12 * max(1.0, float(np.max(np.abs(self.w_mean))))
-        if abs(float(np.sum(self.w_mean)) - 1.0) > tol:
-            raise ValueError("mean weights must sum to 1")
-
-
-@dataclass(frozen=True)
 class MeasurementPrediction:
     """Predicted measurement moments: mean, innovation covariance (with R
     folded in), and state-measurement cross covariance."""
@@ -150,8 +130,6 @@ def compute_weights(params):
     kappa/(n+kappa) + 2n/(2(n+kappa)) = 1.
     """
     n, kappa = params.n, params.kappa
-    if n + kappa <= 0:
-        raise InvalidScaling(f"n + kappa must be positive, got {n + kappa}")
     w_mean = np.full(2 * n + 1, 1.0 / (2.0 * (n + kappa)))
     w_cov = w_mean.copy()
     w_mean[0] = kappa / (n + kappa)
@@ -204,14 +182,12 @@ def sigma_offsets(cov, params):
 
 
 def generate_sigma_points(belief, params):
-    """Build the symmetric sigma-point set for ``belief``: its mean plus
-    each column of :func:`sigma_offsets`, as rows."""
+    """The 2n+1 sigma points of ``belief`` as the rows of a (2n+1, n)
+    array: its mean plus each column of :func:`sigma_offsets`."""
     n = params.n
     if belief.mean.shape[0] != n:
         raise ValueError(f"belief dimension {belief.mean.shape[0]} != params.n {n}")
-    w_mean, w_cov = compute_weights(params)
-    points = belief.mean + sigma_offsets(belief.cov, params).T
-    return SigmaSet(points, w_mean, w_cov)
+    return belief.mean + sigma_offsets(belief.cov, params).T
 
 
 def unscented_predict(belief, transition, q_cov, params):
@@ -232,11 +208,12 @@ def unscented_predict(belief, transition, q_cov, params):
     GaussianBelief
         Predicted mean and (symmetrized) covariance.
     """
-    sp = generate_sigma_points(belief, params)
-    propagated = np.array([np.asarray(transition(x), dtype=float) for x in sp.points])
-    mean = sp.w_mean @ propagated
+    w_mean, w_cov = compute_weights(params)
+    points = generate_sigma_points(belief, params)
+    propagated = np.array([np.asarray(transition(x), dtype=float) for x in points])
+    mean = w_mean @ propagated
     dev = propagated - mean
-    cov = (dev * sp.w_cov[:, None]).T @ dev + q_cov
+    cov = (dev * w_cov[:, None]).T @ dev + q_cov
     return GaussianBelief(mean, 0.5 * (cov + cov.T))
 
 
@@ -248,13 +225,14 @@ def unscented_measurement(belief, measure, r_cov, params):
     covariance (measurement noise ``r_cov`` folded in), and the
     state-measurement cross covariance.
     """
-    sp = generate_sigma_points(belief, params)
-    projected = np.array([np.asarray(measure(x), dtype=float) for x in sp.points])
-    y_mean = sp.w_mean @ projected
+    w_mean, w_cov = compute_weights(params)
+    points = generate_sigma_points(belief, params)
+    projected = np.array([np.asarray(measure(x), dtype=float) for x in points])
+    y_mean = w_mean @ projected
     y_dev = projected - y_mean
-    x_dev = sp.points - belief.mean
-    y_cov = (y_dev * sp.w_cov[:, None]).T @ y_dev + r_cov
-    cross = (x_dev * sp.w_cov[:, None]).T @ y_dev
+    x_dev = points - belief.mean
+    y_cov = (y_dev * w_cov[:, None]).T @ y_dev + r_cov
+    cross = (x_dev * w_cov[:, None]).T @ y_dev
     return MeasurementPrediction(y_mean, 0.5 * (y_cov + y_cov.T), cross)
 
 
@@ -277,35 +255,26 @@ def innovation_inverse(s):
     return (vecs / eigs) @ vecs.T
 
 
-def innovation_nis(prediction, y):
-    """Normalized innovation squared v^T P_y^{-1} v for measurement ``y``."""
-    v = np.asarray(y, dtype=float) - prediction.mean
-    return float(v @ innovation_inverse(prediction.cov) @ v)
-
-
-def apply_measurement(belief, prediction, y):
-    """Fold measurement ``y`` into ``belief`` given predicted moments.
-
-    Computes the gain K = P_xy P_y^{-1} with :func:`innovation_inverse`,
-    the innovation v = y - y_pred, the posterior mean x + K v, and the
-    posterior covariance P - K P_y K^T (symmetrized).
-
-    Returns
-    -------
-    (GaussianBelief, ndarray)
-        Posterior belief and the innovation vector.
-    """
-    gain = prediction.cross_cov @ innovation_inverse(prediction.cov)
-    innovation = np.asarray(y, dtype=float) - prediction.mean
-    mean = belief.mean + gain @ innovation
-    cov = belief.cov - gain @ prediction.cov @ gain.T
-    return GaussianBelief(mean, 0.5 * (cov + cov.T)), innovation
+def kalman_correct(cov, cross, s, v):
+    """Correct a prior of covariance ``cov`` by the innovation ``v`` of
+    covariance ``s`` and state cross covariance ``cross``, with the gain
+    K = cross s^-1 from :func:`innovation_inverse`.  Returns the state
+    correction K v, the posterior cov - K s K^T (symmetrized) and the
+    NIS v^T s^-1 v."""
+    s_inv = innovation_inverse(s)
+    nis = float(v @ s_inv @ v)
+    gain = cross @ s_inv
+    cov = cov - gain @ s @ gain.T
+    return gain @ v, 0.5 * (cov + cov.T), nis
 
 
 def unscented_update(belief, measure, r_cov, y, params):
-    """Full measurement update: regenerate sigma points, project, correct.
+    """Full measurement update: regenerate sigma points, project, and
+    apply :func:`kalman_correct`.
 
     Returns the posterior belief and the innovation ``y - y_pred``.
     """
     prediction = unscented_measurement(belief, measure, r_cov, params)
-    return apply_measurement(belief, prediction, y)
+    v = np.asarray(y, dtype=float) - prediction.mean
+    dx, cov, _ = kalman_correct(belief.cov, prediction.cross_cov, prediction.cov, v)
+    return GaussianBelief(belief.mean + dx, cov), v

@@ -24,10 +24,10 @@ from navfuse.geodesy import (
 )
 from navfuse.kitti import load_sequence, parse_oxts_record
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
-from navfuse.strapdown import GRAVITY, NavState, propagate
+from navfuse.strapdown import GRAVITY, propagate
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_predict, unscented_update
 
-from helpers import truth_fixes
+from helpers import nav_state, truth_fixes
 from oracles import LinearKalmanFilter
 
 
@@ -257,12 +257,11 @@ def test_criterion_7_byte_identical_reruns(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_strapdown_fixed_point():
-    state = NavState.identity()
-    reference = state.as_vector()
+    state = reference = nav_state()
     gyro, accel = np.zeros(3), np.array([0.0, 0.0, GRAVITY])
     for _ in range(1000):
         state = propagate(state, gyro, accel, 0.01)
-        assert np.max(np.abs(state.as_vector() - reference)) <= 1e-12
+        assert np.max(np.abs(state - reference)) <= 1e-12
     report(8, "strapdown fixed point")
 
 

@@ -252,21 +252,26 @@ class TestMalformedStreams:
             assert err == f"error: {junk}: not UTF-8 text (invalid start byte at byte 0)\n"
 
     def test_absurd_imu_reading_is_data_error(self, tmp_path, capsys):
-        # A finite but absurd accelerometer cell makes the covariance
-        # indefinite at the next fix.
         sim = simulate_into(tmp_path)
-        lines = (sim / "imu.csv").read_text().splitlines()
-        cells = lines[300].split(",")
-        cells[4] = "1e155"
-        lines[300] = ",".join(cells)
-        (sim / "imu.csv").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
-                    "--out", tmp_path / "fused"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1 and err.startswith("error: covariance ")
-        assert "Traceback" not in err
+        clean = (sim / "imu.csv").read_text().splitlines()
+        for ax, message in [
+            # Finite but absurd: the covariance is indefinite at the next fix.
+            ("1e155", "error: covariance "),
+            # The prediction overflows at the sample itself (row 300 is sample 299).
+            ("1e300", "error: IMU sample 299: overflow "),
+        ]:
+            lines = list(clean)
+            cells = lines[300].split(",")
+            cells[4] = ax
+            lines[300] = ",".join(cells)
+            (sim / "imu.csv").write_text("\n".join(lines) + "\n")
+            capsys.readouterr()
+            code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                        "--out", tmp_path / "fused"])
+            err = capsys.readouterr().err
+            assert code == 1
+            assert err.count("\n") == 1 and err.startswith(message)
+            assert "Traceback" not in err
 
 
 class TestKittiConvertCommand:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from navfuse.errors import EmptyImuStream, EmptyStream, InvalidScaling, NonMonotonicTime
+from navfuse.errors import EmptyStream, InvalidScaling, NonMonotonicTime
 from navfuse.evaluate import align_and_diff, rmse
 from navfuse.fusion import FusionConfig, run_fusion, run_gnss_only
 from navfuse.geodesy import enu_to_geodetic
@@ -31,7 +31,7 @@ def stationary_imu(n, dt=0.01, t0=0.0):
 
 class TestRunFusion:
     def test_empty_imu_rejected(self):
-        with pytest.raises(EmptyImuStream):
+        with pytest.raises(EmptyStream):
             run_fusion(stationary_imu(0), NO_FIXES, FusionConfig())
 
     def test_non_monotonic_imu_reports_index(self):

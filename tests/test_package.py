@@ -36,3 +36,17 @@ assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "rmse.csv").is_file()
+
+
+def test_cli_module_runs_as_script():
+    """``python -m navfuse.cli`` runs the command line, as the installed
+    ``navfuse`` script does."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "navfuse.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == navfuse.__version__

@@ -13,18 +13,19 @@ from navfuse.simulate import (
     corrupt,
     generate_truth,
 )
-from navfuse.strapdown import GRAVITY, ImuNoiseParams, NavState, propagate
+from navfuse.strapdown import GRAVITY, ImuNoiseParams, propagate
+
+from helpers import nav_state
 
 QUIET = ImuNoiseParams(0.0, 0.0, 0.0, 0.0)
 
 
 def reintegrate(truth, ideal):
-    state = NavState(truth.position[0], truth.velocity[0], truth.orientation[0],
-                     np.zeros(3), np.zeros(3))
+    state = nav_state(truth.position[0], truth.velocity[0], truth.orientation[0])
     errs = []
     for k in range(1, len(ideal)):
         state = propagate(state, ideal.gyro[k], ideal.accel[k], ideal.t[k] - ideal.t[k - 1])
-        errs.append(np.linalg.norm(state.position - truth.position[k]))
+        errs.append(np.linalg.norm(state[0:3] - truth.position[k]))
     return np.array(errs)
 
 

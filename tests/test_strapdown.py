@@ -12,7 +12,6 @@ from navfuse.strapdown import (
     GRAVITY,
     ImuNoiseParams,
     ImuStream,
-    NavState,
     process_noise_diag,
     propagate,
     quat_exp,
@@ -24,6 +23,8 @@ from navfuse.strapdown import (
 )
 from navfuse.errors import NonMonotonicTime
 from navfuse.ukf import compute_weights
+
+from helpers import nav_state
 
 LEVEL_ACCEL = np.array([0.0, 0.0, GRAVITY])
 STILL = (np.zeros(3), LEVEL_ACCEL)
@@ -42,12 +43,13 @@ def rotate(q, v):
 
 def reference_step(state, gyro, accel, dt):
     """One strapdown step on scipy rotations: (p, v, q) after ``dt``."""
-    attitude = Rotation.from_quat(state.orientation, scalar_first=True)
-    a_nav = attitude.apply(accel - state.accel_bias) + np.array([0.0, 0.0, -GRAVITY])
-    turn = Rotation.from_rotvec((gyro - state.gyro_bias) * dt)
+    p, v, q, bg, ba = np.split(state, [3, 6, 10, 13])
+    attitude = Rotation.from_quat(q, scalar_first=True)
+    a_nav = attitude.apply(accel - ba) + np.array([0.0, 0.0, -GRAVITY])
+    turn = Rotation.from_rotvec((gyro - bg) * dt)
     return (
-        state.position + state.velocity * dt + 0.5 * a_nav * dt * dt,
-        state.velocity + a_nav * dt,
+        p + v * dt + 0.5 * a_nav * dt * dt,
+        v + a_nav * dt,
         (attitude * turn).as_quat(scalar_first=True),
     )
 
@@ -98,56 +100,55 @@ class TestQuaternions:
 
 class TestPropagate:
     def test_gravity_compensated_fixed_point(self):
-        state = NavState.identity()
+        state = nav_state()
         out = propagate(state, *STILL, 0.01)
-        np.testing.assert_array_equal(out.as_vector(), state.as_vector())
+        np.testing.assert_array_equal(out, state)
 
     def test_fixed_point_over_1000_steps(self):
-        state = NavState.identity()
-        reference = state.as_vector()
+        state = reference = nav_state()
         for _ in range(1000):
             state = propagate(state, *STILL, 0.01)
-            assert np.max(np.abs(state.as_vector() - reference)) <= 1e-12
+            assert np.max(np.abs(state - reference)) <= 1e-12
 
     def test_constant_forward_acceleration(self):
-        state = NavState.identity()
+        state = nav_state()
         accel = np.array([1.0, 0.0, GRAVITY])
         for _ in range(100):
             state = propagate(state, np.zeros(3), accel, 0.01)
-        np.testing.assert_allclose(state.velocity, [1.0, 0.0, 0.0], atol=1e-9)
-        np.testing.assert_allclose(state.position, [0.5, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(state[3:6], [1.0, 0.0, 0.0], atol=1e-9)
+        np.testing.assert_allclose(state[0:3], [0.5, 0.0, 0.0], atol=1e-9)
 
     def test_yaw_rate_integration(self):
-        state = NavState.identity()
+        state = nav_state()
         gyro = np.array([0.0, 0.0, math.pi / 2])
         for _ in range(100):
             state = propagate(state, gyro, np.zeros(3), 0.01)
-        yaw = 2.0 * math.atan2(state.orientation[3], state.orientation[0])
+        yaw = 2.0 * math.atan2(state[9], state[6])
         assert yaw == pytest.approx(math.pi / 2, abs=1e-6)
 
     def test_bias_correction_applied(self):
         bias = np.array([0.0, 0.0, 0.1])
-        state = NavState(np.zeros(3), np.zeros(3), quat_identity(), bias, np.zeros(3))
+        state = nav_state(bg=bias)
         out = propagate(state, bias, LEVEL_ACCEL, 0.01)
-        np.testing.assert_allclose(out.orientation, quat_identity(), atol=1e-15)
+        np.testing.assert_allclose(out[6:10], quat_identity(), atol=1e-15)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            propagate(NavState.identity(), *STILL, 0.0)
+            propagate(nav_state(), *STILL, 0.0)
 
     def test_quaternion_stays_normalized(self):
         rng = np.random.default_rng(11)
-        state = NavState.identity()
+        state = nav_state()
         for _ in range(500):
             gyro, accel = rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL
             state = propagate(state, gyro, accel, 0.01)
-            assert abs(np.linalg.norm(state.orientation) - 1.0) <= 1e-9
+            assert abs(np.linalg.norm(state[6:10]) - 1.0) <= 1e-9
 
     def test_deterministic(self):
         gyro, accel = np.array([0.1, -0.2, 0.3]), np.array([0.5, 0.1, 9.9])
-        a = propagate(NavState.identity(), gyro, accel, 0.01)
-        b = propagate(NavState.identity(), gyro, accel, 0.01)
-        np.testing.assert_array_equal(a.as_vector(), b.as_vector())
+        a = propagate(nav_state(), gyro, accel, 0.01)
+        b = propagate(nav_state(), gyro, accel, 0.01)
+        np.testing.assert_array_equal(a, b)
 
     def test_matches_scipy_reference_step(self):
         # Random states with nonzero biases; every other attitude has w < 0,
@@ -156,17 +157,17 @@ class TestPropagate:
         for k in range(8):
             q = rng.standard_normal(4)
             q *= (-1) ** k * np.sign(q[0]) / np.linalg.norm(q)
-            state = NavState(rng.standard_normal(3), rng.standard_normal(3), q,
-                             0.01 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
+            state = nav_state(rng.standard_normal(3), rng.standard_normal(3), q,
+                              0.01 * rng.standard_normal(3), 0.1 * rng.standard_normal(3))
             gyro, accel = rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL
             out = propagate(state, gyro, accel, 0.02)
             p, v, q_ref = reference_step(state, gyro, accel, 0.02)
-            np.testing.assert_allclose(out.position, p, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(out.velocity, v, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(out.orientation, q_ref, rtol=0, atol=1e-12)
-            assert (out.orientation[0] < 0) == (k % 2 == 1)
-            np.testing.assert_array_equal(out.gyro_bias, state.gyro_bias)
-            np.testing.assert_array_equal(out.accel_bias, state.accel_bias)
+            np.testing.assert_allclose(out[0:3], p, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[3:6], v, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(out[6:10], q_ref, rtol=0, atol=1e-12)
+            assert (out[6] < 0) == (k % 2 == 1)
+            np.testing.assert_array_equal(out[10:13], state[10:13])
+            np.testing.assert_array_equal(out[13:16], state[13:16])
 
     def test_halving_dt_improves_endpoint(self):
         # Integration error must shrink at least first order in dt.
@@ -175,12 +176,11 @@ class TestPropagate:
             profile = TrajectoryProfile("circular", duration=10.0, imu_rate=rate,
                                         radius=20.0, speed=5.0)
             truth, ideal = generate_truth(profile)
-            state = NavState(truth.position[0], truth.velocity[0], truth.orientation[0],
-                             np.zeros(3), np.zeros(3))
+            state = nav_state(truth.position[0], truth.velocity[0], truth.orientation[0])
             for k in range(1, len(ideal)):
                 state = propagate(state, ideal.gyro[k], ideal.accel[k],
                                   ideal.t[k] - ideal.t[k - 1])
-            errors[rate] = np.linalg.norm(state.position - truth.position[-1])
+            errors[rate] = np.linalg.norm(state[0:3] - truth.position[-1])
         assert errors[100.0] / errors[200.0] >= 2.0
 
 
@@ -280,28 +280,6 @@ class TestErrorStateRetraction:
         np.testing.assert_allclose(mean[0:3], p0 + v0 * 0.01, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mean[3:6], v0, rtol=0, atol=1e-12)
         np.testing.assert_allclose(mean[6:10], quat_identity(), rtol=0, atol=1e-14)
-
-
-class TestNavState:
-    def test_vector_round_trip(self):
-        rng = np.random.default_rng(23)
-        state = NavState(
-            rng.standard_normal(3), rng.standard_normal(3),
-            exp(rng.uniform(-1, 1, 3)),
-            rng.standard_normal(3), rng.standard_normal(3),
-        )
-        np.testing.assert_array_equal(NavState.from_vector(state.as_vector()).as_vector(),
-                                      state.as_vector())
-
-    def test_rejects_unnormalized_quaternion(self):
-        with pytest.raises(ValueError):
-            NavState(np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 0.0, 1e-4]),
-                     np.zeros(3), np.zeros(3))
-
-    def test_rejects_non_finite_fields(self):
-        with pytest.raises(ValueError):
-            NavState(np.array([np.nan, 0, 0]), np.zeros(3), quat_identity(),
-                     np.zeros(3), np.zeros(3))
 
 
 class TestImuStream:

@@ -79,14 +79,14 @@ class TestSigmaPoints:
     def test_scalar_case_with_kappa_two(self):
         # kappa=2 via alpha=1, gamma=2 at n=1: points at 0, +-sqrt(3).
         params = SigmaParams(1, alpha=1.0, gamma=2.0)
-        sp = generate_sigma_points(GaussianBelief([0.0], [[1.0]]), params)
-        assert sp.points[:, 0] == pytest.approx([0.0, np.sqrt(3), -np.sqrt(3)])
+        points = generate_sigma_points(GaussianBelief([0.0], [[1.0]]), params)
+        assert points[:, 0] == pytest.approx([0.0, np.sqrt(3), -np.sqrt(3)])
 
     def test_zero_covariance_collapses_to_mean(self):
         params = SigmaParams(3)
         mean = np.array([1.0, -2.0, 0.5])
-        sp = generate_sigma_points(GaussianBelief(mean, np.zeros((3, 3))), params)
-        assert np.array_equal(sp.points, np.tile(mean, (7, 1)))
+        points = generate_sigma_points(GaussianBelief(mean, np.zeros((3, 3))), params)
+        assert np.array_equal(points, np.tile(mean, (7, 1)))
 
     def test_moment_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -94,10 +94,11 @@ class TestSigmaPoints:
             params = SigmaParams(n)
             mean = rng.standard_normal(n)
             cov = random_psd(rng, n)
-            sp = generate_sigma_points(GaussianBelief(mean, cov), params)
-            rec_mean = sp.w_mean @ sp.points
-            dev = sp.points - rec_mean
-            rec_cov = (dev * sp.w_cov[:, None]).T @ dev
+            points = generate_sigma_points(GaussianBelief(mean, cov), params)
+            w_mean, w_cov = compute_weights(params)
+            rec_mean = w_mean @ points
+            dev = points - rec_mean
+            rec_cov = (dev * w_cov[:, None]).T @ dev
             np.testing.assert_allclose(rec_mean, mean, atol=1e-10)
             np.testing.assert_allclose(rec_cov, cov, rtol=1e-10, atol=1e-10)
 
@@ -114,8 +115,8 @@ class TestSigmaPoints:
         assert offsets.shape == (4, 9)
         assert not offsets[:, 0].any()
         assert np.array_equal(offsets[:, 5:], -offsets[:, 1:5])
-        sp = generate_sigma_points(GaussianBelief(mean, cov), params)
-        assert np.array_equal(sp.points, mean + offsets.T)
+        points = generate_sigma_points(GaussianBelief(mean, cov), params)
+        assert np.array_equal(points, mean + offsets.T)
 
 
 class TestCholeskySqrt:

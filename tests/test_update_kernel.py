@@ -186,9 +186,11 @@ class TestEdgeCases:
 
 def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
     """Per fix, the run makes one 15x15 eigvalsh of the prior, one of the
-    posterior (none when the gate rejects it) and one 3x3 eigh of S, and
-    never draws measurement sigma points."""
+    posterior (none when the gate rejects it) and one 3x3 eigh of S,
+    corrects once through ``ukf.kalman_correct``, and never draws
+    measurement sigma points."""
     shapes = []
+    corrections = []
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
     def counted(fn):
@@ -202,8 +204,15 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
-    for name in ("unscented_measurement", "GaussianBelief", "innovation_nis", "apply_measurement"):
+    for name in ("unscented_measurement", "GaussianBelief"):
         monkeypatch.setattr(ukf, name, forbidden)
+
+    def correct(*args):
+        corrections.append(args)
+        return ukf.kalman_correct(*args)
+
+    assert fusion.kalman_correct is ukf.kalman_correct
+    monkeypatch.setattr(fusion, "kalman_correct", correct)
     truth, ideal = generate_truth(TrajectoryProfile("circular", duration=5.0))
     imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=10.0)
     result = run_fusion(imu, gnss, FusionConfig(gnss_gate=1.0))
@@ -212,3 +221,4 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
     assert shapes.count(("eigvalsh", (15, 15))) == len(gnss) + accepted
     assert shapes.count(("eigh", (3, 3))) == len(gnss)
     assert len(shapes) == 2 * len(gnss) + accepted
+    assert len(corrections) == len(gnss)
