@@ -7,11 +7,12 @@ Stream schemas (headers are fixed):
 * ``truth.csv`` -- ``t,lat_deg,lon_deg,alt_m`` (geodetic ground truth)
 
 The readers return a whole file as an :class:`ImuStream` or a
-:class:`GnssStream`, and the writers take them.  Exit codes: 0 success,
-1 runtime/data error, 2 usage error (also a NaN, infinite or
-out-of-range configuration value).  Flags override an optional
-``key=value`` config file (``--config``); defaults apply last.  Every
-command writes a ``manifest`` echoing the resolved configuration,
+:class:`GnssStream`, and the writers take them; both stream the file
+(see :mod:`navfuse.evaluate`).  Exit codes: 0 success, 1 runtime/data
+error, 2 usage error (also a NaN, infinite or out-of-range configuration
+value, or a config file value that does not parse).  Flags override an
+optional ``key=value`` config file (``--config``); defaults apply last.
+Every command writes a ``manifest`` echoing the resolved configuration,
 sufficient to reproduce the run byte for byte.
 """
 
@@ -102,7 +103,10 @@ class _Resolver:
     def get(self, key, default, cast=float):
         value = getattr(self.args, key, None)
         if value is None and key in self.file:
-            value = cast(self.file[key])
+            try:
+                value = cast(self.file[key])
+            except ValueError as exc:
+                raise _UsageError(f"bad value for config key {key!r}: {exc}") from None
         if value is None:
             value = default
         self.resolved[key] = value
@@ -145,12 +149,12 @@ def read_gnss_csv(path):
 
 
 def write_imu_csv(imu, path):
-    _write_table(path, _IMU_HEADER, np.column_stack([imu.t, imu.gyro, imu.accel]))
+    _write_table(path, _IMU_HEADER, [imu.t, imu.gyro, imu.accel])
 
 
 def write_gnss_csv(gnss, path):
-    table = np.column_stack([gnss.t, np.degrees(gnss.lat), np.degrees(gnss.lon), gnss.alt])
-    _write_table(path, _GEODETIC_HEADER, table)
+    columns = [gnss.t, np.degrees(gnss.lat), np.degrees(gnss.lon), gnss.alt]
+    _write_table(path, _GEODETIC_HEADER, columns)
 
 
 def write_truth_csv(truth, origin, path):
@@ -170,10 +174,8 @@ def write_estimates_csv(result, path):
     """Write a :class:`FusionResult` as ``estimate.csv``: position,
     velocity and attitude (not the biases), the variances, an empty NIS
     cell where no fix was applied, and ``diverged`` as 1 or 0."""
-    table = np.column_stack(
-        [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
-    )
-    _write_table(path, _ESTIMATE_HEADER, table)
+    columns = [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
+    _write_table(path, _ESTIMATE_HEADER, columns)
 
 
 def _write_manifest(out_dir, entries):

@@ -11,16 +11,20 @@ library's eigendecomposition inverse, and the same scipy retraction.
 The per-point ECEF formula in scalar ``math`` and the per-cell CSV
 writers are the forms that the array conversions
 (``geodesy.geodetic_to_enu`` and ``geodesy.enu_to_geodetic``) and
-``evaluate._write_table`` must reproduce bit for bit and byte for byte.
+``evaluate._write_table`` must reproduce bit for bit and byte for byte,
+and the whole-file CSV reader is the one whose rows and errors the
+streamed ``evaluate._read_table`` must reproduce.
 """
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.transform import Rotation
 
+from navfuse.errors import MalformedRecord, NavFuseError
 from navfuse.geodesy import WGS84
 from navfuse.strapdown import ERROR_DIM
 from navfuse.ukf import (
@@ -119,6 +123,53 @@ def reference_track_text(t, est, truth, gnss):
             cells += [_fmt(v) for v in gnss[k]]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def reference_rmse_text(reports):
+    """``rmse.csv`` of RMSE reports, formatted cell by cell, with an empty
+    cell for a NaN."""
+    lines = ["method,rmse_x,rmse_y,rmse_z"]
+    for r in reports:
+        values = (r.rmse_x, r.rmse_y, r.rmse_z)
+        lines.append(",".join([r.method, *("" if math.isnan(v) else _fmt(v) for v in values)]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_read_table(path, header, ncols, valid=None):
+    """A CSV table decoded and parsed whole: the (n, ncols) rows, or the
+    exception class and message, of ``evaluate._read_table``."""
+    try:
+        lines = Path(path).read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    if not lines or lines[0] != header:
+        raise NavFuseError(f"{path}: expected header {header!r}")
+    rows = []
+    numbers = []
+    for k, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != ncols:
+            raise MalformedRecord(f"{path}:{k}: expected {ncols} cells, got {len(cells)}")
+        try:
+            rows.append(list(map(float, cells)))
+        except ValueError:
+            raise NavFuseError(f"{path}:{k}: non-numeric row {line!r}") from None
+        numbers.append(k)
+    table = np.array(rows, dtype=float).reshape(-1, ncols)
+    finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        k = numbers[int(np.argmin(finite))]
+        raise MalformedRecord(f"{path}:{k}: non-finite cell in {lines[k - 1]!r}")
+    if valid is not None:
+        ok = valid(table)
+        if not ok.all():
+            k = numbers[int(np.argmin(ok))]
+            raise MalformedRecord(f"{path}:{k}: value out of range in {lines[k - 1]!r}")
+    return table
 
 
 class LinearKalmanFilter:

@@ -325,18 +325,34 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--gate", "nan"],
             ["fuse", "--kitti", "KITTI", "--gate", "-1"],
             ["fuse", "--kitti", "KITTI", "--trace-ceiling", "nan"],
+            ["simulate", "--profile", "circular", "--seed", "1", "--config", "duration=abc"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--config", "imu_rate=fast"],
+            ["fuse", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
+            ["fuse", "--kitti", "KITTI", "--config", "alpha=wide"],
+            ["kitti-convert", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
         ],
         ids=["duration-nan", "imu-rate-nan", "gyro-std-negative", "init-position-std-negative",
              "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
-             "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan"],
+             "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan",
+             "config-duration-text", "config-imu-rate-text", "config-fuse-gnss-rate-text",
+             "config-alpha-text", "config-convert-gnss-rate-text"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]
+        if "--config" in args:
+            # The argument after --config is the file's one key=value line.
+            k = args.index("--config") + 1
+            key = args[k].split("=")[0]
+            (tmp_path / "config").write_text(args[k] + "\n")
+            args[k] = tmp_path / "config"
         code = run([*args, "--out", tmp_path / "o"])
         err = capsys.readouterr().err
         assert code == 2
         assert err.count("\n") == 1 and err.startswith("usage error: ")
         assert "Traceback" not in err
+        if "--config" in args:
+            assert repr(key) in err
 
     def test_bad_outage_format(self, tmp_path):
         sim = simulate_into(tmp_path)

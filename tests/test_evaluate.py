@@ -1,13 +1,23 @@
 import dataclasses
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import reference_errors_text, reference_estimates_text, reference_track_text
+from oracles import (
+    reference_errors_text,
+    reference_estimates_text,
+    reference_read_table,
+    reference_rmse_text,
+    reference_track_text,
+)
 
+from navfuse import evaluate
 from navfuse.cli import write_estimates_csv
 from navfuse.errors import EmptySeries, MalformedRecord, NavFuseError, TimeSpanMismatch
 from navfuse.evaluate import (
+    _CHUNK_ROWS,
     RmseReport,
     _fmt,
     _read_table,
@@ -190,14 +200,14 @@ class TestWriteTable:
             (math.nan, math.nan, math.nan),
         ]
         path = tmp_path / "edge.csv"
-        _write_table(path, "a,b,c", rows)
+        _write_table(path, "a,b,c", [np.array(rows)])
         expected = "a,b,c\n" + "".join(
             ",".join("" if math.isnan(v) else _fmt(v) for v in row) + "\n" for row in rows
         )
         assert path.read_text() == expected
         assert path.read_text().splitlines()[1] == "-0,4.9406564584124654e-324,1e+308"
         assert path.read_text().splitlines()[2] == "3,-7,9007199254740992"
-        _write_table(path, "a,b", np.empty((0, 2)))
+        _write_table(path, "a,b", [np.empty((0, 2))])
         assert path.read_text() == "a,b\n"
 
     def test_labelled_rows(self, tmp_path):
@@ -207,10 +217,65 @@ class TestWriteTable:
         ]
         path = tmp_path / "rmse.csv"
         export_rmse_csv(reports, path)
-        expected = "method,rmse_x,rmse_y,rmse_z\n" + "".join(
-            f"{r.method},{_fmt(r.rmse_x)},{_fmt(r.rmse_y)},{_fmt(r.rmse_z)}\n" for r in reports
+        assert path.read_text() == reference_rmse_text(reports)
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 7]
+    )
+    def test_chunk_edges_byte_equal_to_per_cell_writers(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        t = np.arange(n) / 100.0
+        # NaN cells on the rows either side of every chunk edge, and on the last row.
+        edges = np.arange(n) % _CHUNK_ROWS
+        nan_rows = (edges == 0) | (edges == _CHUNK_ROWS - 1) | (np.arange(n) == n - 1)
+        nis = np.where(nan_rows, np.nan, rng.random(n))
+        result = SimpleNamespace(
+            t=t, state=rng.standard_normal((n, 16)), cov_diag=rng.random((n, 15)) * 1e-3,
+            nis=nis, diverged=rng.random(n) < 0.3,
         )
-        assert path.read_text() == expected
+        write_estimates_csv(result, tmp_path / "estimate.csv")
+        assert (tmp_path / "estimate.csv").read_text() == reference_estimates_text(result)
+
+        err = (t, rng.standard_normal((n, 3)))
+        export_errors_csv(err, tmp_path / "errors.csv")
+        assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
+
+        est, truth = rng.standard_normal((2, n, 3)) * 1e3
+        gnss = np.where(nan_rows[:, None], np.nan, rng.standard_normal((n, 3)))
+        export_track_csv(t, est, truth, gnss, tmp_path / "track.csv")
+        expected = reference_track_text(t, est, truth, gnss)
+        assert (tmp_path / "track.csv").read_text() == expected
+
+        reports = [RmseReport(f"run-{k}", *row) for k, row in enumerate(gnss)]
+        export_rmse_csv(reports, tmp_path / "rmse.csv")
+        assert (tmp_path / "rmse.csv").read_text() == reference_rmse_text(reports)
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        peaks = []
+        for n in (10_000, 100_000):
+            columns = [np.arange(n) / 100.0, np.random.default_rng(n).standard_normal(n)]
+            tracemalloc.start()
+            try:
+                _write_table(tmp_path / "table.csv", "t,x", columns)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # A whole-table writer peaks at over 150 B per row of this table.
+        assert peaks[1] < 1.1 * peaks[0] < 1_000_000
+
+    def test_failure_mid_stream_leaves_destination_untouched(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("previous\n")
+        # The second chunk fails to stack: the short column ends in it.
+        columns = [np.zeros(3 * _CHUNK_ROWS), np.zeros(_CHUNK_ROWS + 5)]
+        with pytest.raises(ValueError):
+            _write_table(path, "a,b", columns)
+        assert path.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [path]
+        with pytest.raises(TypeError):
+            atomic_write_text(path, None)
+        assert path.read_text() == "previous\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestReadTable:
@@ -223,7 +288,7 @@ class TestReadTable:
 
     def test_round_trip_of_write_table(self, tmp_path):
         rows = np.random.default_rng(3).standard_normal((50, 3)) * 1e3
-        _write_table(tmp_path / "table.csv", self.HEADER, rows)
+        _write_table(tmp_path / "table.csv", self.HEADER, [rows])
         assert np.array_equal(_read_table(tmp_path / "table.csv", self.HEADER, 3), rows)
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -251,7 +316,101 @@ class TestReadTable:
             assert "table.csv" in str(info.value)
 
     def test_valid_rows(self, tmp_path):
-        positive = lambda table: table[:, 1] > 0  # noqa: E731
         assert self.read(tmp_path, "1,2,3\n", valid=positive).shape == (1, 3)
         with pytest.raises(MalformedRecord, match=":3: value out of range"):
             self.read(tmp_path, "1,2,3\n4,-5,6\n", valid=positive)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, evaluate._READ_BYTES])
+    def test_blocks_read_as_the_whole_file_reader(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(evaluate, "_READ_BYTES", block)
+        path = tmp_path / "table.csv"
+        for name, data in WHOLE_FILE_CASES.items():
+            path.write_bytes(data)
+            expected = outcome(reference_read_table, path, self.HEADER, 3, positive)
+            assert outcome(_read_table, path, self.HEADER, 3, positive) == expected, name
+
+    def test_errors_past_the_first_block_name_file_line_and_offset(self, tmp_path):
+        path = tmp_path / "table.csv"
+        head = b"t,a,b\n" + b"1,2,3\n" * (3 * evaluate._READ_BYTES // 6)
+        last = 2 + 3 * evaluate._READ_BYTES // 6
+        cases = [
+            (b"4,5\n", MalformedRecord, f"{path}:{last}: expected 3 cells, got 2"),
+            (b"4,x,6\n", NavFuseError, f"{path}:{last}: non-numeric row '4,x,6'"),
+            (b"4,inf,6\n", MalformedRecord, f"{path}:{last}: non-finite cell in '4,inf,6'"),
+            (b"4,-5,6\n", MalformedRecord, f"{path}:{last}: value out of range in '4,-5,6'"),
+            (b"4,\xff,6\n", MalformedRecord,
+             f"{path}: not UTF-8 text (invalid start byte at byte {len(head) + 2})"),
+        ]
+        for tail, error, message in cases:
+            path.write_bytes(head + tail)
+            with pytest.raises(error) as info:
+                _read_table(path, self.HEADER, 3, valid=positive)
+            assert str(info.value) == message
+
+    def test_line_breaks_other_than_line_feed(self, tmp_path):
+        path = tmp_path / "table.csv"
+        for sep in ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]:
+            path.write_bytes(sep.join([self.HEADER, "1,2,3", "", "4,5,6", ""]).encode())
+            assert _read_table(path, self.HEADER, 3).tolist() == [[1, 2, 3], [4, 5, 6]], sep
+        path.write_bytes(b"t,a,b\r\n1,2,3\r\n4,5\r\n")
+        with pytest.raises(MalformedRecord, match=":3: expected 3 cells, got 2"):
+            _read_table(path, self.HEADER, 3)
+
+    def test_memory_beyond_the_table_does_not_grow_with_rows(self, tmp_path):
+        path = tmp_path / "table.csv"
+        peaks, sizes = [], []
+        for n in (10_000, 100_000):
+            _write_table(path, "t,x", [np.random.default_rng(n).standard_normal((n, 2))])
+            tracemalloc.start()
+            try:
+                sizes.append(_read_table(path, "t,x", 2).nbytes)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # The parsed blocks and their concatenation are two copies of the
+        # table; the text, its lines and the parsed floats are one block's.
+        # A whole-file reader peaks at over 250 B per row of this table.
+        assert peaks[1] - peaks[0] < 2.2 * (sizes[1] - sizes[0])
+
+
+def positive(table):
+    return table[:, 1] > 0
+
+
+def outcome(read, *args):
+    """The rows ``read`` returns, or the class and message it raises."""
+    try:
+        return read(*args).tolist()
+    except NavFuseError as exc:
+        return type(exc), str(exc)
+
+
+_ROWS = b"".join(b"%d,%d,%d\n" % (k, k + 1, k + 2) for k in range(1, 30))
+
+# File bytes (header "t,a,b") for the block-by-block reader; several
+# hold more than one fault, to pin which one fails the file.
+WHOLE_FILE_CASES = {
+    "plain": b"t,a,b\n" + _ROWS,
+    "no final line feed": b"t,a,b\n" + _ROWS + b"4,5,6",
+    "crlf": b"t,a,b\r\n1,2,3\r\n\r\n4,5,6\r\n",
+    "cr": b"t,a,b\r1,2,3\r4,5,6\r",
+    "mixed breaks": "t,a,b\x0b1,2,3\x0c4,5,6\x1c7,8,9\x1d\x1e1,1,1\x85 2,2,2\u20283,3,3\u2029"
+    "4,4,4\n\r5,5,5".encode(),
+    "blank and padded": b"t,a,b\n\n  \n1, 2 ,3\n\t\n" + _ROWS,
+    "empty": b"",
+    "header only": b"t,a,b\n",
+    "bom": b"\xef\xbb\xbft,a,b\n1,2,3\n",
+    "bad header": b"t,x,y\n" + _ROWS,
+    "bad header, bad byte later": b"t,x,y\n" + _ROWS + b"\xff\n",
+    "short row": b"t,a,b\n" + _ROWS + b"4,5\n" + _ROWS,
+    "non-numeric": b"t,a,b\n" + _ROWS + b"4,x,6\n",
+    "non-ascii cell": "t,a,b\n1,2,3\n4,5,6 \u00e9\u20ac\n".encode(),
+    "nan, then short row": b"t,a,b\n1,nan,3\n" + _ROWS + b"4,5\n",
+    "out of range, then inf": b"t,a,b\n1,-2,3\n" + _ROWS + b"1,inf,3\n",
+    "out of range, then non-numeric": b"t,a,b\n1,-2,3\n" + _ROWS + b"1,y,3\n",
+    "two out of range": b"t,a,b\n" + _ROWS + b"1,-2,3\n" + _ROWS + b"1,-4,3\n",
+    "bad byte late": b"t,a,b\n" + _ROWS + b"4,\xc3(,6\n",
+    "short row, then bad byte": b"t,a,b\n4,5\n" + _ROWS + b"\x80\n",
+    "truncated sequence at end": b"t,a,b\n" + _ROWS + b"\xe2\x82",
+    "truncated sequence before line feed": b"t,a,b\n" + _ROWS + b"\xe2\x82\n1,2,3\n",
+}
