@@ -21,7 +21,6 @@ from .ukf import (
     GaussianBelief,
     SigmaParams,
     compute_weights,
-    generate_sigma_points,
     unscented_predict,
     unscented_update,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "GaussianBelief",
     "SigmaParams",
     "compute_weights",
-    "generate_sigma_points",
     "unscented_predict",
     "unscented_update",
 ]

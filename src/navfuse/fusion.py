@@ -7,22 +7,18 @@ interpolation).  GNSS gaps of any length degrade gracefully to dead
 reckoning.  The local frame is anchored at the first valid fix of the
 run; position and velocity start at zero in that frame.
 
-The prediction step is one kernel over component-major (component, point)
-arrays of the 31 sigma points, with no loop over points, on the column
-quaternion functions of :mod:`navfuse.strapdown`.  It takes the sigma
-offsets from :func:`navfuse.ukf.sigma_offsets`, and one
-:func:`strapdown.quat_exp` call exponentiates the 15 plus-side attitude
-offsets and the 31 bias-corrected turns omega * dt; the minus side uses
-exp(-r) = conj(exp(r)).  The retraction q0 * exp(dtheta) of all points
-is one 4x4 left-multiplication matrix times a (4, 31) array.  The
-strapdown step is :func:`strapdown.step` on the 31 columns, the step
-that :func:`strapdown.propagate` runs on one state.  The attitude mean
-is the iterative rotation-vector average of Crassidis and Markley
-(2003), from the highest-weight point, with tol 1e-9 and at most 20
-iterations; each iteration forms conj(ref) * q_i as one 4x4 matrix
-product and updates ref with scalar ``math``.  The deviations that build
-the covariance are taken afresh about the final mean, not reused from
-the last iteration, and the process noise is added as a diagonal.
+The prediction step is :func:`navfuse.ukf.unscented_transform`, the
+generic UKF's transform, on (component, point) arrays of the 31 sigma
+points with no loop over points.  Its map is :func:`strapdown.propagate`
+on the (16, 31) columns; ``plus`` is :func:`_retract`, which adds the
+linear offsets and turns the attitude to q * exp(dtheta) by one 4x4
+left-multiplication matrix; ``average`` is :func:`_mean`, the linear
+parts by weight and the attitude by the iterative rotation-vector average
+of Crassidis and Markley (2003) from the highest-weight point (tol 1e-9,
+at most 20 iterations of one 4x4 product and scalar ``math`` each); and
+``minus`` is :func:`_deviations`, with the log map log(conj(mean) * q_i)
+for the attitude taken afresh about the final mean, not reused from the
+last iteration.  The process noise is added as a diagonal.
 
 The GNSS update is closed form in error coordinates.  There the fix
 is h(delta) = p + delta[0:3], which is affine, and the unscented
@@ -32,8 +28,8 @@ So the UKF update of the paper equals the linear Kalman update, and
 :func:`navfuse.ukf.kalman_correct`, the correction of the generic path,
 applies it with v = y - p, S = P[0:3, 0:3] + R (symmetrized) and the
 cross covariance P[:, 0:3].  A fix that the gate rejects keeps the
-prior.  The error K v is retracted onto the nominal state as in the
-prediction, with q * exp(dtheta) for the attitude.  The checks of the
+prior.  The error K v is retracted onto the nominal state by
+:func:`_retract`, q * exp(dtheta) for the attitude.  The checks of the
 generic path are kept, each matrix factored once: the prior and the
 posterior pass :func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each,
 which also gives ``UpdateEvent.cov_min_eig``); the prior keeps the
@@ -77,19 +73,18 @@ from .strapdown import (
     TINY,
     ImuNoiseParams,
     process_noise_diag,
+    propagate,
     quat_exp,
     quat_identity,
     quat_left,
     quat_log,
     quat_normalized,
-    step,
 )
 from .ukf import (
     SigmaParams,
     cholesky_sqrt,
-    compute_weights,
     kalman_correct,
-    sigma_offsets,
+    unscented_transform,
     validate_cov,
 )
 
@@ -181,44 +176,24 @@ _MEAN_TOL = 1e-9
 _MEAN_MAX_ITER = 20
 
 
-def _predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag):
-    """One sigma-point prediction of the nominal state and its error
-    covariance over the IMU readings ``gyro`` and ``accel`` (3,), as the
-    module docstring describes; ``q_diag`` is the diagonal of the additive
-    process noise."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    n = ERROR_DIM
-    m = 2 * n + 1
-    offsets = sigma_offsets(cov, params)
-    pv = state[0:6, None] + offsets[0:6]
-    bias = state[10:16, None] + offsets[9:15]
+def _retract(state, delta):
+    """The (16, m) columns of the nominal ``state`` (16,) moved by the error
+    columns ``delta`` (15, m): linear parts add, the attitude is q * exp(dtheta)."""
+    return np.concatenate([
+        state[0:6, None] + delta[0:6],
+        quat_normalized(quat_left(state[6:10]) @ quat_exp(delta[6:9])),
+        state[10:16, None] + delta[9:15],
+    ])
 
-    # One exp call covers the n plus-side attitude offsets and the m
-    # bias-corrected turns omega * dt.
-    rotvecs = np.empty((3, n + m))
-    rotvecs[:, :n] = offsets[6:9, 1 : n + 1]
-    np.multiply(gyro[:, None] - bias[0:3], dt, out=rotvecs[:, n:])
-    exps = quat_exp(rotvecs)
 
-    # Retraction q0 * exp(dtheta); exp(-r) = conj(exp(r)) gives the minus half.
-    rot = np.empty((4, m))
-    rot[:, 0] = (1.0, 0.0, 0.0, 0.0)
-    rot[:, 1 : n + 1] = exps[:, :n]
-    rot[:, n + 1 :] = exps[:, :n] * CONJ[:, None]
-    q = quat_normalized(quat_left(*state[6:10]) @ rot)
-
-    p, v, q = step(pv[0:3], pv[3:6], q, accel[:, None] - bias[3:6], exps[:, n:], dt)
-    pv = np.concatenate([p, v])
-
-    # Mean: linear parts by weight, attitude by iterative rotation-vector
-    # averaging from the highest-weight point.
-    mean = np.empty(STATE_DIM)
-    mean[0:6] = pv @ w_mean
-    mean[10:16] = bias @ w_mean
-    rw, rx, ry, rz = q[:, w_mean.argmax()].tolist()
+def _mean(points, w):
+    """Weighted mean (16,) of the state columns ``points`` (16, m): the
+    linear parts by weight, the attitude by iterative rotation-vector
+    averaging from the highest-weight point."""
+    q = points[6:10]
+    rw, rx, ry, rz = q[:, w.argmax()].tolist()
     for _ in range(_MEAN_MAX_ITER):
-        cx, cy, cz = (quat_log(quat_left(rw, -rx, -ry, -rz) @ q) @ w_mean).tolist()
+        cx, cy, cz = (quat_log(quat_left(np.array((rw, -rx, -ry, -rz))) @ q) @ w).tolist()
         angle = math.sqrt(cx * cx + cy * cy + cz * cz)
         ew = math.cos(angle / 2.0)
         s = math.sin(angle / 2.0) / max(angle, TINY)
@@ -233,15 +208,29 @@ def _predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag):
         rw, rx, ry, rz = rw / norm, rx / norm, ry / norm, rz / norm
         if angle < _MEAN_TOL:
             break
-    mean[6:10] = (rw, rx, ry, rz)
+    return np.concatenate([points[0:6] @ w, (rw, rx, ry, rz), points[10:16] @ w])
 
-    # Deviations about the final mean, then the weighted outer products.
-    dev = np.empty((n, m))
-    dev[0:6] = pv - mean[0:6, None]
-    dev[6:9] = quat_log(quat_left(rw, -rx, -ry, -rz) @ q)
-    dev[9:15] = bias - mean[10:16, None]
-    new_cov = (dev * w_cov) @ dev.T
-    new_cov.flat[:: n + 1] += q_diag
+
+def _deviations(points, mean):
+    """Error columns (15, m) of the state columns ``points`` (16, m) about
+    ``mean`` (16,), the inverse of :func:`_retract`: differences for the
+    linear parts, log(conj(mean) * q) for the attitude."""
+    return np.concatenate([
+        points[0:6] - mean[0:6, None],
+        quat_log(quat_left(mean[6:10] * CONJ) @ points[6:10]),
+        points[10:16] - mean[10:16, None],
+    ])
+
+
+def _predict(state, cov, gyro, accel, dt, params, q_diag):
+    """One sigma-point prediction of the nominal state and its error
+    covariance over the IMU readings ``gyro`` and ``accel`` (3,), as the
+    module docstring describes; ``q_diag`` is the diagonal of the additive
+    process noise."""
+    mean, new_cov = unscented_transform(
+        state, cov, lambda x: propagate(x, gyro, accel, dt), params, _retract, _deviations, _mean
+    )
+    new_cov.reshape(-1)[:: ERROR_DIM + 1] += q_diag
     return mean, 0.5 * (new_cov + new_cov.T)
 
 
@@ -269,11 +258,7 @@ def _update(state, cov, y, r_cov, gate):
     if accepted:
         cov = posterior
         asym, min_eig = validate_cov(cov)
-        new = np.empty(STATE_DIM)
-        new[0:6] = state[0:6] + dx[0:6]
-        new[6:10] = quat_normalized(quat_left(*state[6:10]) @ quat_exp(dx[6:9, None]))[:, 0]
-        new[10:16] = state[10:16] + dx[9:15]
-        state = new
+        state = _retract(state, dx[:, None])[:, 0]
     event = dict(
         nis=nis,
         accepted=accepted,
@@ -312,7 +297,6 @@ def run_fusion(imu, gnss, cfg):
     q_diags = process_noise_diag(cfg.imu_noise, dts)
     dts = dts.tolist()
     params = cfg.sigma_params()
-    w_mean, w_cov = compute_weights(params)
     state = np.concatenate([np.zeros(6), quat_identity(), np.zeros(6)])
     cov = cfg.initial_covariance()
 
@@ -327,7 +311,7 @@ def run_fusion(imu, gnss, cfg):
             for i, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
                 if i > 0:
                     state, cov = _predict(
-                        state, cov, gyro, accel, dts[i - 1], params, w_mean, w_cov, q_diags[i - 1]
+                        state, cov, gyro, accel, dts[i - 1], params, q_diags[i - 1]
                     )
                 while j < len(fix_t) and anchor[j] == i:
                     state, cov, event = _update(

@@ -11,10 +11,10 @@ Euler singularities.
 Accelerometers measure specific force, so propagation adds gravity back
 after rotating the bias-corrected reading into the navigation frame.
 The quaternion functions work on columns, (4, m) quaternions and (3, m)
-vectors, and :func:`step` is the one strapdown step: the fusion kernel
-runs it on its 31 sigma points and :func:`propagate` on one packed
-state.  Propagation is deterministic: identical inputs give
-bit-identical outputs.
+vectors, and :func:`propagate` is the one strapdown step, on one packed
+state or on m of them as columns: the fusion kernel runs it on its 31
+sigma points.  Propagation is deterministic: identical inputs give
+bit-identical outputs, one state alone or as a column among others.
 """
 
 import math
@@ -42,18 +42,14 @@ CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # Floors a norm only where it is exactly zero, so that x / norm stays finite.
 TINY = 1e-300
 
-# The Hamilton product as a bilinear form, (a * b)[i] = sum_jk H[i, j, k] a[j] b[k],
-# flattened so that _HAMILTON @ outer(a, b) multiplies (4, m) columns pairwise.
-_HAMILTON = np.zeros((4, 4, 4))
-for _i, _j, _k, _sign in [
-    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
-    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, -1),
-    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, 1), (2, 3, 1, 1),
-    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
-]:
-    _HAMILTON[_i, _j, _k] = _sign
-_HAMILTON = _HAMILTON.reshape(4, 16)
-del _i, _j, _k, _sign
+# The Hamilton product a * b = L(a) b = R(b) a, as signed indices into
+# (w, x, y, z): k is a[k] (or b[k]) and -k is -a[k]; w is never negated.
+# As (16, 4) matrices of one signed 1 per row, their products with a
+# quaternion are exact.
+_L = [[0, -1, -2, -3], [1, 0, -3, 2], [2, 3, 0, -1], [3, -2, 1, 0]]
+_R = [[0, -1, -2, -3], [1, 0, 3, -2], [2, -3, 0, 1], [3, 2, -1, 0]]
+_LEFT, _RIGHT_T = (np.array([np.sign(k + 0.5) * (np.arange(4) == abs(k)) for k in np.ravel(s)])
+                   for s in (_L, np.transpose(_R)))
 
 
 def quat_identity():
@@ -61,14 +57,17 @@ def quat_identity():
 
 
 def quat_products(a, b):
-    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays;
-    a * b composes rotations right-to-left."""
-    return _HAMILTON @ (a[:, None, :] * b[None, :, :]).reshape(16, -1)
+    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays, where
+    ``b`` may also be (3, m) vectors v as the quaternions (0, v); a * b
+    composes rotations right-to-left.  Component i sums a[j] R(b)[i, j] in
+    order of j for any m, so a column gets the same bits alone or among
+    others, which a BLAS matmul, picking its order by shape, does not."""
+    return np.add.reduce(a[:, None, :] * (_RIGHT_T[:, -len(b):] @ b).reshape(4, 4, -1))
 
 
-def quat_left(w, x, y, z):
-    """The 4x4 matrix L with L @ b = (w, x, y, z) * b for every column b."""
-    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
+def quat_left(q):
+    """The 4x4 matrix L with L @ b = q * b for every column b."""
+    return (_LEFT @ q).reshape(4, 4)
 
 
 def quat_normalized(q):
@@ -86,7 +85,7 @@ def quat_exp(r):
     half = angle / 2.0
     out = np.empty((4, r.shape[1]))
     np.cos(half, out=out[0])
-    out[1:] = r * (np.sin(half) / np.maximum(angle, TINY))
+    np.multiply(r, np.sin(half) / np.maximum(angle, TINY), out=out[1:])
     return out
 
 
@@ -183,38 +182,32 @@ class ImuNoiseParams:
 # Propagation
 # ---------------------------------------------------------------------------
 
-def step(p, v, q, f, turn, dt):
-    """One strapdown step of m states held as columns.
+def propagate(state, gyro, accel, dt):
+    """Propagate the packed state [p, v, q, bg, ba], (16,) or m states as
+    the columns of a (16, m) array, by one IMU step of length ``dt`` with
+    the readings ``gyro`` and ``accel`` (3,); returns the shape of ``state``.
 
-    ``p``, ``v`` (3, m) are position and velocity, ``q`` (4, m) the
-    attitude, ``f`` (3, m) the bias-corrected specific force and ``turn``
-    (4, m) the attitude increment exp(omega dt) of the bias-corrected
-    rate.  The force is rotated with the pre-step attitude
-    (q * (0, f) * conj(q)), gravity is added back, velocity and position
-    advance with constant-acceleration kinematics, and the attitude is
-    composed with ``turn`` and renormalized.  Returns (p, v, q).
+    The bias-corrected specific force is rotated with the pre-step
+    attitude (q * (0, f) * conj(q)), gravity is added back, velocity and
+    position advance with constant-acceleration kinematics, and the
+    attitude is composed with exp(omega dt) of the bias-corrected rate and
+    renormalized.  Biases are left unchanged (their random walk enters
+    through the process noise).
     """
-    fq = np.zeros((4, f.shape[1]))
-    fq[1:] = f
-    a_nav = quat_products(quat_products(q, fq), q * CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
-    return (
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    x = state.reshape(STATE_DIM, -1)
+    p, v, q = x[0:3], x[3:6], x[6:10]
+    f = accel[:, None] - x[13:16]
+    a_nav = quat_products(quat_products(q, f), q * CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
+    turn = quat_exp((gyro[:, None] - x[10:13]) * dt)
+    out = np.concatenate([
         p + v * dt + 0.5 * a_nav * dt * dt,
         v + a_nav * dt,
         quat_normalized(quat_products(q, turn)),
-    )
-
-
-def propagate(state, gyro, accel, dt):
-    """Propagate the packed state [p, v, q, bg, ba] (16,) by one IMU step
-    of length ``dt`` with the readings ``gyro`` and ``accel`` (3,):
-    :func:`step` on one column.  Biases are left unchanged (their random
-    walk enters through the process noise)."""
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    col = state[:, None]
-    turn = quat_exp((gyro[:, None] - col[10:13]) * dt)
-    p, v, q = step(col[0:3], col[3:6], col[6:10], accel[:, None] - col[13:16], turn, dt)
-    return np.concatenate([p[:, 0], v[:, 0], q[:, 0], state[10:16]])
+        x[10:16],
+    ])
+    return out.reshape(state.shape)
 
 
 def process_noise_diag(noise, dt):

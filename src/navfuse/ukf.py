@@ -13,10 +13,15 @@ with kappa = alpha^2 (n + gamma) - n and weights
     Wi   = 1 / (2 (n + kappa)),   i = 1 .. 2n.
 
 For Gaussian priors beta = 2 is the usual choice; gamma defaults to 1.
-:mod:`navfuse.fusion` runs the same :func:`sigma_offsets`, weights and
-:func:`kalman_correct`.
+:func:`unscented_transform` is the one transform, on (n, 2n+1) columns;
+its ``plus``, ``minus`` and ``average`` hooks are the boxplus/boxminus
+encapsulation of Hertzberg et al. (Information Fusion 2013).  The
+generic path runs it with vector addition, subtraction and the weighted
+sum, and :mod:`navfuse.fusion` with the navigation state's quaternion
+hooks; both correct through :func:`kalman_correct`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -123,8 +128,10 @@ class MeasurementPrediction:
     cross_cov: np.ndarray
 
 
+@functools.cache
 def compute_weights(params):
-    """Return ``(w_mean, w_cov)`` arrays of length 2n+1.
+    """Return ``(w_mean, w_cov)`` arrays of length 2n+1, computed once per
+    :class:`SigmaParams` and read-only.
 
     The mean weights sum to one by the identity
     kappa/(n+kappa) + 2n/(2(n+kappa)) = 1.
@@ -134,16 +141,18 @@ def compute_weights(params):
     w_cov = w_mean.copy()
     w_mean[0] = kappa / (n + kappa)
     w_cov[0] = kappa / (n + kappa) + (1.0 - params.alpha**2 + params.beta)
+    w_mean.setflags(write=False)
+    w_cov.setflags(write=False)
     return w_mean, w_cov
 
 
 def cholesky_sqrt(cov):
     """Lower-triangular square root of a symmetric PSD matrix.
 
-    Symmetrizes first, then attempts a Cholesky factorization; on
-    failure adds diagonal jitter 1e-9 * trace / n once and retries.  An
-    exactly zero matrix short-circuits to a zero factor (its unique PSD
-    square root).
+    Symmetrizes first, then attempts a Cholesky factorization.  When it
+    fails, an exactly zero matrix gives a zero factor (its unique PSD
+    square root); any other adds diagonal jitter 1e-9 * trace / n once and
+    retries.
 
     Raises
     ------
@@ -151,12 +160,12 @@ def cholesky_sqrt(cov):
         If the factorization still fails after the jitter retry.
     """
     sym = 0.5 * (cov + cov.T)
-    if not sym.any():
-        return np.zeros_like(sym)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
+    if not sym.any():
+        return np.zeros_like(sym)
     jitter = 1e-9 * float(np.trace(sym)) / sym.shape[0]
     if jitter > 0.0:
         try:
@@ -170,24 +179,39 @@ def sigma_offsets(cov, params):
     """Offsets of the 2n+1 sigma points from their mean, one per column.
 
     Column 0 is zero; columns i and n+i are plus and minus column i of
-    the square root of (n + kappa) * cov.  Returns an (n, 2n+1) array.
+    the square root of (n + kappa) * cov.  Returns an (n, 2n+1) array;
+    raises ``ValueError`` unless ``cov`` is (n, n).
     """
     n = params.n
-    spread = math.sqrt(n + params.kappa) * cholesky_sqrt(cov)
-    out = np.empty((n, 2 * n + 1))
-    out[:, 0] = 0.0
-    out[:, 1 : n + 1] = spread
-    out[:, n + 1 :] = -spread
+    if cov.shape != (n, n):
+        raise ValueError(f"covariance shape {cov.shape} does not match params.n {n}")
+    out = np.zeros((n, 2 * n + 1))
+    np.multiply(math.sqrt(n + params.kappa), cholesky_sqrt(cov), out=out[:, 1 : n + 1])
+    np.negative(out[:, 1 : n + 1], out=out[:, n + 1 :])
     return out
 
 
-def generate_sigma_points(belief, params):
-    """The 2n+1 sigma points of ``belief`` as the rows of a (2n+1, n)
-    array: its mean plus each column of :func:`sigma_offsets`."""
-    n = params.n
-    if belief.mean.shape[0] != n:
-        raise ValueError(f"belief dimension {belief.mean.shape[0]} != params.n {n}")
-    return belief.mean + sigma_offsets(belief.cov, params).T
+def unscented_transform(mean, cov, f, params, plus=lambda x, d: x[:, None] + d,
+                        minus=lambda y, m: y - m[:, None], average=lambda y, w: y @ w):
+    """Weighted mean and covariance of ``f`` over the sigma points of
+    (``mean``, ``cov``).
+
+    The points are ``plus(mean, sigma_offsets(cov, params))``, one per
+    column, and ``f`` maps them as columns.  Their mean is ``average(points,
+    w_mean)`` and their deviations ``minus(points, mean)``, (n', 2n+1)
+    columns.  Returns the mean and the covariance sum_i w_cov[i] d_i d_i^T,
+    with no noise added and not symmetrized.
+    """
+    w_mean, w_cov = compute_weights(params)
+    points = f(plus(mean, sigma_offsets(cov, params)))
+    out = average(points, w_mean)
+    dev = minus(points, out)
+    return out, (dev * w_cov) @ dev.T
+
+
+def _per_point(fn):
+    """The column map that applies the 1-D callable ``fn`` to each column."""
+    return lambda x: np.column_stack([fn(c) for c in x.T])
 
 
 def unscented_predict(belief, transition, q_cov, params):
@@ -208,32 +232,26 @@ def unscented_predict(belief, transition, q_cov, params):
     GaussianBelief
         Predicted mean and (symmetrized) covariance.
     """
-    w_mean, w_cov = compute_weights(params)
-    points = generate_sigma_points(belief, params)
-    propagated = np.array([np.asarray(transition(x), dtype=float) for x in points])
-    mean = w_mean @ propagated
-    dev = propagated - mean
-    cov = (dev * w_cov[:, None]).T @ dev + q_cov
+    mean, cov = unscented_transform(belief.mean, belief.cov, _per_point(transition), params)
+    cov = cov + q_cov
     return GaussianBelief(mean, 0.5 * (cov + cov.T))
 
 
 def unscented_measurement(belief, measure, r_cov, params):
     """Project ``belief`` through ``measure`` from freshly drawn sigma points.
 
-    Regenerates the sigma points from the (predicted) belief, projects
-    them, and forms the predicted measurement mean, the innovation
-    covariance (measurement noise ``r_cov`` folded in), and the
+    One :func:`unscented_transform` of the stacked columns [x; h(x)] gives
+    the predicted measurement mean, the innovation covariance (measurement
+    noise ``r_cov`` folded in) and, as its off-diagonal block, the
     state-measurement cross covariance.
     """
-    w_mean, w_cov = compute_weights(params)
-    points = generate_sigma_points(belief, params)
-    projected = np.array([np.asarray(measure(x), dtype=float) for x in points])
-    y_mean = w_mean @ projected
-    y_dev = projected - y_mean
-    x_dev = points - belief.mean
-    y_cov = (y_dev * w_cov[:, None]).T @ y_dev + r_cov
-    cross = (x_dev * w_cov[:, None]).T @ y_dev
-    return MeasurementPrediction(y_mean, 0.5 * (y_cov + y_cov.T), cross)
+    n = params.n
+    project = _per_point(measure)
+    mean, cov = unscented_transform(
+        belief.mean, belief.cov, lambda x: np.vstack([x, project(x)]), params
+    )
+    y_cov = cov[n:, n:] + r_cov
+    return MeasurementPrediction(mean[n:], 0.5 * (y_cov + y_cov.T), cov[:n, n:])
 
 
 def check_innovation_eigs(eigs):

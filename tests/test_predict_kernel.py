@@ -14,6 +14,7 @@ import pytest
 from oracles import reference_predict
 
 import navfuse.fusion as fusion
+import navfuse.ukf as ukf
 from navfuse.errors import DecompositionFailure
 from navfuse.fusion import FusionConfig, run_fusion
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
@@ -45,7 +46,7 @@ def assert_matches(kernel, oracle):
 
 def predict_both(state, cov, gyro, accel):
     q_diag = process_noise_diag(CFG.imu_noise, DT)
-    kernel = fusion._predict(state, cov, gyro, accel, DT, PARAMS, W_MEAN, W_COV, q_diag)
+    kernel = fusion._predict(state, cov, gyro, accel, DT, PARAMS, q_diag)
     oracle = reference_predict(
         state, cov, gyro, accel, DT, PARAMS, W_MEAN, W_COV, np.diag(q_diag)
     )
@@ -71,10 +72,10 @@ def run_checked(monkeypatch, imu, gnss):
     kernel = fusion._predict
     steps = []
 
-    def checked(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag):
-        out = kernel(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_diag)
+    def checked(state, cov, gyro, accel, dt, params, q_diag):
+        out = kernel(state, cov, gyro, accel, dt, params, q_diag)
         oracle = reference_predict(
-            state, cov, gyro, accel, dt, params, w_mean, w_cov, np.diag(q_diag)
+            state, cov, gyro, accel, dt, params, *compute_weights(params), np.diag(q_diag)
         )
         assert_matches(out, oracle)
         steps.append(dt)
@@ -140,14 +141,27 @@ class TestAgainstOracle:
         cov = CFG.initial_covariance()
         cov[0, 0] = -1.0
         with pytest.raises(DecompositionFailure):
-            fusion._predict(
-                nominal(), cov, np.zeros(3), np.zeros(3), DT, PARAMS, W_MEAN, W_COV, np.zeros(15)
-            )
+            fusion._predict(nominal(), cov, np.zeros(3), np.zeros(3), DT, PARAMS, np.zeros(15))
 
     @pytest.mark.parametrize("dt", [0.0, -0.01])
     def test_non_positive_dt_rejected(self, dt):
         with pytest.raises(ValueError):
             fusion._predict(
                 nominal(), CFG.initial_covariance(), np.zeros(3), np.zeros(3), dt, PARAMS,
-                W_MEAN, W_COV, np.zeros(15),
+                np.zeros(15),
             )
+
+
+def test_one_unscented_transform_per_imu_step(monkeypatch, circ90):
+    """The prediction is the generic UKF's transform on the navigation
+    state's hooks, called once per IMU step after the first."""
+    hooks = []
+
+    def counted(*args):
+        hooks.append(args[4:])
+        return ukf.unscented_transform(*args)
+
+    assert fusion.unscented_transform is ukf.unscented_transform
+    monkeypatch.setattr(fusion, "unscented_transform", counted)
+    run_fusion(*circ90, CFG)
+    assert hooks == [(fusion._retract, fusion._deviations, fusion._mean)] * 1000

@@ -18,11 +18,9 @@ from navfuse.strapdown import (
     quat_identity,
     quat_left,
     quat_log,
-    quat_normalized,
     quat_products,
 )
 from navfuse.errors import NonMonotonicTime
-from navfuse.ukf import compute_weights
 
 from helpers import nav_state
 
@@ -90,12 +88,18 @@ class TestQuaternions:
         q = quat_exp(np.array([[0.1], [0.0], [0.0]]))
         np.testing.assert_allclose(quat_log(-q)[:, 0], [0.1, 0.0, 0.0], atol=1e-12)
 
+    def test_vector_operand_is_a_pure_quaternion(self):
+        rng = np.random.default_rng(5)
+        a, v = rng.standard_normal((4, 7)), rng.standard_normal((3, 7))
+        padded = np.vstack([np.zeros(7), v])
+        assert np.array_equal(quat_products(a, v), quat_products(a, padded))
+
     def test_multiply_composes(self):
         a = exp([0.0, 0.0, 0.3])[:, None]
         b = exp([0.0, 0.0, 0.4])[:, None]
         composed = exp([0.0, 0.0, 0.7])[:, None]
         np.testing.assert_allclose(quat_products(a, b), composed, atol=1e-12)
-        np.testing.assert_allclose(quat_left(*a[:, 0]) @ b, composed, atol=1e-12)
+        np.testing.assert_allclose(quat_left(a[:, 0]) @ b, composed, atol=1e-12)
 
 
 class TestPropagate:
@@ -169,6 +173,22 @@ class TestPropagate:
             np.testing.assert_array_equal(out[10:13], state[10:13])
             np.testing.assert_array_equal(out[13:16], state[13:16])
 
+    def test_columns_match_single_states_bit_for_bit(self):
+        # m states as the columns of one (16, m) call give the same bits as
+        # m calls on one (16,) state each.
+        rng = np.random.default_rng(23)
+        gyro, accel = rng.uniform(-1, 1, 3), rng.uniform(-2, 2, 3) + LEVEL_ACCEL
+        columns = np.empty((16, 31))
+        for k in range(31):
+            q = rng.standard_normal(4)
+            columns[:, k] = nav_state(rng.standard_normal(3), rng.standard_normal(3),
+                                      q / np.linalg.norm(q), 0.01 * rng.standard_normal(3),
+                                      0.1 * rng.standard_normal(3))
+        out = propagate(columns, gyro, accel, 0.01)
+        assert out.shape == (16, 31)
+        for k in range(31):
+            assert np.array_equal(out[:, k], propagate(columns[:, k].copy(), gyro, accel, 0.01))
+
     def test_halving_dt_improves_endpoint(self):
         # Integration error must shrink at least first order in dt.
         errors = {}
@@ -241,22 +261,21 @@ def predict_still(state, variances):
     """The fusion kernel's prediction over 10 ms with zero rates and level
     specific force, from a diagonal covariance and no process noise."""
     params = FusionConfig().sigma_params()
-    w_mean, w_cov = compute_weights(params)
-    return fusion._predict(
-        state, np.diag(variances), *STILL, 0.01, params, w_mean, w_cov, np.zeros(15)
-    )
+    return fusion._predict(state, np.diag(variances), *STILL, 0.01, params, np.zeros(15))
 
 
 class TestErrorStateRetraction:
     def test_apply_then_extract_round_trips(self):
-        # The kernel's retraction q * exp(dtheta) and its deviation
-        # log(conj(q) * q') on columns.
+        # The kernel's retraction, additive parts and q * exp(dtheta), and
+        # its deviation, differences and log(conj(q) * q'), on columns.
         rng = np.random.default_rng(17)
-        q = exp(rng.uniform(-1, 1, 3))
-        deltas = rng.uniform(-0.5, 0.5, (3, 9))
-        perturbed = quat_normalized(quat_left(*q) @ quat_exp(deltas))
-        np.testing.assert_allclose(quat_log(quat_left(*(q * CONJ)) @ perturbed), deltas,
-                                   atol=1e-12)
+        state = nav_state(rng.standard_normal(3), rng.standard_normal(3),
+                          exp(rng.uniform(-1, 1, 3)), rng.standard_normal(3),
+                          rng.standard_normal(3))
+        deltas = rng.uniform(-0.5, 0.5, (15, 9))
+        points = fusion._retract(state, deltas)
+        np.testing.assert_allclose(np.linalg.norm(points[6:10], axis=0), 1.0, atol=1e-15)
+        np.testing.assert_allclose(fusion._deviations(points, state), deltas, atol=1e-12)
 
     def test_weighted_quat_mean_of_symmetric_pairs(self):
         # Attitude sigma points ref * exp(+-r_i) with equal pair weights

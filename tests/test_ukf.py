@@ -14,11 +14,11 @@ from navfuse.ukf import (
     SigmaParams,
     cholesky_sqrt,
     compute_weights,
-    generate_sigma_points,
     innovation_inverse,
     sigma_offsets,
     unscented_measurement,
     unscented_predict,
+    unscented_transform,
     unscented_update,
     validate_cov,
 )
@@ -29,6 +29,18 @@ from oracles import LinearKalmanFilter
 def random_psd(rng, n, scale=1.0):
     b = rng.standard_normal((n, n))
     return scale * (b @ b.T + n * np.eye(n))
+
+
+def sigma_points(mean, cov, params):
+    """The (n, 2n+1) columns that ``unscented_transform`` hands to its map."""
+    seen = []
+
+    def identity(x):
+        seen.append(x)
+        return x
+
+    unscented_transform(np.asarray(mean, float), np.asarray(cov, float), identity, params)
+    return seen[0]
 
 
 class TestSigmaParams:
@@ -74,19 +86,27 @@ class TestWeights:
         assert abs(np.sum(w_mean) - 1.0) <= tol
         assert len(w_mean) == 2 * n + 1
 
+    def test_computed_once_per_params_and_read_only(self):
+        w_mean, w_cov = compute_weights(SigmaParams(15, alpha=0.5))
+        again = compute_weights(SigmaParams(15, alpha=0.5))
+        assert again[0] is w_mean and again[1] is w_cov
+        for w in (w_mean, w_cov):
+            with pytest.raises(ValueError):
+                w[0] = 1.0
+
 
 class TestSigmaPoints:
     def test_scalar_case_with_kappa_two(self):
         # kappa=2 via alpha=1, gamma=2 at n=1: points at 0, +-sqrt(3).
         params = SigmaParams(1, alpha=1.0, gamma=2.0)
-        points = generate_sigma_points(GaussianBelief([0.0], [[1.0]]), params)
-        assert points[:, 0] == pytest.approx([0.0, np.sqrt(3), -np.sqrt(3)])
+        points = sigma_points([0.0], [[1.0]], params)
+        assert points[0] == pytest.approx([0.0, np.sqrt(3), -np.sqrt(3)])
 
     def test_zero_covariance_collapses_to_mean(self):
         params = SigmaParams(3)
         mean = np.array([1.0, -2.0, 0.5])
-        points = generate_sigma_points(GaussianBelief(mean, np.zeros((3, 3))), params)
-        assert np.array_equal(points, np.tile(mean, (7, 1)))
+        points = sigma_points(mean, np.zeros((3, 3)), params)
+        assert np.array_equal(points, np.tile(mean[:, None], (1, 7)))
 
     def test_moment_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -94,17 +114,32 @@ class TestSigmaPoints:
             params = SigmaParams(n)
             mean = rng.standard_normal(n)
             cov = random_psd(rng, n)
-            points = generate_sigma_points(GaussianBelief(mean, cov), params)
+            points = sigma_points(mean, cov, params)
             w_mean, w_cov = compute_weights(params)
-            rec_mean = w_mean @ points
-            dev = points - rec_mean
-            rec_cov = (dev * w_cov[:, None]).T @ dev
+            rec_mean = points @ w_mean
+            dev = points - rec_mean[:, None]
+            rec_cov = (dev * w_cov) @ dev.T
             np.testing.assert_allclose(rec_mean, mean, atol=1e-10)
             np.testing.assert_allclose(rec_cov, cov, rtol=1e-10, atol=1e-10)
+            # The transform's own mean and covariance of the identity map.
+            out_mean, out_cov = unscented_transform(mean, cov, lambda x: x, params)
+            np.testing.assert_allclose(out_mean, mean, atol=1e-10)
+            np.testing.assert_allclose(out_cov, cov, rtol=1e-10, atol=1e-10)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            generate_sigma_points(GaussianBelief([0.0], [[1.0]]), SigmaParams(2))
+        # A covariance that is not (n, n) is rejected, not broadcast.
+        one = GaussianBelief([0.0], [[1.0]])
+        cases = [
+            lambda: sigma_offsets(4.0 * np.eye(1), SigmaParams(3)),
+            lambda: sigma_offsets(np.eye(3)[:, :2], SigmaParams(3)),
+            lambda: sigma_points([0.0], [[1.0]], SigmaParams(2)),
+            lambda: unscented_predict(one, lambda x: x, np.zeros((1, 1)), SigmaParams(3)),
+            lambda: unscented_measurement(one, lambda x: x, np.eye(1), SigmaParams(3)),
+            lambda: unscented_update(one, lambda x: x, np.eye(1), [0.0], SigmaParams(3)),
+        ]
+        for case in cases:
+            with pytest.raises(ValueError, match="does not match params.n"):
+                case()
 
     def test_offsets_are_the_points_about_the_mean(self):
         rng = np.random.default_rng(8)
@@ -115,8 +150,8 @@ class TestSigmaPoints:
         assert offsets.shape == (4, 9)
         assert not offsets[:, 0].any()
         assert np.array_equal(offsets[:, 5:], -offsets[:, 1:5])
-        points = generate_sigma_points(GaussianBelief(mean, cov), params)
-        assert np.array_equal(points, mean + offsets.T)
+        points = sigma_points(mean, cov, params)
+        assert np.array_equal(points, mean[:, None] + offsets)
 
 
 class TestCholeskySqrt:
@@ -245,6 +280,29 @@ class TestUpdate:
         mp = unscented_measurement(belief, lambda x: x[:3], r, params)
         np.testing.assert_allclose(mp.cov, cov[:3, :3] + r, rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(mp.cross_cov, cov[:, :3], rtol=1e-10, atol=1e-10)
+
+    def test_nonlinear_measurement_moments_match_row_sums(self):
+        # The stacked transform of [x; h(x)] against the explicit sums
+        # over the points X_i and Y_i = h(X_i).
+        rng = np.random.default_rng(59)
+        n = 3
+        params = SigmaParams(n, alpha=0.5)
+        belief = GaussianBelief(rng.standard_normal(n), random_psd(rng, n, scale=0.2))
+        r = random_psd(rng, 3, scale=0.1)
+
+        def h(x):
+            return np.array([x[0] ** 2, np.sin(x[1]), x[0] * x[2]])
+
+        mp = unscented_measurement(belief, h, r, params)
+        w_mean, w_cov = compute_weights(params)
+        xs = (belief.mean[:, None] + sigma_offsets(belief.cov, params)).T
+        ys = np.array([h(x) for x in xs])
+        y_bar = w_mean @ ys
+        cross = sum(w * np.outer(x - belief.mean, y - y_bar) for w, x, y in zip(w_cov, xs, ys))
+        y_cov = sum(w * np.outer(y - y_bar, y - y_bar) for w, y in zip(w_cov, ys)) + r
+        np.testing.assert_allclose(mp.mean, y_bar, rtol=1e-10)
+        np.testing.assert_allclose(mp.cross_cov, cross, rtol=1e-10)
+        np.testing.assert_allclose(mp.cov, y_cov, rtol=1e-10)
 
 
 class TestInnovationInverse:
