@@ -181,7 +181,7 @@ def _retract(state, delta):
     columns ``delta`` (15, m): linear parts add, the attitude is q * exp(dtheta)."""
     return np.concatenate([
         state[0:6, None] + delta[0:6],
-        quat_normalized(quat_left(state[6:10]) @ quat_exp(delta[6:9])),
+        quat_normalized(quat_left(*state[6:10].tolist()) @ quat_exp(delta[6:9])),
         state[10:16, None] + delta[9:15],
     ])
 
@@ -193,7 +193,7 @@ def _mean(points, w):
     q = points[6:10]
     rw, rx, ry, rz = q[:, w.argmax()].tolist()
     for _ in range(_MEAN_MAX_ITER):
-        cx, cy, cz = (quat_log(quat_left(np.array((rw, -rx, -ry, -rz))) @ q) @ w).tolist()
+        cx, cy, cz = (quat_log(quat_left(rw, -rx, -ry, -rz) @ q) @ w).tolist()
         angle = math.sqrt(cx * cx + cy * cy + cz * cz)
         ew = math.cos(angle / 2.0)
         s = math.sin(angle / 2.0) / max(angle, TINY)
@@ -217,7 +217,7 @@ def _deviations(points, mean):
     linear parts, log(conj(mean) * q) for the attitude."""
     return np.concatenate([
         points[0:6] - mean[0:6, None],
-        quat_log(quat_left(mean[6:10] * CONJ) @ points[6:10]),
+        quat_log(quat_left(*(mean[6:10] * CONJ).tolist()) @ points[6:10]),
         points[10:16] - mean[10:16, None],
     ])
 
@@ -230,7 +230,7 @@ def _predict(state, cov, gyro, accel, dt, params, q_diag):
     mean, new_cov = unscented_transform(
         state, cov, lambda x: propagate(x, gyro, accel, dt), params, _retract, _deviations, _mean
     )
-    new_cov.reshape(-1)[:: ERROR_DIM + 1] += q_diag
+    new_cov.flat[:: ERROR_DIM + 1] += q_diag
     return mean, 0.5 * (new_cov + new_cov.T)
 
 

@@ -14,7 +14,7 @@ The quaternion functions work on columns, (4, m) quaternions and (3, m)
 vectors, and :func:`propagate` is the one strapdown step, on one packed
 state or on m of them as columns: the fusion kernel runs it on its 31
 sigma points.  Propagation is deterministic: identical inputs give
-bit-identical outputs, one state alone or as a column among others.
+bit-identical outputs.
 """
 
 import math
@@ -42,14 +42,18 @@ CONJ = np.array([1.0, -1.0, -1.0, -1.0])
 # Floors a norm only where it is exactly zero, so that x / norm stays finite.
 TINY = 1e-300
 
-# The Hamilton product a * b = L(a) b = R(b) a, as signed indices into
-# (w, x, y, z): k is a[k] (or b[k]) and -k is -a[k]; w is never negated.
-# As (16, 4) matrices of one signed 1 per row, their products with a
-# quaternion are exact.
-_L = [[0, -1, -2, -3], [1, 0, -3, 2], [2, 3, 0, -1], [3, -2, 1, 0]]
-_R = [[0, -1, -2, -3], [1, 0, 3, -2], [2, -3, 0, 1], [3, 2, -1, 0]]
-_LEFT, _RIGHT_T = (np.array([np.sign(k + 0.5) * (np.arange(4) == abs(k)) for k in np.ravel(s)])
-                   for s in (_L, np.transpose(_R)))
+# The Hamilton product as a bilinear form, (a * b)[i] = sum_jk H[i, j, k] a[j] b[k],
+# flattened so that _HAMILTON @ outer(a, b) multiplies (4, m) columns pairwise.
+_HAMILTON = np.zeros((4, 4, 4))
+for _i, _j, _k, _sign in [
+    (0, 0, 0, 1), (0, 1, 1, -1), (0, 2, 2, -1), (0, 3, 3, -1),
+    (1, 0, 1, 1), (1, 1, 0, 1), (1, 2, 3, 1), (1, 3, 2, -1),
+    (2, 0, 2, 1), (2, 1, 3, -1), (2, 2, 0, 1), (2, 3, 1, 1),
+    (3, 0, 3, 1), (3, 1, 2, 1), (3, 2, 1, -1), (3, 3, 0, 1),
+]:
+    _HAMILTON[_i, _j, _k] = _sign
+_HAMILTON = _HAMILTON.reshape(4, 16)
+del _i, _j, _k, _sign
 
 
 def quat_identity():
@@ -57,17 +61,14 @@ def quat_identity():
 
 
 def quat_products(a, b):
-    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays, where
-    ``b`` may also be (3, m) vectors v as the quaternions (0, v); a * b
-    composes rotations right-to-left.  Component i sums a[j] R(b)[i, j] in
-    order of j for any m, so a column gets the same bits alone or among
-    others, which a BLAS matmul, picking its order by shape, does not."""
-    return np.add.reduce(a[:, None, :] * (_RIGHT_T[:, -len(b):] @ b).reshape(4, 4, -1))
+    """Column-wise Hamilton products a[:, i] * b[:, i] of (4, m) arrays;
+    a * b composes rotations right-to-left."""
+    return _HAMILTON @ (a[:, None, :] * b[None, :, :]).reshape(16, -1)
 
 
-def quat_left(q):
-    """The 4x4 matrix L with L @ b = q * b for every column b."""
-    return (_LEFT @ q).reshape(4, 4)
+def quat_left(w, x, y, z):
+    """The 4x4 matrix L with L @ b = (w, x, y, z) * b for every column b."""
+    return np.array([[w, -x, -y, -z], [x, w, -z, y], [y, z, w, -x], [z, -y, x, w]])
 
 
 def quat_normalized(q):
@@ -85,7 +86,7 @@ def quat_exp(r):
     half = angle / 2.0
     out = np.empty((4, r.shape[1]))
     np.cos(half, out=out[0])
-    np.multiply(r, np.sin(half) / np.maximum(angle, TINY), out=out[1:])
+    out[1:] = r * (np.sin(half) / np.maximum(angle, TINY))
     return out
 
 
@@ -198,8 +199,9 @@ def propagate(state, gyro, accel, dt):
         raise ValueError(f"dt must be positive, got {dt}")
     x = state.reshape(STATE_DIM, -1)
     p, v, q = x[0:3], x[3:6], x[6:10]
-    f = accel[:, None] - x[13:16]
-    a_nav = quat_products(quat_products(q, f), q * CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
+    fq = np.zeros((4, x.shape[1]))
+    fq[1:] = accel[:, None] - x[13:16]
+    a_nav = quat_products(quat_products(q, fq), q * CONJ[:, None])[1:] + GRAVITY_ENU[:, None]
     turn = quat_exp((gyro[:, None] - x[10:13]) * dt)
     out = np.concatenate([
         p + v * dt + 0.5 * a_nav * dt * dt,

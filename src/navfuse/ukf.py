@@ -149,10 +149,10 @@ def compute_weights(params):
 def cholesky_sqrt(cov):
     """Lower-triangular square root of a symmetric PSD matrix.
 
-    Symmetrizes first, then attempts a Cholesky factorization.  When it
-    fails, an exactly zero matrix gives a zero factor (its unique PSD
-    square root); any other adds diagonal jitter 1e-9 * trace / n once and
-    retries.
+    Symmetrizes first, then attempts a Cholesky factorization; on
+    failure adds diagonal jitter 1e-9 * trace / n once and retries.  An
+    exactly zero matrix short-circuits to a zero factor (its unique PSD
+    square root).
 
     Raises
     ------
@@ -160,12 +160,12 @@ def cholesky_sqrt(cov):
         If the factorization still fails after the jitter retry.
     """
     sym = 0.5 * (cov + cov.T)
+    if not sym.any():
+        return np.zeros_like(sym)
     try:
         return np.linalg.cholesky(sym)
     except np.linalg.LinAlgError:
         pass
-    if not sym.any():
-        return np.zeros_like(sym)
     jitter = 1e-9 * float(np.trace(sym)) / sym.shape[0]
     if jitter > 0.0:
         try:
@@ -185,9 +185,11 @@ def sigma_offsets(cov, params):
     n = params.n
     if cov.shape != (n, n):
         raise ValueError(f"covariance shape {cov.shape} does not match params.n {n}")
-    out = np.zeros((n, 2 * n + 1))
-    np.multiply(math.sqrt(n + params.kappa), cholesky_sqrt(cov), out=out[:, 1 : n + 1])
-    np.negative(out[:, 1 : n + 1], out=out[:, n + 1 :])
+    spread = math.sqrt(n + params.kappa) * cholesky_sqrt(cov)
+    out = np.empty((n, 2 * n + 1))
+    out[:, 0] = 0.0
+    out[:, 1 : n + 1] = spread
+    out[:, n + 1 :] = -spread
     return out
 
 

@@ -2,14 +2,14 @@
 """Alternating in-process timing pairs of ``run_fusion``: a git ref against
 the working tree.
 
-    python tools/fuse_pairs.py [REF] [--pairs N]
+    python tools/fuse_pairs.py [REF]
 
 ``src/navfuse`` at REF (default HEAD) is extracted with ``git archive``
 into a temporary directory as the package ``navfuse_ref`` and imported
 beside the working tree's ``navfuse``.  Both run ``run_fusion`` on the
 first 10 s (1001 IMU samples, 11 fixes) of the 90 s circular drive at
 seed 42, simulated once by the working tree.  After one untimed run of
-each, every pair times one run of each side, the side that goes first
+each, each of 40 pairs times one run of each side, the side that goes first
 alternating from pair to pair.  The script prints each side's median and
 quartiles, the pairs the working tree won, and whether the two sides'
 result columns are bit-identical.
@@ -34,6 +34,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parent.parent
 STEPS = 1000
+PAIRS = 40
 
 
 def extract(ref, dest):
@@ -43,7 +44,8 @@ def extract(ref, dest):
         check=True, capture_output=True,
     ).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+        # Extraction filters exist from Python 3.10.12 and 3.11.4 on.
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
     (dest / "src" / "navfuse").rename(dest / "navfuse_ref")
     sys.path.insert(0, str(dest))
     return importlib.import_module("navfuse_ref.fusion"), importlib.import_module("navfuse_ref")
@@ -61,7 +63,6 @@ def quartiles(values):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("ref", nargs="?", default="HEAD")
-    parser.add_argument("--pairs", type=int, default=40)
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(REPO / "src"))
@@ -82,7 +83,7 @@ def main(argv=None):
         }
         results = {name: fn(*fn_args) for name, (fn, fn_args) in sides.items()}
         times = {"ref": [], "tree": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for name in ("ref", "tree") if i % 2 == 0 else ("tree", "ref"):
                 fn, fn_args = sides[name]
                 gc.collect()
@@ -97,11 +98,11 @@ def main(argv=None):
     )
     ref_q, tree_q = quartiles(times["ref"]), quartiles(times["tree"])
     wins = sum(t < r for r, t in zip(times["ref"], times["tree"]))
-    print(f"run_fusion, {STEPS} IMU steps, {args.pairs} alternating pairs (ms per run)")
+    print(f"run_fusion, {STEPS} IMU steps, {PAIRS} alternating pairs (ms per run)")
     for label, q in ((f"ref {args.ref}", ref_q), ("working tree", tree_q)):
         print(f"  {label:<24} median {1e3 * q[1]:8.2f}   quartiles {1e3 * q[0]:8.2f} .. "
               f"{1e3 * q[2]:8.2f}   ({1e6 * q[1] / STEPS:.1f} us/step)")
-    print(f"  working tree faster in {wins} of {args.pairs} pairs")
+    print(f"  working tree faster in {wins} of {PAIRS} pairs")
     change = tree_q[1] - ref_q[1]
     print(f"  median change {1e3 * change:+.2f} ms ({100 * change / ref_q[1]:+.1f} %), "
           f"ref IQR {1e3 * (ref_q[2] - ref_q[0]):.2f} ms")
