@@ -19,7 +19,7 @@ sufficient to reproduce the run byte for byte.
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,19 +28,22 @@ import numpy as np
 from . import __version__
 from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError
 from .evaluate import (
+    ERRORS_HEADER,
+    TRACK_HEADER,
+    TableWriter,
     _fmt,
+    _track_columns,
     _read_table,
     _read_text,
     _write_table,
     align_and_diff,
     atomic_write_text,
-    export_errors_csv,
+    check_span,
     export_rmse_csv,
-    export_track_csv,
     rmse,
 )
-from .fusion import FusionConfig, run_fusion, run_gnss_only
-from .geodesy import GeodeticCoord, enu_to_geodetic, geodetic_in_range
+from .fusion import FusionConfig, frame_origin, fuse_chunks
+from .geodesy import GeodeticCoord, enu_to_geodetic, geodetic_in_range, geodetic_to_enu
 from .gnss import GnssNoise, GnssStream, outage_mask
 from .kitti import load_sequence
 from .simulate import (
@@ -51,7 +54,7 @@ from .simulate import (
     corrupt,
     generate_truth,
 )
-from .strapdown import ImuNoiseParams, ImuStream
+from .strapdown import ImuNoiseParams, ImuStream, check_times
 
 
 class _UsageError(Exception):
@@ -170,12 +173,16 @@ _ESTIMATE_HEADER = (
 )
 
 
+def _estimate_columns(result):
+    """The ``estimate.csv`` columns of a :class:`FusionResult`: position,
+    velocity and attitude (not the biases), the variances, the NIS (NaN,
+    an empty cell, where no fix was applied), and ``diverged`` as 1 or 0."""
+    return [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
+
+
 def write_estimates_csv(result, path):
-    """Write a :class:`FusionResult` as ``estimate.csv``: position,
-    velocity and attitude (not the biases), the variances, an empty NIS
-    cell where no fix was applied, and ``diverged`` as 1 or 0."""
-    columns = [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
-    _write_table(path, _ESTIMATE_HEADER, columns)
+    """Write a :class:`FusionResult` as ``estimate.csv``."""
+    _write_table(path, _ESTIMATE_HEADER, _estimate_columns(result))
 
 
 def _write_manifest(out_dir, entries):
@@ -281,46 +288,32 @@ def _cmd_fuse(args):
     else:
         if not (args.imu and args.gnss):
             raise _UsageError("--imu and --gnss must be given together")
-        imu = read_imu_csv(args.imu)
         gnss = read_gnss_csv(args.gnss)
         inputs = {"imu": args.imu, "gnss": args.gnss}
-
     outages = [_parse_outage(o) for o in (args.gnss_outage or [])]
     if outages:
         gnss = gnss.take(~outage_mask(gnss.t, outages))
-
-    result = run_fusion(imu, gnss, cfg)
-
+    origin = frame_origin(gnss)
+    # Truth before the IMU: it is then checked before the longest read,
+    # and the IMU stream reuses the memory its conversion freed.
+    truth = _read_truth(args.truth, origin) if args.truth else None
+    if not args.kitti:
+        imu = read_imu_csv(args.imu)
+    if truth is not None:
+        for t in (imu.t, gnss.t):
+            if len(t):
+                check_span(t, truth[0])
     out = Path(args.out)
+    made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
-    write_estimates_csv(result, out / "estimate.csv")
-
-    if args.truth:
-        # Each fix was converted once, in run_fusion; result.gnss_track is
-        # reused for the baseline and the track cells.
-        rows = read_gnss_csv(args.truth)
-        if not len(rows):
-            raise EmptyStream(f"{args.truth}: no truth rows")
-        origin = result.origin or GeodeticCoord(rows.lat[0], rows.lon[0], rows.alt[0])
-        truth = run_gnss_only(rows, origin)
-        fused_err = align_and_diff(result.track, truth)
-        export_errors_csv(fused_err, out / "errors.csv")
-
-        reports = []
-        if len(gnss):
-            reports.append(rmse(align_and_diff(result.gnss_track, truth), "GNSS"))
-        reports.append(rmse(fused_err, "GNSS-IMU"))
-        export_rmse_csv(reports, out / "rmse.csv")
-
-        t, est = result.track
-        truth_interp = est - fused_err[1]
-        gnss_cells = np.full((len(t), 3), np.nan)
-        fix_t, fix_enu = result.gnss_track
-        step = np.searchsorted(t, fix_t, side="right") - 1
-        # The last fix anchored to a step fills its cells.
-        last = (step >= 0) & np.append(step[1:] != step[:-1], True)
-        gnss_cells[step[last]] = fix_enu[last]
-        export_track_csv(t, est, truth_interp, gnss_cells, out / "track.csv")
+    try:
+        _fuse_and_write(imu, gnss, cfg, truth, out)
+    except BaseException:
+        # The writers have removed their temp files.
+        if made:
+            with suppress(OSError):
+                out.rmdir()
+        raise
 
     entries = {key: _manifest_value(v) for key, v in res.resolved.items()}
     entries.update({f"input_{k}": v for k, v in inputs.items()})
@@ -330,14 +323,80 @@ def _cmd_fuse(args):
         truth=args.truth or "",
         gnss_outage=";".join(f"{s}:{e}" for s, e in outages),
     )
-    if result.origin is not None:
+    if origin is not None:
         entries.update(
-            origin_lat_deg=_fmt(math.degrees(result.origin.lat)),
-            origin_lon_deg=_fmt(math.degrees(result.origin.lon)),
-            origin_alt_m=_fmt(result.origin.height),
+            origin_lat_deg=_fmt(math.degrees(origin.lat)),
+            origin_lon_deg=_fmt(math.degrees(origin.lon)),
+            origin_alt_m=_fmt(origin.height),
         )
     _write_manifest(out, entries)
     return 0
+
+
+def _read_truth(path, origin):
+    """The truth.csv at ``path`` as a track (t, ENU positions) in the frame
+    at ``origin``, or at its first row when ``origin`` is None.  The times
+    are checked as a :class:`GnssStream` checks them."""
+    table = _read_table(path, _GEODETIC_HEADER, 4, valid=_geodetic_rows)
+    if not len(table):
+        raise EmptyStream(f"{path}: no truth rows")
+    t = table[:, 0].copy()
+    check_times(t, strict=False)
+    lat, lon = np.radians(table[:, 1]), np.radians(table[:, 2])
+    alt = table[:, 3].copy()
+    del table  # freed before the conversion's temporaries
+    origin = origin or GeodeticCoord(lat[0], lon[0], alt[0])
+    return t, geodetic_to_enu(lat, lon, alt, origin)
+
+
+def _fuse_and_write(imu, gnss, cfg, truth, out):
+    """Run the filter chunk by chunk, writing ``estimate.csv`` into the
+    directory ``out`` as it goes, and with a ``truth`` track also
+    ``errors.csv``, ``track.csv`` and then ``rmse.csv``.
+
+    Beyond its inputs it holds only the fused error column and the
+    fixes, so ``rmse.csv`` takes its means over whole columns.  It is
+    written before the other tables are renamed into place, so whatever
+    raises up to those renames leaves none of the four.
+    """
+    with ExitStack() as files:
+        estimates = files.enter_context(TableWriter(out / "estimate.csv", _ESTIMATE_HEADER))
+        if truth is not None:
+            errors = files.enter_context(TableWriter(out / "errors.csv", ERRORS_HEADER))
+            track = files.enter_context(TableWriter(out / "track.csv", TRACK_HEADER))
+            fused_err = np.empty((len(imu), 3))
+            fixes = []
+        start = 0
+        for chunk in fuse_chunks(imu, gnss, cfg):
+            estimates.rows(_estimate_columns(chunk))
+            if truth is None:
+                continue
+            t, est = chunk.track
+            err = align_and_diff(chunk.track, truth)
+            errors.rows(err)
+            fused_err[start : start + len(t)] = err[1]
+            start += len(t)
+            fixes.append(chunk.gnss_track)
+            cells = _track_gnss_cells(t, *chunk.gnss_track)
+            track.rows(_track_columns(t, est, est - err[1], cells))
+        if truth is None:
+            return
+        reports = []
+        if len(gnss):
+            fix_track = tuple(np.concatenate(part) for part in zip(*fixes))
+            reports.append(rmse(align_and_diff(fix_track, truth), "GNSS"))
+        reports.append(rmse((imu.t, fused_err), "GNSS-IMU"))
+        export_rmse_csv(reports, out / "rmse.csv")
+
+
+def _track_gnss_cells(t, fix_t, fix_enu):
+    """The GNSS cells of the track rows at the times ``t``: the last fix
+    anchored to a row's step, NaN where no fix is."""
+    cells = np.full((len(t), 3), np.nan)
+    step = np.searchsorted(t, fix_t, side="right") - 1
+    last = (step >= 0) & np.append(step[1:] != step[:-1], True)
+    cells[step[last]] = fix_enu[last]
+    return cells
 
 
 def _load_kitti(args, res):

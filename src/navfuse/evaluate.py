@@ -4,20 +4,25 @@ artifact.
 A table is a fixed header line and one line per row of numbers.  Tables
 are streamed in both directions, so the memory they take beyond the
 arrays they come from or go to does not grow with the row count.
-:func:`_write_table` takes the table as column blocks and formats and
-writes a fixed number of rows at a time into one temp file, which it
-renames over the destination once every row is written.  Each row goes
-through one ``%.17g`` format with a '.' decimal separator regardless of
-locale, so floats round-trip exactly and runs diff cleanly; NaN cells
-are written empty.  :func:`_read_table` decodes and parses the file in
-blocks of whole lines into a 2-D array, and rejects a bad row with the
-file and line.
+:class:`TableWriter` is the one table writer: a with block that takes
+the table as column blocks, one or many, and formats and writes a fixed
+number of rows at a time into one temp file, which it renames over the
+destination once every row is written (:func:`_write_table` is that
+writer called once).  ``fuse`` writes ``estimate.csv``, ``errors.csv``
+and ``track.csv`` through it chunk by chunk as the filter runs; it reads
+and checks the truth before the first step, so a truth that cannot
+cover the run fails before any output is written.  Each row goes through
+one ``%.17g`` format with a '.' decimal separator regardless of locale,
+so floats round-trip exactly and runs diff cleanly; NaN cells are written
+empty.  :func:`_read_table` decodes and parses the file in blocks of
+whole lines into a 2-D array, and rejects a bad row with the file and
+line.
 """
 
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +40,18 @@ class RmseReport:
     rmse_z: float
 
 
+def check_span(et, tt):
+    """Raise :class:`TimeSpanMismatch` when a time of ``et`` falls outside
+    the span of the truth times ``tt``, and :class:`EmptySeries` when
+    either is empty."""
+    if not len(et) or not len(tt):
+        raise EmptySeries("estimates and truth must be non-empty")
+    if et.min() < tt[0] - 1e-9 or et.max() > tt[-1] + 1e-9:
+        raise TimeSpanMismatch(
+            f"estimates span [{et.min()}, {et.max()}] but truth spans [{tt[0]}, {tt[-1]}]"
+        )
+
+
 def align_and_diff(estimates, truth):
     """Interpolate truth to the estimate timestamps and subtract.
 
@@ -45,12 +62,7 @@ def align_and_diff(estimates, truth):
     """
     et, est = estimates
     tt, tru = truth
-    if not len(et) or not len(tt):
-        raise EmptySeries("estimates and truth must be non-empty")
-    if et.min() < tt[0] - 1e-9 or et.max() > tt[-1] + 1e-9:
-        raise TimeSpanMismatch(
-            f"estimates span [{et.min()}, {et.max()}] but truth spans [{tt[0]}, {tt[-1]}]"
-        )
+    check_span(et, tt)
     diffs = [est[:, i] - np.interp(et, tt, tru[:, i]) for i in range(3)]
     return et, np.column_stack(diffs)
 
@@ -75,35 +87,58 @@ _CHUNK_ROWS = 256
 _READ_BYTES = 1 << 17
 
 
-def _atomic_write(path, chunks):
-    """Write the strings of ``chunks`` to ``path`` via a temp file in the
-    same directory, renamed over ``path`` once all are written.
+class _AtomicFile:
+    """A text file at ``path``, written in a with block through
+    :meth:`write` to a temp file in the same directory, which is renamed
+    over ``path`` when the block ends.
 
-    Whatever raises on the way, producing a chunk included, removes the
-    temp file and leaves ``path`` as it was; an :class:`OSError` is
-    re-raised naming ``path``, anything else as it is.
+    Whatever raises in the block, a write included, removes the temp file
+    and leaves ``path`` as it was.  An :class:`OSError` of the file's own
+    (creating, writing, closing or renaming it) is raised naming ``path``;
+    anything else raises as it is.
     """
-    path = Path(path)
-    try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            for chunk in chunks:
-                handle.write(chunk)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OSError(f"cannot write {path}: {exc}") from exc
-        raise
+
+    def __init__(self, path):
+        self.path = Path(path)
+
+    def _named(self, exc):
+        return OSError(f"cannot write {self.path}: {exc}")
+
+    def __enter__(self):
+        try:
+            fd, self._tmp = tempfile.mkstemp(
+                dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
+            )
+        except OSError as exc:
+            raise self._named(exc) from exc
+        self._handle = os.fdopen(fd, "w", newline="")
+        return self
+
+    def write(self, text):
+        try:
+            self._handle.write(text)
+        except OSError as exc:
+            raise self._named(exc) from exc
+
+    def __exit__(self, exc_type, exc, tb):
+        try:
+            self._handle.close()
+            if exc_type is None:
+                os.replace(self._tmp, self.path)
+                return
+        except OSError as error:
+            os.unlink(self._tmp)
+            if exc_type is None:
+                raise self._named(error) from error
+            return
+        os.unlink(self._tmp)
 
 
 def atomic_write_text(path, text):
     """Write the string ``text`` to ``path`` via a temp file in the same
     directory."""
-    _atomic_write(path, (text,))
+    with _AtomicFile(path) as out:
+        out.write(text)
 
 
 def _decode(path, data, offset=0):
@@ -219,41 +254,65 @@ def _read_table(path, header, ncols, valid=None):
     return np.concatenate(tables) if tables else np.empty((0, ncols))
 
 
-def _table_chunks(columns, ncols, labels):
-    """The rows of ``columns`` as text, :data:`_CHUNK_ROWS` lines at a time."""
-    blocks = [np.asarray(block) for block in columns]
-    row = ",".join(["%.17g"] * ncols) + "\n"
-    for start in range(0, len(blocks[0]), _CHUNK_ROWS):
-        stop = start + _CHUNK_ROWS
-        chunk = np.column_stack([block[start:stop] for block in blocks])
-        # Only a NaN formats to a token containing "nan", so blanking those
-        # tokens empties exactly the NaN cells.
-        text = ((row * len(chunk)) % tuple(chunk.ravel().tolist())).replace("nan", "")
-        if labels is not None:
-            text = "".join(
-                f"{label},{line}\n" for label, line in zip(labels[start:stop], text.splitlines())
-            )
-        yield text
+class TableWriter(_AtomicFile):
+    """The table with ``header`` at ``path``, written in a with block as
+    :class:`_AtomicFile` writes a file: the header line, then the rows of
+    each :meth:`rows` call in order."""
+
+    def __init__(self, path, header):
+        super().__init__(path)
+        self.header = header
+
+    def __enter__(self):
+        super().__enter__()
+        try:
+            self.write(self.header + "\n")
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def rows(self, columns, labels=None):
+        """Write one line per row of the table block whose columns are
+        ``columns``, a sequence of 1-D (one column) or 2-D blocks of the
+        same row count, a number per header column after the label
+        column; ``labels`` are the label cells of a labelled table.
+
+        Rows are formatted :data:`_CHUNK_ROWS` at a time, each through a
+        single ``%.17g`` format string, which gives the bytes of
+        :func:`_fmt` per cell; NaN cells are written empty.
+        """
+        blocks = [np.asarray(block) for block in columns]
+        ncols = self.header.count(",") + 1 - (labels is not None)
+        row = ",".join(["%.17g"] * ncols) + "\n"
+        for start in range(0, len(blocks[0]), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            chunk = np.column_stack([block[start:stop] for block in blocks])
+            # Only a NaN formats to a token containing "nan", so blanking
+            # those tokens empties exactly the NaN cells.
+            text = ((row * len(chunk)) % tuple(chunk.ravel().tolist())).replace("nan", "")
+            if labels is not None:
+                text = "".join(
+                    f"{label},{line}\n"
+                    for label, line in zip(labels[start:stop], text.splitlines())
+                )
+            self.write(text)
 
 
 def _write_table(path, header, columns, labels=None):
-    """Write ``header`` and one line per row of the table whose columns
-    are ``columns``, a sequence of 1-D (one column) or 2-D blocks of the
-    same row count, a number per header column (after the label column,
-    when ``labels`` are given).
+    """Write the table with ``header`` whose rows are those of
+    ``columns`` (see :meth:`TableWriter.rows`) in one pass."""
+    with TableWriter(path, header) as table:
+        table.rows(columns, labels)
 
-    Rows are formatted :data:`_CHUNK_ROWS` at a time, each through a
-    single ``%.17g`` format string, which gives the bytes of :func:`_fmt`
-    per cell; NaN cells are written empty.  ``labels``, when given, lead
-    the rows as a first text cell.
-    """
-    ncols = header.count(",") + 1 - (labels is not None)
-    _atomic_write(path, chain([header + "\n"], _table_chunks(columns, ncols, labels)))
+
+ERRORS_HEADER = "t,ex,ey,ez"
+TRACK_HEADER = "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"
 
 
 def export_errors_csv(errors, path):
     """Write an error track as ``t,ex,ey,ez`` rows."""
-    _write_table(path, "t,ex,ey,ez", errors)
+    _write_table(path, ERRORS_HEADER, errors)
 
 
 def export_rmse_csv(reports, path):
@@ -266,14 +325,13 @@ def export_rmse_csv(reports, path):
     )
 
 
-def export_track_csv(t, est, truth, gnss, path):
-    """Write the XY-track table.
+def _track_columns(t, est, truth, gnss):
+    """The ``track.csv`` columns: the times ``t``, the estimated, true and
+    GNSS ENU positions at them.  ``gnss`` rows are NaN where no fix was
+    applied at that timestamp and are emitted as empty cells."""
+    return [t, est, truth, gnss]
 
-    ``gnss`` rows are NaN where no fix was applied at that timestamp and
-    are emitted as empty cells.
-    """
-    _write_table(
-        path,
-        "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u",
-        [t, est, truth, gnss],
-    )
+
+def export_track_csv(t, est, truth, gnss, path):
+    """Write the XY-track table (see :func:`_track_columns`)."""
+    _write_table(path, TRACK_HEADER, _track_columns(t, est, truth, gnss))

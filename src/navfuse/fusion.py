@@ -39,23 +39,27 @@ jitter-retry :class:`DecompositionFailure` of
 :class:`SingularInnovationCov` check; and a non-finite S or v raises
 :class:`InvalidCovariance`.
 
-A run is one pass over arrays.  Its inputs are an
-:class:`navfuse.strapdown.ImuStream` and a :class:`navfuse.gnss.GnssStream`,
-columns whose shapes, values and time order were checked when they were
-built.  At entry :func:`run_fusion` converts every fix to the local frame
-in one :func:`navfuse.geodesy.geodetic_to_enu` call, builds the R of every
-anchored fix once, computes the process-noise diagonals of all steps
-from the dt array, and anchors each fix to its IMU step with one
-``searchsorted``.  The loop then runs only the two kernels and writes one
-row per IMU step into preallocated arrays; a floating-point overflow or
-invalid operation in it raises :class:`InvalidCovariance` naming the IMU
-sample.  The :class:`FusionResult` is columnar: ``t`` (N), ``state``
-(N, 16) as [p, v, q, bg, ba], ``cov_diag`` (N, 15), ``nis`` (N, NaN
-where no fix was applied) and ``diverged`` (N), plus the frame
-``origin``, one :class:`UpdateEvent` per applied fix, and
-``gnss_track``, the fixes in the local frame.  A track is a pair of
-arrays (t, positions); ``result.track`` is the filter's and
-``gnss_track`` the GNSS-only baseline.
+A run is one pass over arrays, made in chunks of :data:`CHUNK_STEPS`
+IMU steps so that the memory it takes beyond its inputs does not grow
+with the drive.  Its inputs are an :class:`navfuse.strapdown.ImuStream`
+and a :class:`navfuse.gnss.GnssStream`, columns whose shapes, values and
+time order were checked when they were built.  At entry
+:func:`fuse_chunks` converts every fix to the local frame in one
+:func:`navfuse.geodesy.geodetic_to_enu` call.  It then carries the state,
+the covariance and the next fix across the chunks.  For each chunk it
+anchors the chunk's fixes to their IMU steps with one ``searchsorted``,
+builds their R, and computes the process-noise diagonals of the chunk's
+steps from its dt array.  The loop runs only the two kernels and writes
+one row per IMU step into the chunk's arrays, which the chunk's
+:class:`FusionResult` yields; a floating-point overflow or invalid
+operation in it raises :class:`InvalidCovariance` naming the IMU sample.
+:func:`run_fusion` concatenates the chunks.  The :class:`FusionResult`
+is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
+``cov_diag`` (N, 15), ``nis`` (N, NaN where no fix was applied) and
+``diverged`` (N), plus the frame ``origin``, one :class:`UpdateEvent`
+per applied fix, and ``gnss_track``, the fixes in the local frame.  A
+track is a pair of arrays (t, positions); ``result.track`` is the
+filter's and ``gnss_track`` the GNSS-only baseline.
 """
 
 import math
@@ -271,61 +275,105 @@ def _update(state, cov, y, r_cov, gate):
     return state, cov, event
 
 
+#: IMU steps per chunk of :func:`fuse_chunks`, the rows that
+#: :mod:`navfuse.evaluate` formats per write.
+CHUNK_STEPS = 256
+
+
+def frame_origin(gnss):
+    """The origin of the local frame of a run over the :class:`GnssStream`
+    ``gnss``: its first fix, or None when it has none."""
+    return GeodeticCoord(gnss.lat[0], gnss.lon[0], gnss.alt[0]) if len(gnss) else None
+
+
+def fuse_chunks(imu, gnss, cfg):
+    """Run the filter over an :class:`ImuStream` and a :class:`GnssStream`,
+    yielding the run as a :class:`FusionResult` per :data:`CHUNK_STEPS`
+    consecutive IMU samples (the last chunk may be shorter).
+
+    A chunk's ``updates`` are the fixes applied at its steps, and its
+    ``gnss_track`` the fixes anchored to them; the first chunk's track
+    also holds the fixes before the first IMU sample, which no step
+    applies.  Concatenated, the chunks are :func:`run_fusion`'s result.
+    """
+    if not len(imu):
+        raise EmptyStream("IMU stream is empty")
+    t = imu.t
+    n = len(imu)
+    origin = frame_origin(gnss)
+    fix_t, fix_enu = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
+    params = cfg.sigma_params()
+    state = np.concatenate([np.zeros(6), quat_identity(), np.zeros(6)])
+    cov = cfg.initial_covariance()
+
+    # Fixes before the first IMU sample have no step to anchor to; as the
+    # fix times do not decrease, the fixes of a chunk's steps follow them.
+    j = int(np.searchsorted(fix_t, t[0], side="left"))
+    track_start = 0
+    for start in range(0, n, CHUNK_STEPS):
+        stop = min(start + CHUNK_STEPS, n)
+        # A fix anchors to the last IMU step at or before it; past the
+        # last step, the fixes all anchor to it.
+        end = int(np.searchsorted(fix_t, t[stop], side="left")) if stop < n else len(fix_t)
+        anchor = (np.searchsorted(t[start:stop], fix_t[j:end], side="right") + start - 1).tolist()
+        r_covs = measurement_covs(gnss.std[j:end], cfg.gnss_noise)
+        # Step i > 0 predicts over dts[i - 1 - lo].
+        lo = max(start - 1, 0)
+        dts = np.diff(t[lo:stop])
+        q_diags = process_noise_diag(cfg.imu_noise, dts)
+        dts = dts.tolist()
+
+        states = np.empty((stop - start, STATE_DIM))
+        cov_diag = np.empty((stop - start, ERROR_DIM))
+        nis = np.full(stop - start, np.nan)
+        updates = []
+        first = j
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                for i in range(start, stop):
+                    if i > 0:
+                        state, cov = _predict(state, cov, imu.gyro[i], imu.accel[i],
+                                              dts[i - 1 - lo], params, q_diags[i - 1 - lo])
+                    while j < end and anchor[j - first] == i:
+                        state, cov, event = _update(
+                            state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
+                        )
+                        nis[i - start] = event["nis"]
+                        updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
+                        j += 1
+                    states[i - start] = state
+                    cov_diag[i - start] = cov.diagonal()
+        except FloatingPointError as exc:
+            raise InvalidCovariance(f"IMU sample {i}: {exc}") from exc
+        diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
+        track = (fix_t[track_start:end], fix_enu[track_start:end])
+        track_start = end
+        yield FusionResult(t[start:stop], states, cov_diag, nis, diverged, origin, updates, track)
+
+
 def run_fusion(imu, gnss, cfg):
     """Run the filter over an :class:`ImuStream` and a
-    :class:`GnssStream`.
+    :class:`GnssStream`: the chunks of :func:`fuse_chunks`, concatenated.
 
     Returns a columnar :class:`FusionResult` with one row per IMU sample,
     timestamped exactly at the IMU times.  Covariance growth past
     ``cfg.trace_ceiling`` flags rows as diverged instead of raising.
     """
-    if not len(imu):
-        raise EmptyStream("IMU stream is empty")
-    t = imu.t
-    origin = GeodeticCoord(gnss.lat[0], gnss.lon[0], gnss.alt[0]) if len(gnss) else None
-    gnss_track = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
-    fix_t, fix_enu = gnss_track
+    chunks = list(fuse_chunks(imu, gnss, cfg))
 
-    # Fixes before the first IMU sample have no step to anchor to; as the
-    # fix times do not decrease, the anchored ones are a suffix.
-    anchor = np.searchsorted(t, fix_t, side="right") - 1
-    first = int(np.count_nonzero(anchor < 0))
-    r_covs = measurement_covs(gnss.std[first:], cfg.gnss_noise)
-    anchor = anchor.tolist()
+    def joined(column):
+        return np.concatenate([getattr(chunk, column) for chunk in chunks])
 
-    dts = np.diff(t)
-    q_diags = process_noise_diag(cfg.imu_noise, dts)
-    dts = dts.tolist()
-    params = cfg.sigma_params()
-    state = np.concatenate([np.zeros(6), quat_identity(), np.zeros(6)])
-    cov = cfg.initial_covariance()
-
-    n = len(imu)
-    states = np.empty((n, STATE_DIM))
-    cov_diag = np.empty((n, ERROR_DIM))
-    nis = np.full(n, np.nan)
-    updates = []
-    j = first
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for i, (gyro, accel) in enumerate(zip(imu.gyro, imu.accel)):
-                if i > 0:
-                    state, cov = _predict(
-                        state, cov, gyro, accel, dts[i - 1], params, q_diags[i - 1]
-                    )
-                while j < len(fix_t) and anchor[j] == i:
-                    state, cov, event = _update(
-                        state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
-                    )
-                    nis[i] = event["nis"]
-                    updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
-                    j += 1
-                states[i] = state
-                cov_diag[i] = cov.diagonal()
-    except FloatingPointError as exc:
-        raise InvalidCovariance(f"IMU sample {i}: {exc}") from exc
-    diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
-    return FusionResult(t, states, cov_diag, nis, diverged, origin, updates, gnss_track)
+    return FusionResult(
+        imu.t,
+        joined("state"),
+        joined("cov_diag"),
+        joined("nis"),
+        joined("diverged"),
+        chunks[0].origin,
+        [event for chunk in chunks for event in chunk.updates],
+        tuple(np.concatenate(part) for part in zip(*(chunk.gnss_track for chunk in chunks))),
+    )
 
 
 def run_gnss_only(gnss, origin):

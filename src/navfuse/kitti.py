@@ -95,7 +95,8 @@ def load_sequence(drive_dir, gnss_rate=1.0):
     if not ts_path.is_file():
         raise MissingTimestamps(f"missing {ts_path}")
     ts_lines = [line for line in _read_text(ts_path).splitlines() if line.strip()]
-    data_files = sorted(data_dir.glob("*.txt")) if data_dir.is_dir() else []
+    # By name: the same order as sorting the paths, without Path comparisons.
+    data_files = sorted(data_dir.glob("*.txt"), key=lambda p: p.name) if data_dir.is_dir() else []
     if not data_files or len(data_files) != len(ts_lines):
         raise RecordCountMismatch(
             f"{len(data_files)} data files vs {len(ts_lines)} timestamp lines in {drive_dir}"

@@ -112,6 +112,17 @@ def _first_bad_row(ok, message):
         raise ValueError(f"row {int(np.argmin(ok))}: {message}")
 
 
+def check_times(t, strict):
+    """Check the times ``t`` (N,): ``ValueError`` at the first time that is
+    not finite, :class:`NonMonotonicTime` at the first that regresses (or
+    repeats, when ``strict``)."""
+    _first_bad_row(np.isfinite(t), "timestamp must be finite")
+    bad = t[1:] <= t[:-1] if strict else t[1:] < t[:-1]
+    if bad.any():
+        i = int(bad.argmax()) + 1
+        raise NonMonotonicTime(f"timestamps regress: {t[i - 1]} -> {t[i]}", i)
+
+
 class SensorStream:
     """Base of the sensor streams: a frozen dataclass whose fields are
     read-only float columns over the rows of ``t``."""
@@ -119,10 +130,8 @@ class SensorStream:
     def _freeze(self, widths, strict):
         """Replace the fields by read-only float copies of shape (N,), where
         ``widths`` gives None, or (N, width), N being the size of ``t``; a
-        field left None becomes all NaN.  Then check the times.  Raises
-        ``ValueError`` on another shape or a non-finite time, and
-        :class:`NonMonotonicTime` at the first time that regresses (or
-        repeats, when ``strict``)."""
+        field left None becomes all NaN.  Then check the times with
+        :func:`check_times`.  Raises ``ValueError`` on another shape."""
         n = np.size(self.t)
         for name, width in widths.items():
             shape = (n,) if width is None else (n, width)
@@ -132,12 +141,7 @@ class SensorStream:
                 raise ValueError(f"{name} has shape {column.shape}, expected {shape}")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
-        t = self.t
-        _first_bad_row(np.isfinite(t), "timestamp must be finite")
-        bad = t[1:] <= t[:-1] if strict else t[1:] < t[:-1]
-        if bad.any():
-            i = int(bad.argmax()) + 1
-            raise NonMonotonicTime(f"timestamps regress: {t[i - 1]} -> {t[i]}", i)
+        check_times(self.t, strict)
 
     def __len__(self):
         return self.t.shape[0]

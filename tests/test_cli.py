@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import navfuse.fusion
 import navfuse.geodesy
 from navfuse.cli import main
 from navfuse.geodesy import GeodeticCoord, geodetic_to_enu
@@ -178,6 +179,33 @@ class TestFuseCommand:
         assert sorted(converted) == sorted([fixes, truth_rows])
         assert sum(converted) == fixes + truth_rows
 
+
+    @pytest.mark.parametrize("fault, message", [
+        ("short", "estimates span [0.0, 19.990000000000002] but truth spans [0.0, 9.99]"),
+        ("malformed", "truth.csv:1501: expected 4 cells, got 3"),
+    ])
+    def test_bad_truth_fails_before_fusing(self, tmp_path, capsys, monkeypatch, fault, message):
+        sim = simulate_into(tmp_path)
+        lines = (sim / "truth.csv").read_text().splitlines()
+        if fault == "short":
+            lines = lines[:1001]
+        else:
+            lines[1500] = lines[1500].rsplit(",", 1)[0]
+        (sim / "truth.csv").write_text("\n".join(lines) + "\n")
+
+        def no_fusing(*args):
+            raise AssertionError("a step was fused before the truth was checked")
+
+        monkeypatch.setattr(navfuse.fusion, "_predict", no_fusing)
+        capsys.readouterr()
+        out = tmp_path / "fused"
+        code = run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--truth", sim / "truth.csv", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_track_cells_hold_the_last_fix_of_a_step(self, tmp_path):
         # A second fix 4 ms after the 5 s fix anchors to the same 100 Hz

@@ -1,0 +1,216 @@
+"""A run made in chunks of IMU steps: the chunks against one pass, and the
+streamed ``fuse`` outputs."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from navfuse import cli, fusion
+from navfuse.cli import main, write_gnss_csv, write_imu_csv, write_truth_csv
+from navfuse.errors import InvalidCovariance
+from navfuse.evaluate import export_errors_csv, export_track_csv
+from navfuse.fusion import FusionConfig, fuse_chunks, run_fusion, run_gnss_only
+from navfuse.geodesy import enu_to_geodetic
+from navfuse.gnss import GnssStream
+from navfuse.simulate import (
+    SCENARIO_ORIGIN,
+    SensorCorruption,
+    TrajectoryProfile,
+    corrupt,
+    generate_truth,
+)
+from navfuse.strapdown import ImuStream
+
+# IMU steps a fix is anchored to.  With chunks of 7 steps, 7 is the first
+# step of a chunk and 13 its last; with 256, 255 is a last step and 256 a
+# first.  Step 13 takes two fixes, and step 140 an outlier 500 m east.
+ANCHORS = [0, 7, 13, 13, 55, 140, 255, 256, 299]
+OUTLIER = 5
+# Receiver sigmas on some fixes; the others take the filter's default.
+OWN_SIGMAS = {1: (3.0, 3.0, 5.0), 7: (2.0, 2.5, 4.0)}
+
+
+@pytest.fixture(scope="module")
+def drive():
+    """A 3 s circular drive (300 IMU samples) and its truth, with fixes at
+    :data:`ANCHORS`, one before the first IMU sample and one after the
+    last, which anchors to the last step."""
+    truth, ideal = generate_truth(TrajectoryProfile("circular", duration=3.0))
+    imu, _ = corrupt(truth, ideal, SensorCorruption(seed=9), gnss_rate=1.0)
+    steps = [0, *ANCHORS, len(imu) - 1]
+    t = imu.t[steps].copy()
+    t[0] -= 0.5
+    t[-1] += 0.5
+    t[4] += 0.004  # still step 13
+    positions = truth.position[steps] + np.random.default_rng(3).normal(0.0, 2.0, (len(steps), 3))
+    positions[1 + OUTLIER, 0] += 500.0
+    std = np.full((len(steps), 3), np.nan)
+    for k, sigmas in OWN_SIGMAS.items():
+        std[1 + k] = sigmas
+    gnss = GnssStream(t, *enu_to_geodetic(positions, SCENARIO_ORIGIN), std)
+    return imu, gnss, truth
+
+
+def chunks_at(monkeypatch, size, imu, gnss, cfg):
+    monkeypatch.setattr(fusion, "CHUNK_STEPS", size)
+    return list(fuse_chunks(imu, gnss, cfg))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_run(chunks, whole):
+    """The concatenated ``chunks`` are ``whole``, bit for bit."""
+    for column in ("t", "state", "cov_diag", "nis", "diverged"):
+        joined = np.concatenate([getattr(c, column) for c in chunks])
+        assert same_bits(joined, getattr(whole, column))
+    for part, joined in zip(whole.gnss_track, zip(*(c.gnss_track for c in chunks))):
+        assert same_bits(np.concatenate(joined), part)
+    assert all(c.origin == whole.origin for c in chunks)
+    updates = [event for c in chunks for event in c.updates]
+    assert len(updates) == len(whole.updates)
+    for ours, theirs in zip(updates, whole.updates):
+        for name, value in vars(theirs).items():
+            assert same_bits(getattr(ours, name), value), name
+
+
+@pytest.mark.parametrize("gate", [None, 3.0])
+def test_chunks_equal_one_pass(monkeypatch, drive, gate):
+    imu, gnss, _ = drive
+    cfg = FusionConfig(gnss_gate=gate)
+    n = len(imu)
+    (whole,) = chunks_at(monkeypatch, n + 1, imu, gnss, cfg)
+    assert [event.imu_index for event in whole.updates] == [*ANCHORS, n - 1]
+    assert whole.updates[OUTLIER].accepted is (gate is None)
+    assert len(whole.gnss_track[0]) == len(gnss)
+    for size in (1, 7, 256):
+        chunks = chunks_at(monkeypatch, size, imu, gnss, cfg)
+        lengths = [len(c.t) for c in chunks]
+        assert lengths[:-1] == [size] * (len(chunks) - 1) and 0 < lengths[-1] <= size
+        assert sum(lengths) == n
+        assert_same_run(chunks, whole)
+        assert_same_run([run_fusion(imu, gnss, cfg)], whole)
+        # A chunk holds the updates and fixes of its own steps.
+        for k, c in enumerate(chunks):
+            assert all(k * size <= event.imu_index < k * size + len(c.t) for event in c.updates)
+        assert len(chunks[0].gnss_track[0]) >= 2  # the fix before the first sample
+
+
+def overflowing(imu, sample):
+    accel = imu.accel.copy()
+    accel[sample, 0] = 1e300
+    return ImuStream(imu.t, imu.gyro, accel)
+
+
+def test_overflow_in_a_later_chunk_names_the_sample(monkeypatch, drive):
+    imu, gnss, _ = drive
+    imu = overflowing(imu, 280)
+    messages = []
+    for size in (len(imu) + 1, 1, 7, 256):
+        monkeypatch.setattr(fusion, "CHUNK_STEPS", size)
+        chunks = fuse_chunks(imu, gnss, FusionConfig())
+        # The chunks before the one holding sample 280 are yielded first.
+        for _ in range(280 // size):
+            next(chunks)
+        with pytest.raises(InvalidCovariance) as excinfo:
+            next(chunks)
+        messages.append(str(excinfo.value))
+    assert messages[0].startswith("IMU sample 280: overflow ")
+    assert messages == messages[:1] * 4
+
+
+def write_streams(tmp_path, imu, gnss, truth):
+    """Write the streams for ``fuse --truth``, without the two fixes
+    outside the truth span."""
+    write_imu_csv(imu, tmp_path / "imu.csv")
+    write_gnss_csv(gnss.take(slice(1, -1)), tmp_path / "gnss.csv")
+    write_truth_csv(truth, SCENARIO_ORIGIN, tmp_path / "truth.csv")
+    return ["--imu", tmp_path / "imu.csv", "--gnss", tmp_path / "gnss.csv",
+            "--truth", tmp_path / "truth.csv"]
+
+
+def test_failing_run_leaves_no_output(tmp_path, capsys, drive):
+    imu, gnss, truth = drive
+    inputs = write_streams(tmp_path, overflowing(imu, 280), gnss, truth)
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    used.mkdir()
+    (used / "estimate.csv").write_text("previous\n")
+    for out in (fresh, used):
+        capsys.readouterr()
+        assert main([str(a) for a in ["fuse", *inputs, "--out", out]]) == 1
+        assert capsys.readouterr().err.startswith("error: IMU sample 280: overflow ")
+    # Sample 280 is in the second chunk: the first was written, then removed.
+    assert not fresh.exists()
+    assert sorted(p.name for p in used.iterdir()) == ["estimate.csv"]
+    assert (used / "estimate.csv").read_text() == "previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "gnss.csv", "imu.csv", "truth.csv", "used"
+    ]
+
+
+def test_failing_rmse_write_leaves_no_table(tmp_path, capsys, drive):
+    # rmse.csv cannot replace a directory: the tables streamed before it
+    # are not renamed into place.
+    inputs = write_streams(tmp_path, *drive)
+    out = tmp_path / "out"
+    (out / "rmse.csv").mkdir(parents=True)
+    (out / "rmse.csv" / "kept").write_text("")
+    assert main([str(a) for a in ["fuse", *inputs, "--out", out]]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out / 'rmse.csv'}: ")
+    assert [p.name for p in out.iterdir()] == ["rmse.csv"]
+    assert [p.name for p in (out / "rmse.csv").iterdir()] == ["kept"]
+
+
+def test_streamed_outputs_equal_whole_run_writers(monkeypatch, tmp_path, drive):
+    # The parent's writers, from one whole-run result, give the same bytes.
+    imu, gnss, truth = drive
+    inputs = write_streams(tmp_path, imu, gnss, truth)
+    monkeypatch.setattr(fusion, "CHUNK_STEPS", 7)
+    assert main([str(a) for a in ["fuse", *inputs, "--out", tmp_path / "out"]]) == 0
+    streams = cli.read_imu_csv(tmp_path / "imu.csv"), cli.read_gnss_csv(tmp_path / "gnss.csv")
+    result = run_fusion(*streams, FusionConfig())
+    rows = cli.read_gnss_csv(tmp_path / "truth.csv")
+    truth_track = run_gnss_only(rows, result.origin)
+    ref = tmp_path / "ref"
+    ref.mkdir()
+    cli.write_estimates_csv(result, ref / "estimate.csv")
+    err = cli.align_and_diff(result.track, truth_track)
+    export_errors_csv(err, ref / "errors.csv")
+    t, est = result.track
+    cells = cli._track_gnss_cells(t, *result.gnss_track)
+    export_track_csv(t, est, est - err[1], cells, ref / "track.csv")
+    gnss_err = cli.align_and_diff(result.gnss_track, truth_track)
+    cli.export_rmse_csv([cli.rmse(gnss_err, "GNSS"), cli.rmse(err, "GNSS-IMU")], ref / "rmse.csv")
+    for name in ("estimate.csv", "errors.csv", "track.csv", "rmse.csv"):
+        assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes()
+
+
+def fuse_peak(tmp_path, duration):
+    """The tracemalloc peak of the streamed fuse and writes of a 10 Hz
+    circular drive of ``duration`` s, with the streams built beforehand."""
+    profile = TrajectoryProfile("circular", duration=duration, imu_rate=10.0)
+    truth, ideal = generate_truth(profile)
+    imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
+    cfg = FusionConfig()
+    truth_track = (truth.t, truth.position)
+    out = tmp_path / f"run{duration:g}"
+    out.mkdir()
+    tracemalloc.start()
+    try:
+        cli._fuse_and_write(imu, gnss, cfg, truth_track, out)
+        return len(imu), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_does_not_grow_with_drive_length(tmp_path):
+    # Both drives run whole chunks after the first, where the peak settles.
+    (short_n, short), (long_n, long) = fuse_peak(tmp_path, 60.0), fuse_peak(tmp_path, 180.0)
+    assert long_n == 3 * short_n
+    # The margin holds the fused error column kept for rmse.csv (24 B per
+    # step, 29 kB here); holding every step's result row (264 B) as well
+    # would add 317 kB.
+    assert long - short < 64_000

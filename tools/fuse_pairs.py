@@ -37,8 +37,9 @@ STEPS = 1000
 PAIRS = 40
 
 
-def extract(ref, dest):
-    """Import ``src/navfuse`` at ``ref`` from ``dest`` as ``navfuse_ref``."""
+def extract(ref, dest, package):
+    """Extract ``src/navfuse`` at ``ref`` into the directory ``dest`` as the
+    package ``package``."""
     archive = subprocess.run(
         ["git", "-C", str(REPO), "archive", ref, "src/navfuse"],
         check=True, capture_output=True,
@@ -46,9 +47,7 @@ def extract(ref, dest):
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         # Extraction filters exist from Python 3.10.12 and 3.11.4 on.
         tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
-    (dest / "src" / "navfuse").rename(dest / "navfuse_ref")
-    sys.path.insert(0, str(dest))
-    return importlib.import_module("navfuse_ref.fusion"), importlib.import_module("navfuse_ref")
+    (dest / "src" / "navfuse").rename(dest / package)
 
 
 def rebuild(stream, cls):
@@ -74,7 +73,10 @@ def main(argv=None):
     imu, gnss = imu.take(slice(0, STEPS + 1)), gnss.take(gnss.t <= 10.0)
 
     with tempfile.TemporaryDirectory() as tmp:
-        ref_fusion, ref_pkg = extract(args.ref, Path(tmp))
+        extract(args.ref, Path(tmp), "navfuse_ref")
+        sys.path.insert(0, tmp)
+        ref_pkg = importlib.import_module("navfuse_ref")
+        ref_fusion = importlib.import_module("navfuse_ref.fusion")
         ref_args = (rebuild(imu, ref_pkg.strapdown.ImuStream),
                     rebuild(gnss, ref_pkg.gnss.GnssStream), ref_fusion.FusionConfig())
         sides = {
