@@ -8,7 +8,9 @@ Stream schemas (headers are fixed):
 
 The readers return a whole file as an :class:`ImuStream` or a
 :class:`GnssStream`, and the writers take them; both stream the file
-(see :mod:`navfuse.evaluate`).  Exit codes: 0 success, 1 runtime/data
+(see :mod:`navfuse.evaluate`).  ``fuse`` reads and checks its inputs,
+then hands the filter's chunks to :func:`navfuse.evaluate.write_run`,
+which writes the run's tables.  Exit codes: 0 success, 1 runtime/data
 error, 2 usage error (also a NaN, infinite or out-of-range configuration
 value, or a config file value that does not parse).  Flags override an
 optional ``key=value`` config file (``--config``); defaults apply last.
@@ -19,7 +21,7 @@ sufficient to reproduce the run byte for byte.
 import argparse
 import math
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,19 +30,13 @@ import numpy as np
 from . import __version__
 from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError
 from .evaluate import (
-    ERRORS_HEADER,
-    TRACK_HEADER,
-    TableWriter,
     _fmt,
-    _track_columns,
     _read_table,
     _read_text,
     _write_table,
-    align_and_diff,
     atomic_write_text,
     check_span,
-    export_rmse_csv,
-    rmse,
+    write_run,
 )
 from .fusion import FusionConfig, frame_origin, fuse_chunks
 from .geodesy import GeodeticCoord, enu_to_geodetic, geodetic_in_range, geodetic_to_enu
@@ -166,26 +162,19 @@ def write_truth_csv(truth, origin, path):
     write_gnss_csv(GnssStream(truth.t, *enu_to_geodetic(truth.position, origin)), path)
 
 
-_ESTIMATE_HEADER = (
-    "t,e,n,u,ve,vn,vu,qw,qx,qy,qz,"
-    "var_pe,var_pn,var_pu,var_ve,var_vn,var_vu,var_re,var_rn,var_ru,"
-    "var_bgx,var_bgy,var_bgz,var_bax,var_bay,var_baz,nis,diverged"
-)
-
-
-def _estimate_columns(result):
-    """The ``estimate.csv`` columns of a :class:`FusionResult`: position,
-    velocity and attitude (not the biases), the variances, the NIS (NaN,
-    an empty cell, where no fix was applied), and ``diverged`` as 1 or 0."""
-    return [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
-
-
-def write_estimates_csv(result, path):
-    """Write a :class:`FusionResult` as ``estimate.csv``."""
-    _write_table(path, _ESTIMATE_HEADER, _estimate_columns(result))
-
-
-def _write_manifest(out_dir, entries):
+def _write_manifest(out_dir, command, res, origin=None, **entries):
+    """Write ``manifest`` into ``out_dir``: the configuration that the
+    :class:`_Resolver` ``res`` resolved, ``command``, the tool version, the
+    frame ``origin`` unless it is None, and the ``entries``, one sorted
+    ``key=value`` line each."""
+    entries = {**{key: _manifest_value(v) for key, v in res.resolved.items()}, **entries}
+    entries.update(command=command, tool_version=__version__)
+    if origin is not None:
+        entries.update(
+            origin_lat_deg=_fmt(math.degrees(origin.lat)),
+            origin_lon_deg=_fmt(math.degrees(origin.lon)),
+            origin_alt_m=_fmt(origin.height),
+        )
     lines = [f"{key}={value}" for key, value in sorted(entries.items())]
     atomic_write_text(Path(out_dir) / "manifest", "\n".join(lines) + "\n")
 
@@ -235,16 +224,8 @@ def _cmd_simulate(args):
     write_imu_csv(imu, out / "imu.csv")
     write_gnss_csv(gnss, out / "gnss.csv")
 
-    entries = {key: _manifest_value(v) for key, v in res.resolved.items()}
-    entries.update(
-        command="simulate",
-        tool_version=__version__,
-        gnss_outage=";".join(f"{s}:{e}" for s, e in corruption.outages),
-        origin_lat_deg=_fmt(math.degrees(SCENARIO_ORIGIN.lat)),
-        origin_lon_deg=_fmt(math.degrees(SCENARIO_ORIGIN.lon)),
-        origin_alt_m=_fmt(SCENARIO_ORIGIN.height),
-    )
-    _write_manifest(out, entries)
+    outages = ";".join(f"{s}:{e}" for s, e in corruption.outages)
+    _write_manifest(out, "simulate", res, SCENARIO_ORIGIN, gnss_outage=outages)
     return 0
 
 
@@ -284,12 +265,12 @@ def _cmd_fuse(args):
 
     if args.kitti:
         imu, gnss = _load_kitti(args, res)
-        inputs = {"kitti": args.kitti}
+        inputs = {"input_kitti": args.kitti}
     else:
         if not (args.imu and args.gnss):
             raise _UsageError("--imu and --gnss must be given together")
         gnss = read_gnss_csv(args.gnss)
-        inputs = {"imu": args.imu, "gnss": args.gnss}
+        inputs = {"input_imu": args.imu, "input_gnss": args.gnss}
     outages = [_parse_outage(o) for o in (args.gnss_outage or [])]
     if outages:
         gnss = gnss.take(~outage_mask(gnss.t, outages))
@@ -307,7 +288,7 @@ def _cmd_fuse(args):
     made = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     try:
-        _fuse_and_write(imu, gnss, cfg, truth, out)
+        write_run(fuse_chunks(imu, gnss, cfg), imu.t, truth, out)
     except BaseException:
         # The writers have removed their temp files.
         if made:
@@ -315,21 +296,10 @@ def _cmd_fuse(args):
                 out.rmdir()
         raise
 
-    entries = {key: _manifest_value(v) for key, v in res.resolved.items()}
-    entries.update({f"input_{k}": v for k, v in inputs.items()})
-    entries.update(
-        command="fuse",
-        tool_version=__version__,
-        truth=args.truth or "",
-        gnss_outage=";".join(f"{s}:{e}" for s, e in outages),
+    _write_manifest(
+        out, "fuse", res, origin, **inputs,
+        truth=args.truth or "", gnss_outage=";".join(f"{s}:{e}" for s, e in outages),
     )
-    if origin is not None:
-        entries.update(
-            origin_lat_deg=_fmt(math.degrees(origin.lat)),
-            origin_lon_deg=_fmt(math.degrees(origin.lon)),
-            origin_alt_m=_fmt(origin.height),
-        )
-    _write_manifest(out, entries)
     return 0
 
 
@@ -349,56 +319,6 @@ def _read_truth(path, origin):
     return t, geodetic_to_enu(lat, lon, alt, origin)
 
 
-def _fuse_and_write(imu, gnss, cfg, truth, out):
-    """Run the filter chunk by chunk, writing ``estimate.csv`` into the
-    directory ``out`` as it goes, and with a ``truth`` track also
-    ``errors.csv``, ``track.csv`` and then ``rmse.csv``.
-
-    Beyond its inputs it holds only the fused error column and the
-    fixes, so ``rmse.csv`` takes its means over whole columns.  It is
-    written before the other tables are renamed into place, so whatever
-    raises up to those renames leaves none of the four.
-    """
-    with ExitStack() as files:
-        estimates = files.enter_context(TableWriter(out / "estimate.csv", _ESTIMATE_HEADER))
-        if truth is not None:
-            errors = files.enter_context(TableWriter(out / "errors.csv", ERRORS_HEADER))
-            track = files.enter_context(TableWriter(out / "track.csv", TRACK_HEADER))
-            fused_err = np.empty((len(imu), 3))
-            fixes = []
-        start = 0
-        for chunk in fuse_chunks(imu, gnss, cfg):
-            estimates.rows(_estimate_columns(chunk))
-            if truth is None:
-                continue
-            t, est = chunk.track
-            err = align_and_diff(chunk.track, truth)
-            errors.rows(err)
-            fused_err[start : start + len(t)] = err[1]
-            start += len(t)
-            fixes.append(chunk.gnss_track)
-            cells = _track_gnss_cells(t, *chunk.gnss_track)
-            track.rows(_track_columns(t, est, est - err[1], cells))
-        if truth is None:
-            return
-        reports = []
-        if len(gnss):
-            fix_track = tuple(np.concatenate(part) for part in zip(*fixes))
-            reports.append(rmse(align_and_diff(fix_track, truth), "GNSS"))
-        reports.append(rmse((imu.t, fused_err), "GNSS-IMU"))
-        export_rmse_csv(reports, out / "rmse.csv")
-
-
-def _track_gnss_cells(t, fix_t, fix_enu):
-    """The GNSS cells of the track rows at the times ``t``: the last fix
-    anchored to a row's step, NaN where no fix is."""
-    cells = np.full((len(t), 3), np.nan)
-    step = np.searchsorted(t, fix_t, side="right") - 1
-    last = (step >= 0) & np.append(step[1:] != step[:-1], True)
-    cells[step[last]] = fix_enu[last]
-    return cells
-
-
 def _load_kitti(args, res):
     rate = res.get("gnss_rate", 1.0)
     if not 0.0 < rate < math.inf:
@@ -413,9 +333,7 @@ def _cmd_kitti_convert(args):
     out.mkdir(parents=True, exist_ok=True)
     write_imu_csv(imu, out / "imu.csv")
     write_gnss_csv(gnss, out / "gnss.csv")
-    entries = {key: _manifest_value(v) for key, v in res.resolved.items()}
-    entries.update(command="kitti-convert", tool_version=__version__, input_kitti=args.kitti)
-    _write_manifest(out, entries)
+    _write_manifest(out, "kitti-convert", res, input_kitti=args.kitti)
     return 0
 
 

@@ -8,20 +8,21 @@ arrays they come from or go to does not grow with the row count.
 the table as column blocks, one or many, and formats and writes a fixed
 number of rows at a time into one temp file, which it renames over the
 destination once every row is written (:func:`_write_table` is that
-writer called once).  ``fuse`` writes ``estimate.csv``, ``errors.csv``
-and ``track.csv`` through it chunk by chunk as the filter runs; it reads
-and checks the truth before the first step, so a truth that cannot
-cover the run fails before any output is written.  Each row goes through
-one ``%.17g`` format with a '.' decimal separator regardless of locale,
-so floats round-trip exactly and runs diff cleanly; NaN cells are written
-empty.  :func:`_read_table` decodes and parses the file in blocks of
-whole lines into a 2-D array, and rejects a bad row with the file and
-line.
+writer called once).  :func:`write_run` is the one writer of a filter
+run's tables (``estimate.csv``, ``errors.csv``, ``track.csv`` and
+``rmse.csv``), alike from the chunks that ``fuse`` passes as the filter
+makes them and from one whole-run result.  ``fuse`` reads and checks the
+truth before the first step, so a truth that cannot cover the run fails
+before any output is written.  Each row goes through one ``%.17g``
+format with a '.' decimal separator regardless of locale, so floats
+round-trip exactly and runs diff cleanly; NaN cells are written empty.
+:func:`_read_table` decodes and parses the file in blocks of whole lines
+into a 2-D array, and rejects a bad row with the file and line.
 """
 
 import os
 import sys
-import tempfile
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,7 +91,8 @@ _READ_BYTES = 1 << 17
 class _AtomicFile:
     """A text file at ``path``, written in a with block through
     :meth:`write` to a temp file in the same directory, which is renamed
-    over ``path`` when the block ends.
+    over ``path`` when the block ends.  The file gets the mode a plain
+    ``open`` gives a new file, 0o666 less the umask.
 
     Whatever raises in the block, a write included, removes the temp file
     and leaves ``path`` as it was.  An :class:`OSError` of the file's own
@@ -105,10 +107,9 @@ class _AtomicFile:
         return OSError(f"cannot write {self.path}: {exc}")
 
     def __enter__(self):
+        self._tmp = self.path.with_name(f"{self.path.name}.{os.urandom(6).hex()}.tmp")
         try:
-            fd, self._tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=self.path.name + ".", suffix=".tmp"
-            )
+            fd = os.open(self._tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         except OSError as exc:
             raise self._named(exc) from exc
         self._handle = os.fdopen(fd, "w", newline="")
@@ -306,13 +307,61 @@ def _write_table(path, header, columns, labels=None):
         table.rows(columns, labels)
 
 
+_ESTIMATE_HEADER = (
+    "t,e,n,u,ve,vn,vu,qw,qx,qy,qz,"
+    "var_pe,var_pn,var_pu,var_ve,var_vn,var_vu,var_re,var_rn,var_ru,"
+    "var_bgx,var_bgy,var_bgz,var_bax,var_bay,var_baz,nis,diverged"
+)
 ERRORS_HEADER = "t,ex,ey,ez"
 TRACK_HEADER = "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"
 
 
-def export_errors_csv(errors, path):
-    """Write an error track as ``t,ex,ey,ez`` rows."""
-    _write_table(path, ERRORS_HEADER, errors)
+def _estimate_columns(result):
+    """The ``estimate.csv`` columns of a :class:`FusionResult`: position,
+    velocity and attitude (not the biases), the variances, the NIS (NaN,
+    an empty cell, where the step attempted no update), and ``diverged``
+    as 1 or 0."""
+    return [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
+
+
+def write_run(results, t, truth, out):
+    """Write the tables of a filter run into the directory ``out``:
+    ``estimate.csv``, and with a ``truth`` track (or None) also
+    ``errors.csv``, ``track.csv`` and then ``rmse.csv``.
+
+    ``results`` are the run's :class:`FusionResult` parts in step order,
+    and ``t`` its IMU times.  A ``track.csv`` row holds the step's
+    estimated and true positions and its ``fix`` (empty cells where the
+    step attempted no update).  Beyond the parts it holds only the fused
+    error column, so ``rmse.csv`` takes its means over whole columns.  It
+    is written before the other tables are renamed into place, so
+    whatever raises up to those renames leaves none of the four.
+    """
+    out = Path(out)
+    with ExitStack() as files:
+        estimates = files.enter_context(TableWriter(out / "estimate.csv", _ESTIMATE_HEADER))
+        if truth is not None:
+            errors = files.enter_context(TableWriter(out / "errors.csv", ERRORS_HEADER))
+            track = files.enter_context(TableWriter(out / "track.csv", TRACK_HEADER))
+            fused_err = np.empty((len(t), 3))
+        start = 0
+        for result in results:
+            estimates.rows(_estimate_columns(result))
+            if truth is None:
+                continue
+            step_t, est = result.track
+            err = align_and_diff(result.track, truth)[1]
+            errors.rows([step_t, err])
+            fused_err[start : start + len(step_t)] = err
+            start += len(step_t)
+            track.rows([step_t, est, est - err, result.fix])
+        if truth is None:
+            return
+        reports = []
+        if len(result.gnss_track[0]):
+            reports.append(rmse(align_and_diff(result.gnss_track, truth), "GNSS"))
+        reports.append(rmse((t, fused_err), "GNSS-IMU"))
+        export_rmse_csv(reports, out / "rmse.csv")
 
 
 def export_rmse_csv(reports, path):
@@ -323,15 +372,3 @@ def export_rmse_csv(reports, path):
         [np.array([(r.rmse_x, r.rmse_y, r.rmse_z) for r in reports]).reshape(-1, 3)],
         labels=[r.method for r in reports],
     )
-
-
-def _track_columns(t, est, truth, gnss):
-    """The ``track.csv`` columns: the times ``t``, the estimated, true and
-    GNSS ENU positions at them.  ``gnss`` rows are NaN where no fix was
-    applied at that timestamp and are emitted as empty cells."""
-    return [t, est, truth, gnss]
-
-
-def export_track_csv(t, est, truth, gnss, path):
-    """Write the XY-track table (see :func:`_track_columns`)."""
-    _write_table(path, TRACK_HEADER, _track_columns(t, est, truth, gnss))

@@ -55,11 +55,14 @@ one row per IMU step into the chunk's arrays, which the chunk's
 operation in it raises :class:`InvalidCovariance` naming the IMU sample.
 :func:`run_fusion` concatenates the chunks.  The :class:`FusionResult`
 is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
-``cov_diag`` (N, 15), ``nis`` (N, NaN where no fix was applied) and
-``diverged`` (N), plus the frame ``origin``, one :class:`UpdateEvent`
-per applied fix, and ``gnss_track``, the fixes in the local frame.  A
-track is a pair of arrays (t, positions); ``result.track`` is the
-filter's and ``gnss_track`` the GNSS-only baseline.
+``cov_diag`` (N, 15), ``nis`` (N), ``fix`` (N, 3) and ``diverged`` (N);
+``nis`` and ``fix`` are the NIS and the local-frame fix of the last
+update attempted at the step, accepted or not, NaN where there is none.
+``updates`` has one :class:`UpdateEvent` per attempted update.  The frame
+``origin`` and ``gnss_track``, every fix in the local frame, are the
+run's, the same objects in every chunk.  A track is a pair of arrays
+(t, positions); ``result.track`` is the filter's and ``gnss_track`` the
+GNSS-only baseline.
 """
 
 import math
@@ -164,6 +167,7 @@ class FusionResult:
     state: np.ndarray
     cov_diag: np.ndarray
     nis: np.ndarray
+    fix: np.ndarray
     diverged: np.ndarray
     origin: object
     updates: list
@@ -291,17 +295,17 @@ def fuse_chunks(imu, gnss, cfg):
     yielding the run as a :class:`FusionResult` per :data:`CHUNK_STEPS`
     consecutive IMU samples (the last chunk may be shorter).
 
-    A chunk's ``updates`` are the fixes applied at its steps, and its
-    ``gnss_track`` the fixes anchored to them; the first chunk's track
-    also holds the fixes before the first IMU sample, which no step
-    applies.  Concatenated, the chunks are :func:`run_fusion`'s result.
+    A chunk's columns and ``updates`` are those of its steps; its
+    ``origin`` and ``gnss_track`` are the run's.  Concatenated, the chunks
+    are :func:`run_fusion`'s result.
     """
     if not len(imu):
         raise EmptyStream("IMU stream is empty")
     t = imu.t
     n = len(imu)
     origin = frame_origin(gnss)
-    fix_t, fix_enu = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
+    gnss_track = run_gnss_only(gnss, origin) if len(gnss) else (np.empty(0), np.empty((0, 3)))
+    fix_t, fix_enu = gnss_track
     params = cfg.sigma_params()
     state = np.concatenate([np.zeros(6), quat_identity(), np.zeros(6)])
     cov = cfg.initial_covariance()
@@ -309,7 +313,6 @@ def fuse_chunks(imu, gnss, cfg):
     # Fixes before the first IMU sample have no step to anchor to; as the
     # fix times do not decrease, the fixes of a chunk's steps follow them.
     j = int(np.searchsorted(fix_t, t[0], side="left"))
-    track_start = 0
     for start in range(0, n, CHUNK_STEPS):
         stop = min(start + CHUNK_STEPS, n)
         # A fix anchors to the last IMU step at or before it; past the
@@ -326,6 +329,7 @@ def fuse_chunks(imu, gnss, cfg):
         states = np.empty((stop - start, STATE_DIM))
         cov_diag = np.empty((stop - start, ERROR_DIM))
         nis = np.full(stop - start, np.nan)
+        fix = np.full((stop - start, 3), np.nan)
         updates = []
         first = j
         try:
@@ -339,6 +343,7 @@ def fuse_chunks(imu, gnss, cfg):
                             state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
                         )
                         nis[i - start] = event["nis"]
+                        fix[i - start] = fix_enu[j]
                         updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
                         j += 1
                     states[i - start] = state
@@ -346,9 +351,9 @@ def fuse_chunks(imu, gnss, cfg):
         except FloatingPointError as exc:
             raise InvalidCovariance(f"IMU sample {i}: {exc}") from exc
         diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
-        track = (fix_t[track_start:end], fix_enu[track_start:end])
-        track_start = end
-        yield FusionResult(t[start:stop], states, cov_diag, nis, diverged, origin, updates, track)
+        yield FusionResult(
+            t[start:stop], states, cov_diag, nis, fix, diverged, origin, updates, gnss_track
+        )
 
 
 def run_fusion(imu, gnss, cfg):
@@ -369,10 +374,11 @@ def run_fusion(imu, gnss, cfg):
         joined("state"),
         joined("cov_diag"),
         joined("nis"),
+        joined("fix"),
         joined("diverged"),
         chunks[0].origin,
         [event for chunk in chunks for event in chunk.updates],
-        tuple(np.concatenate(part) for part in zip(*(chunk.gnss_track for chunk in chunks))),
+        chunks[0].gnss_track,
     )
 
 

@@ -59,6 +59,9 @@ class TrajectoryProfile:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.imu_rate < self.gnss_rate:
             raise ValueError("imu_rate must be >= gnss_rate")
+        # generate_truth makes round(duration * imu_rate) samples.
+        if self.duration * self.imu_rate <= 0.5:
+            raise ValueError(f"duration {self.duration} s holds no sample at {self.imu_rate} Hz")
 
 
 @dataclass(frozen=True, eq=False)

@@ -340,6 +340,7 @@ class TestParser:
         "command",
         [
             ["simulate", "--profile", "circular", "--duration", "nan", "--seed", "1"],
+            ["simulate", "--profile", "circular", "--duration", "0.004", "--seed", "1"],
             ["simulate", "--profile", "circular", "--duration", "5", "--imu-rate", "nan",
              "--seed", "1"],
             ["fuse", "--kitti", "KITTI", "--gyro-std", "-1"],
@@ -360,8 +361,8 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--config", "alpha=wide"],
             ["kitti-convert", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
         ],
-        ids=["duration-nan", "imu-rate-nan", "gyro-std-negative", "init-position-std-negative",
-             "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
+        ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
+             "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
              "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan",
              "config-duration-text", "config-imu-rate-text", "config-fuse-gnss-rate-text",
              "config-alpha-text", "config-convert-gnss-rate-text"],

@@ -1,7 +1,8 @@
 import dataclasses
 import math
+import os
+import stat
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from oracles import (
 )
 
 from navfuse import evaluate
-from navfuse.cli import write_estimates_csv
 from navfuse.errors import EmptySeries, MalformedRecord, NavFuseError, TimeSpanMismatch
 from navfuse.evaluate import (
     _CHUNK_ROWS,
@@ -24,12 +24,11 @@ from navfuse.evaluate import (
     _write_table,
     align_and_diff,
     atomic_write_text,
-    export_errors_csv,
     export_rmse_csv,
-    export_track_csv,
     rmse,
+    write_run,
 )
-from navfuse.fusion import FusionConfig, run_fusion
+from navfuse.fusion import FusionConfig, FusionResult, run_fusion
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 
 
@@ -42,6 +41,28 @@ def track(*poses):
 def errors(t, ex, ey, ez):
     """An error track (t, errors (n, 3)) from its columns."""
     return t, np.column_stack([ex, ey, ez])
+
+
+def result_of(t, est, fix=None, nis=None, diverged=None, seed=0):
+    """A :class:`FusionResult` with the times ``t``, the estimated
+    positions ``est`` (n, 3), random other states and variances, and
+    every fix as its GNSS track; ``fix``, ``nis`` and ``diverged`` default
+    to no update and no divergence."""
+    n = len(t)
+    rng = np.random.default_rng(seed)
+    fix = np.full((n, 3), np.nan) if fix is None else fix
+    fixed = ~np.isnan(fix[:, 0])
+    return FusionResult(
+        t, np.column_stack([est, rng.standard_normal((n, 13))]), rng.random((n, 15)) * 1e-3,
+        np.full(n, np.nan) if nis is None else nis, fix,
+        np.zeros(n, dtype=bool) if diverged is None else diverged,
+        None, [], (t[fixed], fix[fixed]),
+    )
+
+
+def zero_truth(t):
+    """A truth track at the origin, so a row's error is its estimate."""
+    return t, np.zeros((len(t), 3))
 
 
 class TestAlignAndDiff:
@@ -117,9 +138,8 @@ class TestExport:
             np.array([0.1, 0.2]),
             np.array([-0.3, 1e-17]),
         )
-        path = tmp_path / "errors.csv"
-        export_errors_csv(series, path)
-        lines = path.read_text().splitlines()
+        write_run([result_of(*series)], series[0], zero_truth(series[0]), tmp_path)
+        lines = (tmp_path / "errors.csv").read_text().splitlines()
         assert lines[0] == "t,ex,ey,ez"
         parsed = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
         np.testing.assert_array_equal(parsed[:, 0], series[0])
@@ -127,20 +147,17 @@ class TestExport:
 
     def test_seventeen_significant_digits(self, tmp_path):
         series = errors(np.array([0.0]), np.array([1.0 / 3.0]), np.array([0.0]), np.array([0.0]))
-        path = tmp_path / "errors.csv"
-        export_errors_csv(series, path)
-        row = path.read_text().splitlines()[1]
+        write_run([result_of(*series)], series[0], zero_truth(series[0]), tmp_path)
+        row = (tmp_path / "errors.csv").read_text().splitlines()[1]
         assert "0.33333333333333331" in row
         assert "," in row and ";" not in row
 
     def test_track_csv_empty_gnss_cells(self, tmp_path):
         t = np.array([0.0, 1.0])
         est = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        truth = est.copy()
         gnss = np.array([[np.nan, np.nan, np.nan], [7.0, 8.0, 9.0]])
-        path = tmp_path / "track.csv"
-        export_track_csv(t, est, truth, gnss, path)
-        lines = path.read_text().splitlines()
+        write_run([result_of(t, est, gnss)], t, (t, est), tmp_path)
+        lines = (tmp_path / "track.csv").read_text().splitlines()
         assert lines[0] == "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"
         assert lines[1].endswith(",,,")
         assert lines[2].endswith("7,8,9")
@@ -155,21 +172,36 @@ class TestExport:
         with pytest.raises(OSError):
             atomic_write_text(tmp_path / "missing" / "out.txt", "payload")
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_new_files_take_the_mode_of_open(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            atomic_write_text(tmp_path / "manifest", "payload")
+            _write_table(tmp_path / "table.csv", "t", [np.zeros(3)])
+        finally:
+            os.umask(previous)
+        for path in tmp_path.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
 
 @pytest.fixture(scope="module")
 def circular_run():
-    """A 20 s circular run: the result, its error track and track cells."""
+    """A 20 s circular run: the result and its truth track."""
     profile = TrajectoryProfile("circular", duration=20.0)
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=1.0)
-    result = run_fusion(imu, gnss, FusionConfig())
-    truth_track = (truth.t, truth.position)
-    err = align_and_diff(result.track, truth_track)
-    t, est = result.track
-    cells = np.full((len(t), 3), np.nan)
-    fix_t, fix_enu = result.gnss_track
-    cells[np.searchsorted(t, fix_t, side="right") - 1] = fix_enu
-    return result, err, cells
+    return run_fusion(imu, gnss, FusionConfig()), (truth.t, truth.position)
+
+
+def chunked(result, size):
+    """``result`` cut into parts of ``size`` steps, as ``fuse_chunks``
+    yields them (an empty result stays one part)."""
+    columns = ("t", "state", "cov_diag", "nis", "fix", "diverged")
+    starts = range(0, max(len(result.t), 1), size)
+    return [
+        dataclasses.replace(result, **{c: getattr(result, c)[k : k + size] for c in columns})
+        for k in starts
+    ]
 
 
 class TestWriteTable:
@@ -178,18 +210,21 @@ class TestWriteTable:
         assert np.isnan(result.nis).any() and not np.isnan(result.nis).all()
         flagged = dataclasses.replace(result, diverged=np.arange(len(result.t)) % 7 == 0)
         for run in (result, flagged):
-            path = tmp_path / "estimate.csv"
-            write_estimates_csv(run, path)
-            assert path.read_text() == reference_estimates_text(run)
+            write_run([run], run.t, None, tmp_path)
+            assert (tmp_path / "estimate.csv").read_text() == reference_estimates_text(run)
 
     def test_errors_and_track_byte_equal_to_per_cell_writers(self, tmp_path, circular_run):
-        result, err, cells = circular_run
-        export_errors_csv(err, tmp_path / "errors.csv")
+        result, truth_track = circular_run
+        assert np.isnan(result.fix).any() and not np.isnan(result.fix).all()
+        write_run([result], result.t, truth_track, tmp_path)
+        err = align_and_diff(result.track, truth_track)
         assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
         t, est = result.track
-        truth = est - err[1]
-        export_track_csv(t, est, truth, cells, tmp_path / "track.csv")
-        assert (tmp_path / "track.csv").read_text() == reference_track_text(t, est, truth, cells)
+        expected = reference_track_text(t, est, est - err[1], result.fix)
+        assert (tmp_path / "track.csv").read_text() == expected
+        gnss_err = align_and_diff(result.gnss_track, truth_track)
+        reports = [rmse(gnss_err, "GNSS"), rmse(err, "GNSS-IMU")]
+        assert (tmp_path / "rmse.csv").read_text() == reference_rmse_text(reports)
 
     def test_edge_values(self, tmp_path):
         rows = [
@@ -229,22 +264,26 @@ class TestWriteTable:
         edges = np.arange(n) % _CHUNK_ROWS
         nan_rows = (edges == 0) | (edges == _CHUNK_ROWS - 1) | (np.arange(n) == n - 1)
         nis = np.where(nan_rows, np.nan, rng.random(n))
-        result = SimpleNamespace(
-            t=t, state=rng.standard_normal((n, 16)), cov_diag=rng.random((n, 15)) * 1e-3,
-            nis=nis, diverged=rng.random(n) < 0.3,
-        )
-        write_estimates_csv(result, tmp_path / "estimate.csv")
-        assert (tmp_path / "estimate.csv").read_text() == reference_estimates_text(result)
-
-        err = (t, rng.standard_normal((n, 3)))
-        export_errors_csv(err, tmp_path / "errors.csv")
-        assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
-
         est, truth = rng.standard_normal((2, n, 3)) * 1e3
         gnss = np.where(nan_rows[:, None], np.nan, rng.standard_normal((n, 3)))
-        export_track_csv(t, est, truth, gnss, tmp_path / "track.csv")
-        expected = reference_track_text(t, est, truth, gnss)
-        assert (tmp_path / "track.csv").read_text() == expected
+        result = result_of(t, est, gnss, nis, rng.random(n) < 0.3, seed=n)
+        truth_track = (t, truth)
+        # The whole run, and the run in chunks of the formatted rows.
+        for k, results in enumerate([[result], chunked(result, _CHUNK_ROWS)]):
+            out = tmp_path / f"run{k}"
+            out.mkdir()
+            write_run(results, t, None if n == 0 else truth_track, out)
+            assert (out / "estimate.csv").read_text() == reference_estimates_text(result)
+            if n == 0:
+                # A run has a step; without one there is no error to write.
+                with pytest.raises(EmptySeries):
+                    write_run(results, t, truth_track, out)
+                assert sorted(p.name for p in out.iterdir()) == ["estimate.csv"]
+                continue
+            err = align_and_diff(result.track, truth_track)
+            assert (out / "errors.csv").read_text() == reference_errors_text(err)
+            expected = reference_track_text(t, est, est - err[1], gnss)
+            assert (out / "track.csv").read_text() == expected
 
         reports = [RmseReport(f"run-{k}", *row) for k, row in enumerate(gnss)]
         export_rmse_csv(reports, tmp_path / "rmse.csv")

@@ -5,11 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import reference_errors_text, reference_estimates_text, reference_track_text
 
 from navfuse import cli, fusion
 from navfuse.cli import main, write_gnss_csv, write_imu_csv, write_truth_csv
 from navfuse.errors import InvalidCovariance
-from navfuse.evaluate import export_errors_csv, export_track_csv
+from navfuse.evaluate import align_and_diff, write_run
 from navfuse.fusion import FusionConfig, fuse_chunks, run_fusion, run_gnss_only
 from navfuse.geodesy import enu_to_geodetic
 from navfuse.gnss import GnssStream
@@ -63,13 +64,16 @@ def same_bits(a, b):
 
 
 def assert_same_run(chunks, whole):
-    """The concatenated ``chunks`` are ``whole``, bit for bit."""
-    for column in ("t", "state", "cov_diag", "nis", "diverged"):
+    """The concatenated ``chunks`` are ``whole``, bit for bit, and every
+    chunk holds the run's ``origin`` and ``gnss_track`` objects."""
+    for column in ("t", "state", "cov_diag", "nis", "fix", "diverged"):
         joined = np.concatenate([getattr(c, column) for c in chunks])
         assert same_bits(joined, getattr(whole, column))
-    for part, joined in zip(whole.gnss_track, zip(*(c.gnss_track for c in chunks))):
-        assert same_bits(np.concatenate(joined), part)
-    assert all(c.origin == whole.origin for c in chunks)
+    for part, ours in zip(whole.gnss_track, chunks[0].gnss_track):
+        assert same_bits(ours, part)
+    assert all(c.gnss_track is chunks[0].gnss_track for c in chunks)
+    assert all(c.origin is chunks[0].origin for c in chunks)
+    assert chunks[0].origin == whole.origin
     updates = [event for c in chunks for event in c.updates]
     assert len(updates) == len(whole.updates)
     for ours, theirs in zip(updates, whole.updates):
@@ -93,10 +97,35 @@ def test_chunks_equal_one_pass(monkeypatch, drive, gate):
         assert sum(lengths) == n
         assert_same_run(chunks, whole)
         assert_same_run([run_fusion(imu, gnss, cfg)], whole)
-        # A chunk holds the updates and fixes of its own steps.
+        # A chunk holds the updates of its own steps.
         for k, c in enumerate(chunks):
             assert all(k * size <= event.imu_index < k * size + len(c.t) for event in c.updates)
-        assert len(chunks[0].gnss_track[0]) >= 2  # the fix before the first sample
+
+
+def test_fix_column_holds_the_last_update_attempted_at_a_step(monkeypatch, drive):
+    # A second fix after the last IMU sample, at the outlier's position:
+    # the gate rejects it, and it is the one recorded at the last step.
+    imu, gnss, _ = drive
+    late = np.append(np.arange(len(gnss)), OUTLIER + 1)
+    columns = [getattr(gnss, name)[late] for name in ("t", "lat", "lon", "alt", "std")]
+    columns[0][-1] = gnss.t[-1] + 0.2
+    gnss = GnssStream(*columns)
+    cfg = FusionConfig(gnss_gate=3.0)
+    n = len(imu)
+    # Each fix's step, from the drive's construction: the first fix
+    # precedes every sample, and the last two follow the last one.
+    steps = [None, *ANCHORS, n - 1, n - 1]
+    enu = run_gnss_only(gnss, fusion.frame_origin(gnss))[1]
+    expected = np.full((n, 3), np.nan)
+    for k, step in enumerate(steps):
+        if step is not None:
+            expected[step] = enu[k]  # a later fix at the same step overwrites
+    for size in (1, 7, n + 1):
+        chunks = chunks_at(monkeypatch, size, imu, gnss, cfg)
+        updates = [event for c in chunks for event in c.updates]
+        assert [event.imu_index for event in updates] == steps[1:]
+        assert not updates[OUTLIER].accepted and not updates[-1].accepted
+        assert same_bits(np.concatenate([c.fix for c in chunks]), expected)
 
 
 def overflowing(imu, sample):
@@ -165,7 +194,8 @@ def test_failing_rmse_write_leaves_no_table(tmp_path, capsys, drive):
 
 
 def test_streamed_outputs_equal_whole_run_writers(monkeypatch, tmp_path, drive):
-    # The parent's writers, from one whole-run result, give the same bytes.
+    # fuse's chunks of 7 steps and one whole-run result give the run
+    # writer the same bytes, which the per-cell writers reproduce.
     imu, gnss, truth = drive
     inputs = write_streams(tmp_path, imu, gnss, truth)
     monkeypatch.setattr(fusion, "CHUNK_STEPS", 7)
@@ -176,16 +206,19 @@ def test_streamed_outputs_equal_whole_run_writers(monkeypatch, tmp_path, drive):
     truth_track = run_gnss_only(rows, result.origin)
     ref = tmp_path / "ref"
     ref.mkdir()
-    cli.write_estimates_csv(result, ref / "estimate.csv")
-    err = cli.align_and_diff(result.track, truth_track)
-    export_errors_csv(err, ref / "errors.csv")
-    t, est = result.track
-    cells = cli._track_gnss_cells(t, *result.gnss_track)
-    export_track_csv(t, est, est - err[1], cells, ref / "track.csv")
-    gnss_err = cli.align_and_diff(result.gnss_track, truth_track)
-    cli.export_rmse_csv([cli.rmse(gnss_err, "GNSS"), cli.rmse(err, "GNSS-IMU")], ref / "rmse.csv")
+    write_run([result], result.t, truth_track, ref)
     for name in ("estimate.csv", "errors.csv", "track.csv", "rmse.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes()
+    assert np.isnan(result.fix).any() and not np.isnan(result.fix).all()
+    err = align_and_diff(result.track, truth_track)
+    t, est = result.track
+    expected = {
+        "estimate.csv": reference_estimates_text(result),
+        "errors.csv": reference_errors_text(err),
+        "track.csv": reference_track_text(t, est, est - err[1], result.fix),
+    }
+    for name, text in expected.items():
+        assert (ref / name).read_text() == text
 
 
 def fuse_peak(tmp_path, duration):
@@ -200,7 +233,7 @@ def fuse_peak(tmp_path, duration):
     out.mkdir()
     tracemalloc.start()
     try:
-        cli._fuse_and_write(imu, gnss, cfg, truth_track, out)
+        write_run(fuse_chunks(imu, gnss, cfg), imu.t, truth_track, out)
         return len(imu), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
