@@ -14,7 +14,7 @@ from .geodesy import (
     geodetic_to_enu,
     normal_radius,
 )
-from .gnss import GnssNoise, GnssStream, measurement_cov
+from .gnss import GnssNoise, GnssStream
 from .simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 from .strapdown import ImuNoiseParams, ImuStream, propagate
 from .ukf import (
@@ -42,7 +42,6 @@ __all__ = [
     "normal_radius",
     "GnssNoise",
     "GnssStream",
-    "measurement_cov",
     "SensorCorruption",
     "TrajectoryProfile",
     "corrupt",

@@ -12,9 +12,10 @@ The readers return a whole file as an :class:`ImuStream` or a
 then hands the filter's chunks to :func:`navfuse.evaluate.write_run`,
 which writes the run's tables.  Exit codes: 0 success, 1 runtime/data
 error, 2 usage error (also a NaN, infinite or out-of-range configuration
-value, or a config file value that does not parse).  Flags override an
-optional ``key=value`` config file (``--config``); defaults apply last.
-Every command writes a ``manifest`` echoing the resolved configuration,
+value, a config file value that does not parse, or a config file key
+that names no setting of any command).  Flags override an optional
+``key=value`` config file (``--config``); defaults apply last.  Every
+command writes a ``manifest`` echoing the resolved configuration,
 sufficient to reproduce the run byte for byte.
 """
 
@@ -78,7 +79,9 @@ def _parse_outage(text):
     return (start, end)
 
 
-def _read_config_file(path):
+def _read_config_file(path, keys):
+    """The ``key=value`` lines of the config file at ``path``; a key not in
+    ``keys`` is a usage error."""
     values = {}
     for raw in _read_text(path).splitlines():
         line = raw.strip()
@@ -87,7 +90,10 @@ def _read_config_file(path):
         if "=" not in line:
             raise _UsageError(f"bad config line {raw!r}; expected key=value")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise _UsageError(f"{path}: config key {key!r} is not a setting of any command")
+        values[key] = value.strip()
     return values
 
 
@@ -96,7 +102,7 @@ class _Resolver:
 
     def __init__(self, args):
         self.args = args
-        self.file = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        self.file = _read_config_file(args.config, args.config_keys) if args.config else {}
         self.resolved = {}
 
     def get(self, key, default, cast=float):
@@ -119,7 +125,7 @@ def _defaults_of(cls):
 _PROFILE_DEFAULTS = _defaults_of(TrajectoryProfile)
 _IMU_NOISE_DEFAULTS = _defaults_of(ImuNoiseParams)
 _FUSION_DEFAULTS = _defaults_of(FusionConfig)
-_GNSS_SIGMA_DEFAULT = _defaults_of(GnssNoise)["sigma_e"]
+_GNSS_SIGMA_DEFAULT = _defaults_of(GnssNoise)["sigma"]
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +217,7 @@ def _cmd_simulate(args):
         corruption = SensorCorruption(
             seed=int(seed),
             imu=_imu_noise(res),
-            gnss=GnssNoise(*(3 * [res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)])),
+            gnss=GnssNoise(res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)),
             outages=tuple(_parse_outage(o) for o in (args.gnss_outage or [])),
         )
 
@@ -245,7 +251,7 @@ def _fusion_config(res):
         beta=res.get("beta", d["beta"]),
         gamma=res.get("gamma", d["gamma"]),
         imu_noise=_imu_noise(res),
-        gnss_noise=GnssNoise(*(3 * [res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)])),
+        gnss_noise=GnssNoise(res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)),
         init_position_std=res.get("init_position_std", d["init_position_std"]),
         init_velocity_std=res.get("init_velocity_std", d["init_velocity_std"]),
         init_attitude_std=res.get("init_attitude_std", d["init_attitude_std"]),
@@ -351,7 +357,10 @@ def _add_noise_flags(p):
     p.add_argument("--accel-bias-walk", dest="accel_bias_rw", type=float,
                    help="accelerometer bias random-walk intensity (m/s^3)")
     p.add_argument("--gnss-sigma", dest="gnss_sigma", type=float,
-                   help="per-axis GNSS position noise (m)")
+                   help="GNSS position noise (m, every ENU axis)")
+
+
+_NOT_SETTINGS = {"help", "imu", "gnss", "kitti", "truth", "gnss_outage", "config", "out"}
 
 
 def build_parser():
@@ -369,7 +378,7 @@ def build_parser():
     sim.add_argument("--speed", type=float, help="profile speed (m/s)")
     sim.add_argument("--radius", type=float, help="profile radius (m)")
     sim.add_argument("--accel", type=float, help="straight-profile acceleration (m/s^2)")
-    sim.add_argument("--seed", type=int, required=True, help="64-bit RNG seed")
+    sim.add_argument("--seed", type=int, help="64-bit RNG seed")
     sim.add_argument("--gnss-outage", action="append", metavar="START:END",
                      help="drop fixes in [START, END); repeatable")
     _add_noise_flags(sim)
@@ -410,6 +419,12 @@ def build_parser():
     conv.add_argument("--config", help="key=value config file (flags take precedence)")
     conv.add_argument("--out", required=True, help="output directory")
     conv.set_defaults(func=_cmd_kitti_convert)
+
+    # A config file may set any command's settings, so that one file
+    # serves them all; the options that name files or outage windows are
+    # not settings.
+    keys = {action.dest for command in sub.choices.values() for action in command._actions}
+    parser.set_defaults(config_keys=keys - _NOT_SETTINGS)
     return parser
 
 

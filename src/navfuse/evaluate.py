@@ -273,38 +273,30 @@ class TableWriter(_AtomicFile):
             raise
         return self
 
-    def rows(self, columns, labels=None):
+    def rows(self, columns):
         """Write one line per row of the table block whose columns are
         ``columns``, a sequence of 1-D (one column) or 2-D blocks of the
-        same row count, a number per header column after the label
-        column; ``labels`` are the label cells of a labelled table.
+        same row count, a number per header column.
 
         Rows are formatted :data:`_CHUNK_ROWS` at a time, each through a
         single ``%.17g`` format string, which gives the bytes of
         :func:`_fmt` per cell; NaN cells are written empty.
         """
         blocks = [np.asarray(block) for block in columns]
-        ncols = self.header.count(",") + 1 - (labels is not None)
-        row = ",".join(["%.17g"] * ncols) + "\n"
+        row = ",".join(["%.17g"] * (self.header.count(",") + 1)) + "\n"
         for start in range(0, len(blocks[0]), _CHUNK_ROWS):
             stop = start + _CHUNK_ROWS
             chunk = np.column_stack([block[start:stop] for block in blocks])
             # Only a NaN formats to a token containing "nan", so blanking
             # those tokens empties exactly the NaN cells.
-            text = ((row * len(chunk)) % tuple(chunk.ravel().tolist())).replace("nan", "")
-            if labels is not None:
-                text = "".join(
-                    f"{label},{line}\n"
-                    for label, line in zip(labels[start:stop], text.splitlines())
-                )
-            self.write(text)
+            self.write(((row * len(chunk)) % tuple(chunk.ravel().tolist())).replace("nan", ""))
 
 
-def _write_table(path, header, columns, labels=None):
+def _write_table(path, header, columns):
     """Write the table with ``header`` whose rows are those of
     ``columns`` (see :meth:`TableWriter.rows`) in one pass."""
     with TableWriter(path, header) as table:
-        table.rows(columns, labels)
+        table.rows(columns)
 
 
 _ESTIMATE_HEADER = (
@@ -365,10 +357,10 @@ def write_run(results, t, truth, out):
 
 
 def export_rmse_csv(reports, path):
-    """Write RMSE rows as ``method,rmse_x,rmse_y,rmse_z``."""
-    _write_table(
-        path,
-        "method,rmse_x,rmse_y,rmse_z",
-        [np.array([(r.rmse_x, r.rmse_y, r.rmse_z) for r in reports]).reshape(-1, 3)],
-        labels=[r.method for r in reports],
-    )
+    """Write RMSE rows as ``method,rmse_x,rmse_y,rmse_z``; a NaN RMSE is
+    an empty cell."""
+    lines = ["method,rmse_x,rmse_y,rmse_z"]
+    for r in reports:
+        cells = (_fmt(v).replace("nan", "") for v in (r.rmse_x, r.rmse_y, r.rmse_z))
+        lines.append(",".join([r.method, *cells]))
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -13,12 +13,13 @@ from .strapdown import SensorStream
 
 @dataclass(frozen=True, eq=False)
 class GnssStream(SensorStream):
-    """Geodetic position fixes: times ``t``, ``lat`` and ``lon`` (radians)
-    and ``alt`` (meters), each (M,), and ``std`` (M, 3), the receiver's
-    per-axis ENU sigmas, where an all-NaN row (the default) means "use the
-    filter's :class:`GnssNoise`".  Checked once for non-decreasing times
-    and in-range positions (:func:`navfuse.geodesy.check_geodetic`);
-    :func:`measurement_covs` checks the sigmas."""
+    """Geodetic position fixes: times ``t``, ``lat`` and ``lon`` (radians),
+    ``alt`` (meters) and ``std``, the receiver's position sigma (meters,
+    the same on every ENU axis), each (M,); a NaN sigma (the default)
+    means "use the filter's :class:`GnssNoise`".  Checked once for
+    non-decreasing times and in-range positions
+    (:func:`navfuse.geodesy.check_geodetic`); :func:`measurement_covs`
+    checks the sigmas."""
 
     t: np.ndarray
     lat: np.ndarray
@@ -27,27 +28,25 @@ class GnssStream(SensorStream):
     std: np.ndarray | None = None
 
     def __post_init__(self):
-        self._freeze({"t": None, "lat": None, "lon": None, "alt": None, "std": 3}, strict=False)
+        self._freeze({"t": None, "lat": None, "lon": None, "alt": None, "std": None}, strict=False)
         check_geodetic(self.lat, self.lon, self.alt)
 
 
 @dataclass(frozen=True)
 class GnssNoise:
-    """Per-axis ENU standard deviations of the GNSS position solution.
+    """Standard deviation ``sigma`` (meters) of the GNSS position solution,
+    the same on every ENU axis.
 
-    Zero sigmas are representable (the simulator uses them for noiseless
-    streams) but :func:`measurement_cov` rejects them: the filter's R
-    must be positive definite.
+    A zero sigma is representable (the simulator uses it for noiseless
+    streams) but :func:`measurement_covs` rejects it: the filter's R must
+    be positive definite.
     """
 
-    sigma_e: float = 13.0
-    sigma_n: float = 13.0
-    sigma_u: float = 13.0
+    sigma: float = 13.0
 
     def __post_init__(self):
-        for name in ("sigma_e", "sigma_n", "sigma_u"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidNoise(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not 0 <= self.sigma < math.inf:
+            raise InvalidNoise(f"GNSS sigma must be finite and >= 0, got {self.sigma}")
 
 
 def decimate_indices(times, rate):
@@ -71,33 +70,16 @@ def outage_mask(times, outages):
     return mask
 
 
-def measurement_cov(noise):
-    """Diagonal measurement covariance R from per-axis sigmas."""
-    for name in ("sigma_e", "sigma_n", "sigma_u"):
-        if not getattr(noise, name) > 0:
-            raise InvalidNoise(f"{name} must be > 0, got {getattr(noise, name)}")
-    return np.diag(
-        [noise.sigma_e**2, noise.sigma_n**2, noise.sigma_u**2]
-    )
-
-
 def measurement_covs(std, default_noise):
-    """R (m, 3, 3) for the ``std`` (m, 3) of m fixes: a row's receiver
-    sigmas, or the ``default_noise`` of :func:`measurement_cov` where the
-    row is all NaN.
+    """R = sigma^2 I (m, 3, 3) for the ``std`` (m,) of m fixes: a fix's
+    receiver sigma, or the ``default_noise`` sigma where it is NaN.
 
-    Raises :class:`InvalidNoise` when a receiver sigma is not positive,
-    and when a row without sigmas meets a default that
-    :func:`measurement_cov` rejects.
+    Raises :class:`InvalidNoise` when a sigma that R uses is not positive.
     """
-    own = ~np.isnan(std).all(axis=1)
-    sigmas = np.where(own[:, None], std, 0.0)
-    bad = own & ~(sigmas > 0).all(axis=1)
+    sigmas = np.where(np.isnan(std), default_noise.sigma, std)
+    bad = ~(sigmas > 0)
     if bad.any():
-        raise InvalidNoise(f"receiver sigmas must be > 0, got {sigmas[bad][0]}")
-    # float_power is libm pow, as Python's ** in measurement_cov; the
-    # ndarray ** operator squares by multiplication and can differ in the last bit.
-    variances = np.float_power(sigmas, 2.0)
-    if not own.all():
-        variances[~own] = np.diag(measurement_cov(default_noise))
-    return variances[:, None, :] * np.eye(3)
+        raise InvalidNoise(f"GNSS sigma must be > 0, got {sigmas[bad][0]}")
+    # float_power is libm pow, as Python's **; the ndarray ** operator
+    # squares by multiplication and can differ in the last bit.
+    return np.float_power(sigmas, 2.0)[:, None, None] * np.eye(3)

@@ -86,8 +86,8 @@ def load_sequence(drive_dir, gnss_rate=1.0):
     (af, al, au) at the full recording rate; GNSS fixes take (lat, lon,
     alt), converted to radians, decimated to ``gnss_rate`` by keeping
     the first record of each time bucket, with the receiver sigma
-    ``pos_accuracy`` on every axis where it is positive.  Timestamps
-    become seconds relative to the first record.
+    ``pos_accuracy`` where it is positive and NaN (the filter's default)
+    elsewhere.  Timestamps become seconds relative to the first record.
     """
     drive_dir = Path(drive_dir)
     ts_path = drive_dir / "oxts" / "timestamps.txt"
@@ -113,5 +113,5 @@ def load_sequence(drive_dir, gnss_rate=1.0):
     imu = ImuStream(times, np.stack([c.wf, c.wl, c.wu], 1), np.stack([c.af, c.al, c.au], 1))
 
     k = decimate_indices(times, gnss_rate)
-    std = np.where(c.pos_accuracy[k] > 0, c.pos_accuracy[k], np.nan)[:, None].repeat(3, axis=1)
+    std = np.where(c.pos_accuracy[k] > 0, c.pos_accuracy[k], np.nan)
     return imu, GnssStream(times[k], np.radians(c.lat[k]), np.radians(c.lon[k]), c.alt[k], std)

@@ -216,8 +216,7 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
     )
 
     fix_idx = decimate_indices(truth.t, gnss_rate)
-    sigmas = np.array([corruption.gnss.sigma_e, corruption.gnss.sigma_n, corruption.gnss.sigma_u])
-    noise = rng.standard_normal((fix_idx.shape[0], 3)) * sigmas
+    noise = rng.standard_normal((fix_idx.shape[0], 3)) * corruption.gnss.sigma
 
     kept = ~outage_mask(truth.t[fix_idx], corruption.outages)
     fix_idx = fix_idx[kept]

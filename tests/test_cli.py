@@ -53,6 +53,15 @@ class TestSimulateCommand:
                     "--out", tmp_path / "x"])
         assert code == 2
 
+    def test_seed_from_config_file(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=5\n")
+        base = ["simulate", "--profile", "circular", "--duration", "5"]
+        assert run([*base, "--config", config, "--out", tmp_path / "file"]) == 0
+        assert run([*base, "--seed", "5", "--out", tmp_path / "flag"]) == 0
+        for name in ("truth.csv", "imu.csv", "gnss.csv", "manifest"):
+            assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
+
     def test_manifest_echoes_config(self, tmp_path):
         out = simulate_into(tmp_path, extra=["--gnss-sigma", "7.5"])
         manifest = dict(
@@ -360,12 +369,15 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
             ["fuse", "--kitti", "KITTI", "--config", "alpha=wide"],
             ["kitti-convert", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
+            ["fuse", "--kitti", "KITTI", "--config", "gnss_sgima=5"],
+            ["kitti-convert", "--kitti", "KITTI", "--config", "out=elsewhere"],
         ],
         ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
              "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
              "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan",
              "config-duration-text", "config-imu-rate-text", "config-fuse-gnss-rate-text",
-             "config-alpha-text", "config-convert-gnss-rate-text"],
+             "config-alpha-text", "config-convert-gnss-rate-text", "config-unknown-key",
+             "config-path-key"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]
@@ -382,6 +394,33 @@ class TestParser:
         assert "Traceback" not in err
         if "--config" in args:
             assert repr(key) in err
+
+    def test_config_keys_of_other_commands_accepted(self, tmp_path, kitti_drive):
+        # One file serves simulate, fuse and kitti-convert; each command
+        # reads its own settings.
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=3\nduration=5\nprofile=circular\nalpha=0.9\ngnss_rate=1\n")
+        assert run(["simulate", "--config", config, "--out", tmp_path / "sim"]) == 0
+        assert run(["fuse", "--kitti", kitti_drive, "--config", config,
+                    "--out", tmp_path / "fused"]) == 0
+        assert run(["kitti-convert", "--kitti", kitti_drive, "--config", config,
+                    "--out", tmp_path / "conv"]) == 0
+        manifest = (tmp_path / "fused" / "manifest").read_text().splitlines()
+        assert "alpha=0.90000000000000002" in manifest
+        assert not any(line.startswith(("seed=", "duration=")) for line in manifest)
+
+    @pytest.mark.parametrize("sigma, code", [("0", 1), ("-1", 2)])
+    def test_bad_gnss_sigma(self, tmp_path, capsys, sigma, code):
+        # Zero is a valid noise for the simulator but not for the
+        # filter's R; a negative sigma is no noise at all.  The fixes of
+        # a gnss.csv carry no sigma of their own, so they all use it.
+        sim = simulate_into(tmp_path)
+        capsys.readouterr()
+        assert run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--gnss-sigma", sigma, "--out", tmp_path / "o"]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "GNSS sigma must be" in err
+        assert "sigma_e" not in err
 
     def test_bad_outage_format(self, tmp_path):
         sim = simulate_into(tmp_path)

@@ -29,7 +29,7 @@ from navfuse.strapdown import ImuStream
 ANCHORS = [0, 7, 13, 13, 55, 140, 255, 256, 299]
 OUTLIER = 5
 # Receiver sigmas on some fixes; the others take the filter's default.
-OWN_SIGMAS = {1: (3.0, 3.0, 5.0), 7: (2.0, 2.5, 4.0)}
+OWN_SIGMAS = {1: 3.0, 7: 2.5}
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +46,9 @@ def drive():
     t[4] += 0.004  # still step 13
     positions = truth.position[steps] + np.random.default_rng(3).normal(0.0, 2.0, (len(steps), 3))
     positions[1 + OUTLIER, 0] += 500.0
-    std = np.full((len(steps), 3), np.nan)
-    for k, sigmas in OWN_SIGMAS.items():
-        std[1 + k] = sigmas
+    std = np.full(len(steps), np.nan)
+    for k, sigma in OWN_SIGMAS.items():
+        std[1 + k] = sigma
     gnss = GnssStream(t, *enu_to_geodetic(positions, SCENARIO_ORIGIN), std)
     return imu, gnss, truth
 

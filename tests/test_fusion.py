@@ -64,11 +64,11 @@ class TestRunFusion:
         # updates.
         profile = TrajectoryProfile("stationary", duration=30.0)
         truth, ideal = generate_truth(profile)
-        corr = SensorCorruption(seed=11, imu=QUIET, gnss=GnssNoise(1.0, 1.0, 1.0))
+        corr = SensorCorruption(seed=11, imu=QUIET, gnss=GnssNoise(1.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
         cfg = FusionConfig(
             imu_noise=ImuNoiseParams(1e-6, 1e-6, 1e-9, 1e-9),
-            gnss_noise=GnssNoise(1.0, 1.0, 1.0),
+            gnss_noise=GnssNoise(1.0),
         )
         result = run_fusion(imu, gnss, cfg)
         truth_local = run_gnss_only(truth_fixes(truth), result.origin)
@@ -82,11 +82,11 @@ class TestRunFusion:
         # reduces to integration error once the (deliberately unknown)
         # initial velocity has been observed from the first few fixes.
         noiseless = SensorCorruption(
-            seed=1, imu=QUIET, gnss=GnssNoise(0.0, 0.0, 0.0)
+            seed=1, imu=QUIET, gnss=GnssNoise(0.0)
         )
         cfg = FusionConfig(
             imu_noise=ImuNoiseParams(1e-9, 1e-9, 1e-12, 1e-12),
-            gnss_noise=GnssNoise(1e-3, 1e-3, 1e-3),
+            gnss_noise=GnssNoise(1e-3),
         )
         for kind, skip in (("stationary", 0.0), ("circular", 5.0)):
             profile = TrajectoryProfile(kind, duration=90.0)
@@ -157,7 +157,7 @@ class TestRunFusion:
     def test_innovation_gate_rejects_outlier(self):
         profile = TrajectoryProfile("stationary", duration=6.0)
         truth, ideal = generate_truth(profile)
-        corr = SensorCorruption(seed=4, imu=QUIET, gnss=GnssNoise(1.0, 1.0, 1.0))
+        corr = SensorCorruption(seed=4, imu=QUIET, gnss=GnssNoise(1.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
         # Shift one fix far off-track.
         far = enu_to_geodetic([[500.0, 0.0, 0.0]], SCENARIO_ORIGIN)
@@ -165,7 +165,7 @@ class TestRunFusion:
         for column, value in zip(columns, far):
             column[3] = value[0]
         gnss = GnssStream(gnss.t, *columns)
-        cfg = FusionConfig(gnss_noise=GnssNoise(1.0, 1.0, 1.0), gnss_gate=16.27)
+        cfg = FusionConfig(gnss_noise=GnssNoise(1.0), gnss_gate=16.27)
         result = run_fusion(imu, gnss, cfg)
         rejected = [u for u in result.updates if not u.accepted]
         assert len(rejected) == 1

@@ -11,7 +11,6 @@ from navfuse.gnss import (
     GnssNoise,
     GnssStream,
     decimate_indices,
-    measurement_cov,
     measurement_covs,
     outage_mask,
 )
@@ -19,7 +18,7 @@ from navfuse.fusion import run_gnss_only
 from navfuse.ukf import GaussianBelief, SigmaParams, unscented_measurement
 
 ORIGIN = GeodeticCoord(math.radians(49.0), math.radians(8.43), 115.0)
-NAN_ROW = [math.nan] * 3
+NAN = np.array([math.nan])
 
 
 def fix(lat, lon, alt, t=0.0):
@@ -89,80 +88,78 @@ class TestFixToLocal:
 
 class TestMeasurementCov:
     def test_unit_sigmas_give_identity(self):
-        np.testing.assert_array_equal(measurement_cov(GnssNoise(1, 1, 1)), np.eye(3))
+        np.testing.assert_array_equal(measurement_covs(np.ones(1), GnssNoise())[0], np.eye(3))
+        np.testing.assert_array_equal(measurement_covs(NAN, GnssNoise(1.0))[0], np.eye(3))
 
     def test_squares_on_diagonal(self):
-        np.testing.assert_array_equal(
-            measurement_cov(GnssNoise(2, 3, 4)), np.diag([4.0, 9.0, 16.0])
-        )
+        covs = measurement_covs(np.array([3.0, 0.5]), GnssNoise())
+        np.testing.assert_array_equal(covs, [9.0 * np.eye(3), 0.25 * np.eye(3)])
 
     def test_doubling_sigmas_quadruples_entries(self):
-        base = measurement_cov(GnssNoise(2, 3, 4))
-        np.testing.assert_allclose(measurement_cov(GnssNoise(4, 6, 8)), 4 * base)
+        base = measurement_covs(np.array([2.0, math.nan]), GnssNoise(3.0))
+        np.testing.assert_allclose(measurement_covs(np.array([4.0, math.nan]), GnssNoise(6.0)),
+                                   4 * base)
 
     def test_zero_sigma_rejected_by_cov(self):
-        with pytest.raises(InvalidNoise):
-            measurement_cov(GnssNoise(0.0, 1.0, 1.0))
+        with pytest.raises(InvalidNoise, match="GNSS sigma must be > 0, got 0.0"):
+            measurement_covs(NAN, GnssNoise(0.0))
 
     def test_negative_sigma_rejected_at_construction(self):
-        with pytest.raises(InvalidNoise):
-            GnssNoise(-1.0, 1.0, 1.0)
-        for bad in (math.nan, math.inf):
-            with pytest.raises(InvalidNoise):
-                GnssNoise(1.0, bad, 1.0)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvalidNoise, match="GNSS sigma must be finite and >= 0"):
+                GnssNoise(bad)
 
     def test_per_fix_sigma_overrides_default(self):
-        covs = measurement_covs(np.array([[1.0, 2.0, 3.0], NAN_ROW]), GnssNoise())
-        np.testing.assert_array_equal(covs[0], np.diag([1.0, 4.0, 9.0]))
+        covs = measurement_covs(np.array([2.0, math.nan]), GnssNoise())
+        np.testing.assert_array_equal(covs[0], 4.0 * np.eye(3))
         np.testing.assert_array_equal(covs[1], 169.0 * np.eye(3))
 
     def test_array_covs_bit_identical_to_per_fix_formula(self):
-        # The R of every fix at once equals, bit for bit, the per-fix
-        # measurement_cov(GnssNoise(*std)) or the default.
-        # Half the sigmas are ones whose square by libm pow (Python's **)
-        # and by multiplication differ in the last bit.
+        # The R of every fix at once equals, bit for bit, sigma**2 I for
+        # the fix's own sigma or the default.  Half the sigmas are ones
+        # whose square by libm pow (Python's **) and by multiplication
+        # differ in the last bit.
         rng = np.random.default_rng(47)
         candidates = rng.uniform(0.1, 30.0, 1_000_000).tolist()
         split = [s for s in candidates if s**2 != s * s][:450]
         assert len(split) == 450
         sigmas = np.concatenate([split, rng.uniform(0.1, 30.0, 450)])
         rng.shuffle(sigmas)
-        default = GnssNoise(13.0, 7.3, 2.9)
-        std = np.full((600, 3), math.nan)
-        std[1::2] = sigmas.reshape(300, 3)
-        covs = measurement_covs(std, default)
-        assert covs.shape == (600, 3, 3)
-        for row, cov in zip(std.tolist(), covs):
-            noise = default if math.isnan(row[0]) else GnssNoise(*row)
-            assert np.array_equal(cov, measurement_cov(noise))
+        for default in (GnssNoise(13.0), GnssNoise(split[0])):
+            std = np.full(1800, math.nan)
+            std[1::2] = sigmas
+            covs = measurement_covs(std, default)
+            assert covs.shape == (1800, 3, 3)
+            for sigma, cov in zip(std.tolist(), covs):
+                sigma = default.sigma if math.isnan(sigma) else sigma
+                assert np.array_equal(cov, sigma**2 * np.eye(3))
 
     def test_array_covs_reject_bad_sigmas(self):
-        good = [1.0, 1.0, 1.0]
-        for std in ((1.0, 0.0, 1.0), (1.0, -2.0, 1.0), (math.nan, 1.0, 1.0)):
+        for bad in (0.0, -2.0, -math.inf):
             with pytest.raises(InvalidNoise):
-                measurement_covs(np.array([good, std]), GnssNoise())
+                measurement_covs(np.array([1.0, bad]), GnssNoise())
         with pytest.raises(InvalidNoise):
-            measurement_covs(np.array([good, NAN_ROW]), GnssNoise(0.0, 1.0, 1.0))
-        # The default is only needed by a fix without receiver sigmas.
-        assert measurement_covs(np.array([good]), GnssNoise(0.0, 1.0, 1.0)).shape == (1, 3, 3)
-        assert measurement_covs(np.empty((0, 3)), GnssNoise(0.0, 1.0, 1.0)).shape == (0, 3, 3)
+            measurement_covs(np.array([1.0, math.nan]), GnssNoise(0.0))
+        # The default is only needed by a fix without a receiver sigma.
+        assert measurement_covs(np.array([1.0]), GnssNoise(0.0)).shape == (1, 3, 3)
+        assert measurement_covs(np.empty(0), GnssNoise(0.0)).shape == (0, 3, 3)
 
 
 class TestStreams:
     def test_gnss_stream_columns_and_take(self):
         fixes = GnssStream([0.5, 1.5, 1.5], [0.1, -0.1, 0.0], [0.2, -0.2, 0.0], [3.0, 4.0, 5.0],
-                           [[1.0, 2.0, 3.0], NAN_ROW, NAN_ROW])
+                           [2.0, math.nan, math.nan])
         assert len(fixes) == 3
         assert fixes.t.tolist() == [0.5, 1.5, 1.5]
         assert fixes.lat.tolist() == [0.1, -0.1, 0.0]
         assert fixes.lon.tolist() == [0.2, -0.2, 0.0]
         assert fixes.alt.tolist() == [3.0, 4.0, 5.0]
-        assert fixes.std[0].tolist() == [1.0, 2.0, 3.0]
-        assert np.isnan(fixes.std[1:]).all()
+        assert fixes.std[0] == 2.0 and np.isnan(fixes.std[1:]).all()
         for index in ([0, 2], np.array([True, False, True]), slice(0, 3, 2)):
             kept = fixes.take(index)
             assert kept.alt.tolist() == [3.0, 5.0]
-            assert kept.std[0].tolist() == [1.0, 2.0, 3.0] and np.isnan(kept.std[1]).all()
+            assert kept.std[0] == 2.0 and np.isnan(kept.std[1])
+        assert GnssStream([0.0], [0.0], [0.0], [0.0]).std.shape == (1,)
         assert np.isnan(GnssStream([0.0], [0.0], [0.0], [0.0]).std).all()
         assert len(GnssStream(*np.empty((4, 0)))) == 0
 
@@ -190,6 +187,8 @@ class TestStreams:
              "row 2: longitude -3.5 outside"),
             (([0.0, 1.0, 2.0], [0.1] * 3, [0.2] * 3, [3.0, math.nan, 3.0]),
              "row 1: height must be finite"),
+            (([0.0, 1.0], [0.1, 0.1], [0.2, 0.2], [3.0, 3.0], np.ones((2, 3))),
+             r"std has shape \(2, 3\), expected \(2,\)"),
         ],
     )
     def test_gnss_stream_rejects_bad_rows(self, columns, message):

@@ -94,7 +94,7 @@ class TestLoadSequence:
         assert gnss.lat[0] == pytest.approx(math.radians(49.0), abs=1e-15)
         assert gnss.lon[0] == pytest.approx(math.radians(8.43), abs=1e-15)
         assert gnss.alt[0] == 115.0
-        assert gnss.std[0].tolist() == [0.5, 0.5, 0.5]
+        assert gnss.std.tolist() == [0.5]
 
     def test_missing_timestamps(self, tmp_path):
         (tmp_path / "oxts" / "data").mkdir(parents=True)
@@ -157,8 +157,8 @@ class TestLoadSequence:
         assert gnss.t.tolist() == pytest.approx([0.0, 1.0, 2.0], abs=1e-9)
 
     def test_unreported_accuracy_leaves_default_noise(self, kitti_drive, tmp_path):
-        # pos_accuracy 0 means "not reported": the fix gets an all-NaN
-        # sigma row, which the filter replaces by its configured noise.
+        # pos_accuracy 0 means "not reported": the fix gets a NaN sigma,
+        # which the filter replaces by its configured noise.
         drive = tmp_path / "drive"
         shutil.copytree(kitti_drive, drive)
         for path in (drive / "oxts" / "data").glob("*.txt"):

@@ -99,7 +99,7 @@ class TestCorrupt:
     def test_zero_noise_reproduces_ideal(self):
         profile = TrajectoryProfile("circular", duration=5.0)
         truth, ideal = generate_truth(profile)
-        corr = SensorCorruption(seed=1, imu=QUIET, gnss=GnssNoise(0.0, 0.0, 0.0))
+        corr = SensorCorruption(seed=1, imu=QUIET, gnss=GnssNoise(0.0))
         imu, gnss = corrupt(truth, ideal, corr, gnss_rate=profile.gnss_rate)
         np.testing.assert_array_equal(imu.gyro, ideal.gyro)
         np.testing.assert_array_equal(imu.accel, ideal.accel)

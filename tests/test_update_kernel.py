@@ -28,7 +28,7 @@ from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, gener
 RTOL = 1e-11
 CFG = FusionConfig()
 PARAMS = CFG.sigma_params()
-R_DEFAULT = measurement_covs(np.full((1, 3), np.nan), CFG.gnss_noise)[0]
+R_DEFAULT = measurement_covs(np.full(1, np.nan), CFG.gnss_noise)[0]
 
 
 def assert_within(diff, scale, what):
@@ -123,7 +123,7 @@ class TestEdgeCases:
         assert event["trace_after"] == event["trace_before"]
 
     def test_per_fix_std(self):
-        r_cov = measurement_covs(np.array([[1.0, 2.0, 3.0]]), GnssNoise())[0]
+        r_cov = measurement_covs(np.array([2.0]), GnssNoise())[0]
         update_both(nominal(), CFG.initial_covariance(), np.array([5.0, -2.0, 0.0]), r_cov)
 
     def test_nominal_quaternion_with_negative_w(self):

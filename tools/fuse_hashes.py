@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""The sha256 of every ``fuse`` output on a set of runs: a git ref against
-the working tree.
+"""The sha256 of every ``simulate``, ``kitti-convert`` and ``fuse`` output
+on a set of runs: a git ref against the working tree.
 
     python tools/fuse_hashes.py [REF]
 
 ``src/navfuse`` at REF (default HEAD) is extracted into a temporary
-directory by ``extract`` of ``tools/fuse_pairs.py``.  The working tree
-simulates the drives once: the 90 s circular drive (``circ90``) and the
-600 s figure-eight with a fix at every 10 Hz IMU sample
-(``gnss-dense``), both at seed 42, and converts the ``kitti-jitter``
-drive of ``perfbench/kitti_drive.py`` (seed 1) with ``kitti-convert``.
-Each side then runs ``navfuse fuse`` in its own process on every run of
-:data:`RUNS`, and the script prints the sha256 of ``estimate.csv``,
+directory by ``extract`` of ``tools/fuse_pairs.py``.  Each side, in its
+own processes, simulates the drives of :data:`SIMULATED` at seed 42: the
+90 s circular drive (``circ90``), the same drive with a 7.3 m GNSS sigma,
+and the 600 s figure-eight with a fix at every 10 Hz IMU sample
+(``gnss-dense``).  Each side also converts the ``kitti-jitter`` drive of
+``perfbench/kitti_drive.py`` (seed 1) with ``kitti-convert``.  The script
+prints the sha256 of each stream (``imu.csv``, ``gnss.csv``,
+``truth.csv``) and ``manifest`` on both sides.  Then each side runs
+``navfuse fuse`` on every run of :data:`RUNS`, on the working tree's
+streams, and the script prints the sha256 of ``estimate.csv``,
 ``errors.csv``, ``rmse.csv``, ``track.csv`` and ``manifest`` on both
 sides.  A manifest is hashed without its ``input_*`` lines, which name
-the input paths.  The script exits 1 if a run fails on either side or
-any output differs, and 0 otherwise.
+the input paths.  The script exits 1 if a command fails on either side
+or any output differs, and 0 otherwise.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
 ``tests/`` imports it.  It runs for a few minutes and holds about 40 MB
@@ -35,8 +38,11 @@ from fuse_pairs import extract
 
 REPO = Path(__file__).resolve().parent.parent
 OUTPUTS = ("estimate.csv", "errors.csv", "rmse.csv", "track.csv", "manifest")
+STREAMS = ("imu.csv", "gnss.csv", "truth.csv", "manifest")
 SIMULATED = {
     "circ90": ["--profile", "circular", "--duration", "90"],
+    "circ90 --gnss-sigma 7.3": ["--profile", "circular", "--duration", "90",
+                                "--gnss-sigma", "7.3"],
     "gnss-dense": ["--profile", "figure-eight", "--duration", "600",
                    "--imu-rate", "10", "--gnss-rate", "10"],
 }
@@ -49,7 +55,7 @@ RUNS = [
     ("gnss-dense --gate 3", "gnss-dense", ["--gate", "3"]),
     ("circ90 --gnss-outage 20:50", "circ90", ["--gnss-outage", "20:50"]),
     ("circ90 --gnss-outage 0:100", "circ90", ["--gnss-outage", "0:100"]),
-    ("fuse --kitti tests/data/kitti_drive", None, []),
+    ("--kitti tests/data/kitti_drive", None, []),
     ("kitti-jitter", "kitti-jitter", ["--gnss-outage", "300:330"]),
 ]
 
@@ -78,32 +84,57 @@ def digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
-def make_drives(tree, tmp):
-    """Simulate and convert the drives with the working tree; return the
-    fuse inputs of each drive."""
-    inputs = {}
-    for name, shape in SIMULATED.items():
-        sim = tmp / name
-        rc, err = navfuse(tree, "simulate", *shape, "--seed", "42", "--out", sim)
-        if rc:
-            raise SystemExit(f"simulate {name} failed: {err}")
-        inputs[name] = ["--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
-                        "--truth", sim / "truth.csv"]
+def compare(hashes, names):
+    """Print the sha256 of each output in ``names`` on both sides of
+    ``hashes`` ({side: {name: sha256 or None}}); return how many differ."""
+    differ = 0
+    for output in names:
+        ref, tree = hashes["ref"][output], hashes["tree"][output]
+        if ref is None and tree is None:
+            continue
+        same = ref == tree
+        differ += not same
+        print(f"  {output:<13} ref  {ref}\n  {'':<13} tree {tree}"
+              f"  {'same' if same else 'DIFFERS'}")
+    return differ
+
+
+def make_drives(sides, tmp):
+    """Simulate and convert the drives with both sides and compare their
+    streams; return the number of failures and differences, and the fuse
+    inputs of each drive, made by the working tree."""
     sys.path.insert(0, str(REPO / "perfbench"))
     import kitti_drive
 
-    drive, conv = tmp / "kitti-drive", tmp / "kitti-conv"
+    drive = tmp / "kitti-drive"
     kitti_drive.write_drive(KITTI_SEED, drive)
-    rc, err = navfuse(tree, "kitti-convert", "--kitti", drive, "--out", conv)
-    if rc:
-        raise SystemExit(f"kitti-convert failed: {err}")
+    commands = {name: ["simulate", *shape, "--seed", "42"] for name, shape in SIMULATED.items()}
+    commands["kitti-jitter"] = ["kitti-convert", "--kitti", drive]
+    differ = 0
+    for name, command in commands.items():
+        print(f"{command[0]} {name}")
+        hashes = {}
+        for side, src in sides.items():
+            out = tmp / side / name
+            rc, err = navfuse(src, *command, "--out", out)
+            if rc:
+                print(f"  {side}: {command[0]} exited {rc}: {err.strip()}")
+                differ += 1
+            hashes[side] = {stream: digest(out / stream) for stream in STREAMS}
+        differ += compare(hashes, STREAMS)
+    inputs = {}
+    for name in SIMULATED:
+        sim = tmp / "tree" / name
+        inputs[name] = ["--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                        "--truth", sim / "truth.csv"]
+    conv = tmp / "tree" / "kitti-jitter"
     noise = kitti_drive.PARAMS
     inputs["kitti-jitter"] = [
         "--imu", conv / "imu.csv", "--gnss", conv / "gnss.csv", "--truth", drive / "truth.csv",
         "--gyro-std", repr(noise["gyro_std"]), "--accel-std", repr(noise["accel_std"]),
     ]
     inputs[None] = ["--kitti", REPO / "tests" / "data" / "kitti_drive"]
-    return inputs
+    return differ, inputs
 
 
 def main(argv=None):
@@ -111,15 +142,14 @@ def main(argv=None):
     parser.add_argument("ref", nargs="?", default="HEAD")
     args = parser.parse_args(argv)
 
-    differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        extract(args.ref, tmp / "ref", "navfuse")
-        sides = {"ref": tmp / "ref", "tree": REPO / "src"}
-        inputs = make_drives(sides["tree"], tmp)
-        print(f"fuse outputs, sha256: ref {args.ref} against the working tree")
+        extract(args.ref, tmp / "src", "navfuse")
+        sides = {"ref": tmp / "src", "tree": REPO / "src"}
+        print(f"outputs, sha256: ref {args.ref} against the working tree")
+        differ, inputs = make_drives(sides, tmp)
         for k, (name, drive, flags) in enumerate(RUNS):
-            print(name)
+            print(f"fuse {name}")
             hashes = {}
             for side, src in sides.items():
                 out = tmp / f"out-{side}-{k}"
@@ -129,14 +159,7 @@ def main(argv=None):
                     differ += 1
                 hashes[side] = {output: digest(out / output) for output in OUTPUTS}
                 shutil.rmtree(out, ignore_errors=True)
-            for output in OUTPUTS:
-                ref, tree = hashes["ref"][output], hashes["tree"][output]
-                if ref is None and tree is None:
-                    continue
-                same = ref == tree
-                differ += not same
-                print(f"  {output:<13} ref  {ref}\n  {'':<13} tree {tree}"
-                      f"  {'same' if same else 'DIFFERS'}")
+            differ += compare(hashes, OUTPUTS)
     print("all outputs identical" if not differ else f"{differ} differences")
     return 1 if differ else 0
 
