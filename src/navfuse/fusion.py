@@ -13,12 +13,12 @@ points with no loop over points.  Its map is :func:`strapdown.propagate`
 on the (16, 31) columns; ``plus`` is :func:`_retract`, which adds the
 linear offsets and turns the attitude to q * exp(dtheta) by one 4x4
 left-multiplication matrix; ``average`` is :func:`_mean`, the linear
-parts by weight and the attitude by the iterative rotation-vector average
-of Crassidis and Markley (2003) from the highest-weight point (tol 1e-9,
-at most 20 iterations of one 4x4 product and scalar ``math`` each); and
-``minus`` is :func:`_deviations`, with the log map log(conj(mean) * q_i)
-for the attitude taken afresh about the final mean, not reused from the
-last iteration.  The process noise is added as a diagonal.
+parts by weight and the attitude by the eigenvector mean of Markley,
+Cheng, Crassidis and Oshman (2007), the top eigenvector of the 4x4
+sum_i w_i q_i q_i^T (one ``eigh``, no iteration) in the hemisphere of
+the highest-weight point; and ``minus`` is :func:`_deviations`, with the
+log map log(conj(mean) * q_i) for the attitude.  The process noise is
+added as a diagonal.
 
 The GNSS update is closed form in error coordinates.  There the fix
 is h(delta) = p + delta[0:3], which is affine, and the unscented
@@ -77,7 +77,6 @@ from .strapdown import (
     CONJ,
     ERROR_DIM,
     STATE_DIM,
-    TINY,
     ImuNoiseParams,
     process_noise_diag,
     propagate,
@@ -179,11 +178,6 @@ class FusionResult:
         return self.t, self.state[:, 0:3]
 
 
-# Convergence tolerance and iteration cap of the attitude mean.
-_MEAN_TOL = 1e-9
-_MEAN_MAX_ITER = 20
-
-
 def _retract(state, delta):
     """The (16, m) columns of the nominal ``state`` (16,) moved by the error
     columns ``delta`` (15, m): linear parts add, the attitude is q * exp(dtheta)."""
@@ -196,27 +190,14 @@ def _retract(state, delta):
 
 def _mean(points, w):
     """Weighted mean (16,) of the state columns ``points`` (16, m): the
-    linear parts by weight, the attitude by iterative rotation-vector
-    averaging from the highest-weight point."""
+    linear parts by weight, the attitude q the unit maximizer of
+    sum_i w_i (q . q_i)^2, the top eigenvector of sum_i w_i q_i q_i^T,
+    signed so that q . q_i >= 0 for the highest-weight point q_i."""
     q = points[6:10]
-    rw, rx, ry, rz = q[:, w.argmax()].tolist()
-    for _ in range(_MEAN_MAX_ITER):
-        cx, cy, cz = (quat_log(quat_left(rw, -rx, -ry, -rz) @ q) @ w).tolist()
-        angle = math.sqrt(cx * cx + cy * cy + cz * cz)
-        ew = math.cos(angle / 2.0)
-        s = math.sin(angle / 2.0) / max(angle, TINY)
-        ex, ey, ez = cx * s, cy * s, cz * s
-        rw, rx, ry, rz = (
-            rw * ew - rx * ex - ry * ey - rz * ez,
-            rw * ex + rx * ew + ry * ez - rz * ey,
-            rw * ey - rx * ez + ry * ew + rz * ex,
-            rw * ez + rx * ey - ry * ex + rz * ew,
-        )
-        norm = math.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
-        rw, rx, ry, rz = rw / norm, rx / norm, ry / norm, rz / norm
-        if angle < _MEAN_TOL:
-            break
-    return np.concatenate([points[0:6] @ w, (rw, rx, ry, rz), points[10:16] @ w])
+    mean_q = np.linalg.eigh((q * w) @ q.T)[1][:, -1]
+    if mean_q @ q[:, w.argmax()] < 0.0:
+        mean_q = -mean_q
+    return np.concatenate([points[0:6] @ w, mean_q, points[10:16] @ w])
 
 
 def _deviations(points, mean):

@@ -78,12 +78,17 @@ class Truth:
 
 @dataclass(frozen=True)
 class SensorCorruption:
-    """Noise/bias/outage configuration; the seed is mandatory."""
+    """Noise/bias/outage configuration; the seed is mandatory and
+    non-negative (a PCG64 seed)."""
 
     seed: int
     imu: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     gnss: GnssNoise = field(default_factory=GnssNoise)
     outages: tuple = ()
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _kinematics(profile, t):

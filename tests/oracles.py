@@ -4,8 +4,10 @@ These deliberately avoid the library's own code paths: geodesy values
 come from 50-digit mpmath evaluations of the ellipsoid formulas, the
 Kalman filter is the closed-form textbook recursion, the fusion
 prediction is the sigma-point recursion with every rotation done by
-``scipy.spatial.transform.Rotation``, and the GNSS update is the generic
-UKF of ``navfuse.ukf`` that the closed-form kernel replaces, with the
+``scipy.spatial.transform.Rotation``, the iterated rotation-vector mean
+is the attitude average that the eigenvector mean must match where
+``Rotation.mean`` takes no negative weights, and the GNSS update is the
+generic UKF of ``navfuse.ukf`` that the closed-form kernel replaces, with the
 NIS and gain solved by ``scipy.linalg.cho_solve`` in place of the
 library's eigendecomposition inverse, and the same scipy retraction.
 The per-point ECEF formula in scalar ``math`` and the per-cell CSV
@@ -205,11 +207,27 @@ def _retract(state, deltas):
     return out
 
 
+def reference_iterated_mean(quats, weights):
+    """The iterative rotation-vector mean (Crassidis and Markley 2003) of
+    the unit quaternions ``quats`` (m, 4), scalar first, from the
+    highest-weight one (tol 1e-9, at most 20 iterations), on scipy
+    rotations.  Unlike ``Rotation.mean`` it takes negative weights."""
+    attitude = Rotation.from_quat(quats, scalar_first=True)
+    ref = attitude[int(np.argmax(weights))]
+    for _ in range(20):
+        correction = weights @ (ref.inv() * attitude).as_rotvec()
+        ref = ref * Rotation.from_rotvec(correction)
+        if np.linalg.norm(correction) < 1e-9:
+            break
+    return ref.as_quat(scalar_first=True)
+
+
 def reference_predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_cov):
     """Sigma-point prediction on scipy rotations: retract the 31 points,
-    push each through the strapdown step, take the iterative
-    rotation-vector mean (tol 1e-9, at most 20 iterations) from the
-    highest-weight point, take deviations, add the dense ``q_cov``."""
+    push each through the strapdown step, take ``Rotation.mean`` (the
+    chordal L2 mean, which is the quaternion eigenvector mean) signed into
+    the hemisphere of the highest-weight point, take deviations, add the
+    dense ``q_cov``.  ``w_mean`` must be non-negative."""
     spread = math.sqrt(params.n + params.kappa) * cholesky_sqrt(cov)
     deltas = np.zeros((2 * ERROR_DIM + 1, ERROR_DIM))
     deltas[1 : ERROR_DIM + 1] = spread.T
@@ -222,13 +240,11 @@ def reference_predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_cov)
     pv = np.hstack([p + v * dt + 0.5 * a_nav * dt * dt, v + a_nav * dt])
     attitude = attitude * Rotation.from_rotvec((gyro - bias[:, 0:3]) * dt)
 
-    ref = attitude[int(np.argmax(w_mean))]
-    for _ in range(20):
-        correction = w_mean @ (ref.inv() * attitude).as_rotvec()
-        ref = ref * Rotation.from_rotvec(correction)
-        if np.linalg.norm(correction) < 1e-9:
-            break
-    mean = np.concatenate([w_mean @ pv, ref.as_quat(scalar_first=True), w_mean @ bias])
+    ref = attitude.mean(weights=w_mean)
+    mean_q = ref.as_quat(scalar_first=True)
+    if mean_q @ attitude[int(np.argmax(w_mean))].as_quat(scalar_first=True) < 0.0:
+        mean_q = -mean_q
+    mean = np.concatenate([w_mean @ pv, mean_q, w_mean @ bias])
     dev = np.hstack([pv - mean[0:6], (ref.inv() * attitude).as_rotvec(), bias - mean[10:16]])
     new_cov = (dev * w_cov[:, None]).T @ dev + q_cov
     return mean, 0.5 * (new_cov + new_cov.T)

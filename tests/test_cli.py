@@ -62,6 +62,18 @@ class TestSimulateCommand:
         for name in ("truth.csv", "imu.csv", "gnss.csv", "manifest"):
             assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flag" / name).read_bytes()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, source):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-1\n")
+        seed = ["--seed", "-1"] if source == "flag" else ["--config", config]
+        code = run(["simulate", "--profile", "circular", "--duration", "5", *seed,
+                    "--out", tmp_path / "x"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "usage error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "x").exists()
+
     def test_manifest_echoes_config(self, tmp_path):
         out = simulate_into(tmp_path, extra=["--gnss-sigma", "7.5"])
         manifest = dict(

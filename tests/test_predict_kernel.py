@@ -11,7 +11,7 @@ against sqrt(P_ii P_jj) for the covariance entry P_ij.
 
 import numpy as np
 import pytest
-from oracles import reference_predict
+from oracles import reference_iterated_mean, reference_predict
 
 import navfuse.fusion as fusion
 import navfuse.ukf as ukf
@@ -128,7 +128,8 @@ class TestAgainstOracle:
 
     def test_wide_correlated_spread(self):
         # Attitude offsets up to 4 rad, past pi, so some residuals about the
-        # mean have w < 0, and the mean needs more than one iteration.
+        # mean have w < 0, far from the small spread where the eigenvector
+        # mean and the rotation-vector mean agree.
         rng = np.random.default_rng(3)
         b = rng.standard_normal((15, 15))
         corr = b @ b.T + 15.0 * np.eye(15)
@@ -165,3 +166,73 @@ def test_one_unscented_transform_per_imu_step(monkeypatch, circ90):
     monkeypatch.setattr(fusion, "unscented_transform", counted)
     run_fusion(*circ90, CFG)
     assert hooks == [(fusion._retract, fusion._deviations, fusion._mean)] * 1000
+
+
+def averaged(monkeypatch, imu, gnss, cfg):
+    """The (points, w) of every attitude mean of a filter run."""
+    calls = []
+    mean = fusion._mean
+
+    def recorded(points, w):
+        calls.append((points.copy(), w))
+        return mean(points, w)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fusion, "_mean", recorded)
+        run_fusion(imu, gnss, cfg)
+    return calls
+
+
+class TestAttitudeMean:
+    """``fusion._mean``'s attitude is the top eigenvector of
+    sum_i w_i q_i q_i^T, signed into the highest-weight point's hemisphere."""
+
+    def test_antipodal_points_give_the_same_bits(self, monkeypatch, circ90):
+        # q and -q are one rotation: negating any point but the
+        # highest-weight one leaves the mean's bits, negating that one
+        # negates the mean quaternion and nothing else.
+        for points, w in averaged(monkeypatch, *circ90, CFG)[::100]:
+            top = int(w.argmax())
+            mean = fusion._mean(points, w)
+            flipped = points.copy()
+            flipped[6:10, np.arange(points.shape[1]) != top] *= -1.0
+            assert fusion._mean(flipped, w).tobytes() == mean.tobytes()
+            flipped = points.copy()
+            flipped[6:10, top] *= -1.0
+            expected = mean.copy()
+            expected[6:10] *= -1.0
+            assert fusion._mean(flipped, w).tobytes() == expected.tobytes()
+
+    def test_small_alpha_matches_iterated_mean(self, monkeypatch, circ90):
+        # At alpha = 1e-3 the centre weight is about -9.4e5, so
+        # sum_i w_i q_i q_i^T can be indefinite and Rotation.mean, which
+        # takes no negative weight, cannot be the reference.
+        cfg = FusionConfig(alpha=1e-3)
+        calls = averaged(monkeypatch, *circ90, cfg)
+        assert len(calls) == 1000
+        assert calls[0][1][0] < -9e5
+        worst = 0.0
+        for points, w in calls:
+            expected = reference_iterated_mean(points[6:10].T, w)
+            worst = max(worst, np.abs(fusion._mean(points, w)[6:10] - expected).max())
+        assert worst <= 1e-9
+
+    def test_near_tie_of_top_eigenvalues(self):
+        # Half the weight near one attitude, half near one turned by pi about
+        # an axis (orthogonal quaternions): the top two eigenvalues differ
+        # only by the small scatter.
+        rng = np.random.default_rng(11)
+        qa = np.array([0.6, 0.0, 0.8, 0.0])
+        qb = np.array([0.0, 0.6, 0.0, -0.8])
+        points = rng.standard_normal((16, 31))
+        q = np.where(np.arange(31) < 15, qa[:, None], qb[:, None])
+        q = q + 1e-9 * rng.standard_normal((4, 31))
+        points[6:10] = q / np.linalg.norm(q, axis=0)
+        mean = fusion._mean(points, W_MEAN)
+        eigs = np.linalg.eigvalsh((points[6:10] * W_MEAN) @ points[6:10].T)
+        assert eigs[-1] - eigs[-2] < 1e-8
+        mean_q = mean[6:10]
+        assert np.isfinite(mean).all()
+        assert abs(np.linalg.norm(mean_q) - 1.0) < 1e-12
+        assert mean_q @ points[6:10, W_MEAN.argmax()] >= 0.0
+        assert fusion._mean(points, W_MEAN).tobytes() == mean.tobytes()

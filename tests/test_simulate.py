@@ -164,6 +164,10 @@ class TestCorrupt:
         for name in ("t", "lat", "lon", "alt"):
             assert np.array_equal(getattr(gnss_a, name), getattr(gnss_b, name))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SensorCorruption(seed=-1)
+
     def test_gnss_rate_decimation(self):
         profile = TrajectoryProfile("stationary", duration=10.0, gnss_rate=2.0)
         truth, ideal = generate_truth(profile)

@@ -188,7 +188,8 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
     """Per fix, the run makes one 15x15 eigvalsh of the prior, one of the
     posterior (none when the gate rejects it) and one 3x3 eigh of S,
     corrects once through ``ukf.kalman_correct``, and never draws
-    measurement sigma points."""
+    measurement sigma points.  Per prediction it makes the one 4x4 eigh
+    of the attitude mean, and no other decomposition."""
     shapes = []
     corrections = []
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
@@ -220,5 +221,6 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
     assert 0 < accepted < len(gnss)
     assert shapes.count(("eigvalsh", (15, 15))) == len(gnss) + accepted
     assert shapes.count(("eigh", (3, 3))) == len(gnss)
-    assert len(shapes) == 2 * len(gnss) + accepted
+    assert shapes.count(("eigh", (4, 4))) == len(imu) - 1
+    assert len(shapes) == 2 * len(gnss) + accepted + len(imu) - 1
     assert len(corrections) == len(gnss)

@@ -17,8 +17,19 @@ prints the sha256 of each stream (``imu.csv``, ``gnss.csv``,
 streams, and the script prints the sha256 of ``estimate.csv``,
 ``errors.csv``, ``rmse.csv``, ``track.csv`` and ``manifest`` on both
 sides.  A manifest is hashed without its ``input_*`` lines, which name
-the input paths.  The script exits 1 if a command fails on either side
-or any output differs, and 0 otherwise.
+the input paths.
+
+When a ``fuse`` output differs, :func:`drift` reports how far the run
+moved, tree against ref.  For each column of ``estimate.csv``,
+``errors.csv`` and ``track.csv`` that moved, it prints the largest
+absolute difference, the largest relative one (|ref - tree| over the
+larger magnitude of the two cells), and the number of cells that are
+empty on one side only; a change in the header or the row count is
+printed too.  It also prints both sides' ``rmse.csv`` rows and NIS mean
+over the fixes of ``estimate.csv``, and, for a run with ``--gate``, the
+fixes that pass the gate (NIS <= gate) on each side and how many pass on
+one side only.  The script exits 1 if a command fails on either side or
+any output differs, by however little, and 0 otherwise.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
 ``tests/`` imports it.  It runs for a few minutes and holds about 40 MB
@@ -27,6 +38,7 @@ of streams and outputs in the temporary directory.
 
 import argparse
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -34,6 +46,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from fuse_pairs import extract
 
 REPO = Path(__file__).resolve().parent.parent
@@ -99,6 +112,72 @@ def compare(hashes, names):
     return differ
 
 
+def read_cells(path):
+    """The header and the cells (n, k) of a numeric CSV table, NaN for an
+    empty cell."""
+    header, *lines = path.read_text().splitlines()
+    rows = [[float(cell) if cell else math.nan for cell in line.split(",")] for line in lines]
+    return header.split(","), np.array(rows).reshape(len(rows), -1)
+
+
+def column_drift(name, ref, tree):
+    """Print how far each column of the numeric table ``name`` moved from
+    the file ``ref`` to the file ``tree``; return the header and both
+    sides' cells, or None when the headers differ."""
+    (ref_head, a), (tree_head, b) = read_cells(ref), read_cells(tree)
+    print(f"    {name}")
+    if ref_head != tree_head:
+        print(f"      header differs\n      ref  {','.join(ref_head)}\n"
+              f"      tree {','.join(tree_head)}")
+        return None
+    n = min(len(a), len(b))
+    if len(a) != len(b):
+        print(f"      rows: ref {len(a)}, tree {len(b)}; the first {n} compared")
+    empty = np.isnan(a[:n]) != np.isnan(b[:n])
+    with np.errstate(invalid="ignore"):
+        diff = np.nan_to_num(np.abs(a[:n] - b[:n]))
+        rel = np.nan_to_num(diff / np.maximum(np.abs(a[:n]), np.abs(b[:n])))
+    for k, column in enumerate(ref_head):
+        if diff[:, k].any() or empty[:, k].any():
+            line = (f"      {column:<10} max |d| {diff[:, k].max():.3g}"
+                    f"   max rel {rel[:, k].max():.3g}")
+            if empty[:, k].any():
+                line += f"   empty on one side only: {int(empty[:, k].sum())} cells"
+            print(line)
+    return ref_head, a, b
+
+
+def drift(ref, tree, gate):
+    """Print how far the differing tables of a ``fuse`` run moved from the
+    output directory ``ref`` to ``tree``, the RMSE and NIS summary, and
+    the fixes that pass ``gate`` (None for a run without one)."""
+    print("  drift, tree against ref:")
+    cells = {}
+    for name in ("estimate.csv", "errors.csv", "track.csv", "rmse.csv"):
+        a, b = ref / name, tree / name
+        if not (a.is_file() and b.is_file()) or a.read_bytes() == b.read_bytes():
+            continue
+        if name != "rmse.csv":
+            cells[name] = column_drift(name, a, b)
+            continue
+        print(f"    {name}")
+        for side, path in (("ref ", a), ("tree", b)):
+            for row in path.read_text().splitlines()[1:]:
+                print(f"      {side} {row}")
+    if cells.get("estimate.csv") is None:
+        return
+    header, *sides = cells["estimate.csv"]
+    nis = [side[:, header.index("nis")] for side in sides]
+    means = [f"{fixes.mean():.17g} ({len(fixes)} fixes)" if len(fixes) else "(no fixes)"
+             for fixes in (side[~np.isnan(side)] for side in nis)]
+    print(f"    NIS mean: ref {means[0]}, tree {means[1]}")
+    if gate is not None and len(nis[0]) == len(nis[1]):
+        passed = [side <= gate for side in nis]
+        print(f"    fixes with NIS <= {gate:g}: ref {int(passed[0].sum())}, "
+              f"tree {int(passed[1].sum())}, on one side only "
+              f"{int((passed[0] != passed[1]).sum())}")
+
+
 def make_drives(sides, tmp):
     """Simulate and convert the drives with both sides and compare their
     streams; return the number of failures and differences, and the fuse
@@ -151,15 +230,20 @@ def main(argv=None):
         for k, (name, drive, flags) in enumerate(RUNS):
             print(f"fuse {name}")
             hashes = {}
+            outs = {side: tmp / f"out-{side}-{k}" for side in sides}
             for side, src in sides.items():
-                out = tmp / f"out-{side}-{k}"
-                rc, err = navfuse(src, "fuse", *inputs[drive], *flags, "--out", out)
+                rc, err = navfuse(src, "fuse", *inputs[drive], *flags, "--out", outs[side])
                 if rc:
                     print(f"  {side}: fuse exited {rc}: {err.strip()}")
                     differ += 1
-                hashes[side] = {output: digest(out / output) for output in OUTPUTS}
+                hashes[side] = {output: digest(outs[side] / output) for output in OUTPUTS}
+            moved = compare(hashes, OUTPUTS)
+            if moved:
+                gate = float(flags[flags.index("--gate") + 1]) if "--gate" in flags else None
+                drift(outs["ref"], outs["tree"], gate)
+            differ += moved
+            for out in outs.values():
                 shutil.rmtree(out, ignore_errors=True)
-            differ += compare(hashes, OUTPUTS)
     print("all outputs identical" if not differ else f"{differ} differences")
     return 1 if differ else 0
 
