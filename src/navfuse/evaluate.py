@@ -53,19 +53,24 @@ def check_span(et, tt):
         )
 
 
+def interpolate_track(t, truth):
+    """The positions (n, 3) of the track ``truth``, a pair (t, positions),
+    at the times ``t`` (n,), linear per axis.  Raises
+    :class:`TimeSpanMismatch` when a time falls outside the track's span."""
+    tt, tru = truth
+    check_span(t, tt)
+    return np.column_stack([np.interp(t, tt, tru[:, i]) for i in range(3)])
+
+
 def align_and_diff(estimates, truth):
     """Interpolate truth to the estimate timestamps and subtract.
 
     Both arguments are tracks, pairs (t (n,), positions (n, 3)), and so is
-    the result, the error track (t, estimate - truth); truth interpolation
-    is linear per axis.  Raises :class:`TimeSpanMismatch`
-    when an estimate timestamp falls outside the truth span.
+    the result, the error track (t, estimate - truth); see
+    :func:`interpolate_track`.
     """
     et, est = estimates
-    tt, tru = truth
-    check_span(et, tt)
-    diffs = [est[:, i] - np.interp(et, tt, tru[:, i]) for i in range(3)]
-    return et, np.column_stack(diffs)
+    return et, est - interpolate_track(et, truth)
 
 
 def rmse(errors, method):
@@ -323,8 +328,8 @@ def write_run(results, t, truth, out):
 
     ``results`` are the run's :class:`FusionResult` parts in step order,
     and ``t`` its IMU times.  A ``track.csv`` row holds the step's
-    estimated and true positions and its ``fix`` (empty cells where the
-    step attempted no update).  Beyond the parts it holds only the fused
+    estimated position, the truth interpolated to its time and its ``fix``
+    (empty cells where the step attempted no update).  Beyond the parts it holds only the fused
     error column, so ``rmse.csv`` takes its means over whole columns.  It
     is written before the other tables are renamed into place, so
     whatever raises up to those renames leaves none of the four.
@@ -342,11 +347,12 @@ def write_run(results, t, truth, out):
             if truth is None:
                 continue
             step_t, est = result.track
-            err = align_and_diff(result.track, truth)[1]
+            truth_at = interpolate_track(step_t, truth)
+            err = est - truth_at
             errors.rows([step_t, err])
             fused_err[start : start + len(step_t)] = err
             start += len(step_t)
-            track.rows([step_t, est, est - err, result.fix])
+            track.rows([step_t, est, truth_at, result.fix])
         if truth is None:
             return
         reports = []

@@ -32,7 +32,7 @@ prior.  The error K v is retracted onto the nominal state by
 :func:`_retract`, q * exp(dtheta) for the attitude.  The checks of the
 generic path are kept, each matrix factored once: the prior and the
 posterior pass :func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each,
-which also gives ``UpdateEvent.cov_min_eig``); the prior keeps the
+which also gives the update's ``cov_min_eig``); the prior keeps the
 jitter-retry :class:`DecompositionFailure` of
 :func:`navfuse.ukf.cholesky_sqrt`; the one ``eigh`` of S in
 :func:`navfuse.ukf.innovation_inverse` feeds the
@@ -50,15 +50,20 @@ the covariance and the next fix across the chunks.  For each chunk it
 anchors the chunk's fixes to their IMU steps with one ``searchsorted``,
 builds their R, and computes the process-noise diagonals of the chunk's
 steps from its dt array.  The loop runs only the two kernels and writes
-one row per IMU step into the chunk's arrays, which the chunk's
-:class:`FusionResult` yields; a floating-point overflow or invalid
-operation in it raises :class:`InvalidCovariance` naming the IMU sample.
+one row per IMU step and one per attempted update into the chunk's
+arrays, which the chunk's :class:`FusionResult` yields.  A
+:class:`navfuse.errors.NavFuseError` raised in it gets the IMU sample
+and its time prefixed to its message, and a floating-point overflow or
+invalid operation raises :class:`InvalidCovariance` with that prefix.
 :func:`run_fusion` concatenates the chunks.  The :class:`FusionResult`
 is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
 ``cov_diag`` (N, 15), ``nis`` (N), ``fix`` (N, 3) and ``diverged`` (N);
 ``nis`` and ``fix`` are the NIS and the local-frame fix of the last
 update attempted at the step, accepted or not, NaN where there is none.
-``updates`` has one :class:`UpdateEvent` per attempted update.  The frame
+``updates`` (M) holds one row of :data:`UPDATE_DTYPE` per attempted
+update, in fix order: its time and IMU step, NIS, gate decision, the
+covariance trace before and after, the innovation y - p (3) and the
+smallest eigenvalue of the covariance it leaves.  The frame
 ``origin`` and ``gnss_track``, every fix in the local frame, are the
 run's, the same objects in every chunk.  A track is a pair of arrays
 (t, positions); ``result.track`` is the filter's and ``gnss_track`` the
@@ -70,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyStream, InvalidCovariance
+from .errors import EmptyStream, InvalidCovariance, NavFuseError
 from .geodesy import GeodeticCoord, geodetic_to_enu
 from .gnss import GnssNoise, measurement_covs
 from .strapdown import (
@@ -142,25 +147,19 @@ class FusionConfig:
         return SigmaParams(ERROR_DIM, self.alpha, self.beta, self.gamma)
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
-    """Diagnostics of one GNSS update attempt."""
-
-    t: float
-    imu_index: int
-    nis: float
-    accepted: bool
-    trace_before: float
-    trace_after: float
-    innovation: np.ndarray
-    cov_min_eig: float
-    cov_asymmetry: float
+#: The row of :attr:`FusionResult.updates`: one GNSS update attempt.
+UPDATE_DTYPE = np.dtype([
+    ("t", "f8"), ("imu_index", "i8"), ("nis", "f8"), ("accepted", "?"),
+    ("trace_before", "f8"), ("trace_after", "f8"), ("innovation", "f8", (3,)),
+    ("cov_min_eig", "f8"),
+])
 
 
 @dataclass(frozen=True, eq=False)
 class FusionResult:
-    """Run output as columns over the N IMU timestamps, plus the run
-    metadata; the module docstring lists the fields."""
+    """Run output as columns over the N IMU timestamps and the M update
+    attempts, plus the run metadata; the module docstring lists the
+    fields."""
 
     t: np.ndarray
     state: np.ndarray
@@ -169,7 +168,7 @@ class FusionResult:
     fix: np.ndarray
     diverged: np.ndarray
     origin: object
-    updates: list
+    updates: np.ndarray
     gnss_track: tuple
 
     @property
@@ -229,10 +228,10 @@ def _update(state, cov, y, r_cov, gate):
     noise covariance; ``gate`` (or None) bounds the accepted NIS.
 
     Returns the posterior state and covariance (the prior ones when the
-    gate rejects the fix) and the :class:`UpdateEvent` fields other than
-    ``t`` and ``imu_index``.
+    gate rejects the fix) and the fields of the update's
+    :data:`UPDATE_DTYPE` row from ``nis`` on, as a tuple.
     """
-    asym, min_eig = validate_cov(cov)
+    min_eig = validate_cov(cov)
     cholesky_sqrt(cov)  # for its DecompositionFailure; the factor is not needed
     s = cov[0:3, 0:3] + r_cov
     s = 0.5 * (s + s.T)
@@ -246,18 +245,9 @@ def _update(state, cov, y, r_cov, gate):
     trace_before = float(np.trace(cov))
     if accepted:
         cov = posterior
-        asym, min_eig = validate_cov(cov)
+        min_eig = validate_cov(cov)
         state = _retract(state, dx[:, None])[:, 0]
-    event = dict(
-        nis=nis,
-        accepted=accepted,
-        trace_before=trace_before,
-        trace_after=float(np.trace(cov)),
-        innovation=v,
-        cov_min_eig=min_eig,
-        cov_asymmetry=asym,
-    )
-    return state, cov, event
+    return state, cov, (nis, accepted, trace_before, float(np.trace(cov)), v, min_eig)
 
 
 #: IMU steps per chunk of :func:`fuse_chunks`, the rows that
@@ -311,8 +301,8 @@ def fuse_chunks(imu, gnss, cfg):
         cov_diag = np.empty((stop - start, ERROR_DIM))
         nis = np.full(stop - start, np.nan)
         fix = np.full((stop - start, 3), np.nan)
-        updates = []
         first = j
+        updates = np.empty(end - first, UPDATE_DTYPE)
         try:
             with np.errstate(over="raise", invalid="raise"):
                 for i in range(start, stop):
@@ -320,17 +310,21 @@ def fuse_chunks(imu, gnss, cfg):
                         state, cov = _predict(state, cov, imu.gyro[i], imu.accel[i],
                                               dts[i - 1 - lo], params, q_diags[i - 1 - lo])
                     while j < end and anchor[j - first] == i:
-                        state, cov, event = _update(
+                        state, cov, fields = _update(
                             state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
                         )
-                        nis[i - start] = event["nis"]
+                        nis[i - start] = fields[0]
                         fix[i - start] = fix_enu[j]
-                        updates.append(UpdateEvent(t=float(t[i]), imu_index=i, **event))
+                        updates[j - first] = (t[i], i, *fields)
                         j += 1
                     states[i - start] = state
                     cov_diag[i - start] = cov.diagonal()
-        except FloatingPointError as exc:
-            raise InvalidCovariance(f"IMU sample {i}: {exc}") from exc
+        except (FloatingPointError, NavFuseError) as exc:
+            where = f"IMU sample {i} (t = {float(t[i])!r} s)"
+            if isinstance(exc, FloatingPointError):
+                raise InvalidCovariance(f"{where}: {exc}") from exc
+            exc.args = (f"{where}: {exc}",)
+            raise
         diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
         yield FusionResult(
             t[start:stop], states, cov_diag, nis, fix, diverged, origin, updates, gnss_track
@@ -358,7 +352,7 @@ def run_fusion(imu, gnss, cfg):
         joined("fix"),
         joined("diverged"),
         chunks[0].origin,
-        [event for chunk in chunks for event in chunk.updates],
+        joined("updates"),
         chunks[0].gnss_track,
     )
 

@@ -97,8 +97,7 @@ class GaussianBelief:
 def validate_cov(cov):
     """Check the finiteness, symmetry and eigenvalue floor of a covariance.
 
-    Returns ``(asymmetry, min_eig)``: the largest |cov - cov^T| entry and
-    the smallest eigenvalue of the symmetrized matrix.
+    Returns the smallest eigenvalue of the symmetrized matrix.
 
     Raises
     ------
@@ -115,7 +114,7 @@ def validate_cov(cov):
     min_eig = float(np.linalg.eigvalsh(0.5 * (cov + cov.T))[0])
     if min_eig < EIGEN_FLOOR:
         raise InvalidCovariance(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
-    return asym, min_eig
+    return min_eig
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,12 @@ def reference_errors_text(errors):
     return "\n".join(lines) + "\n"
 
 
+def reference_truth_at(t, truth):
+    """The positions of the track ``truth`` (t, positions (n, 3)) at the
+    times ``t``, one ``np.interp`` per axis."""
+    return np.column_stack([np.interp(t, truth[0], truth[1][:, i]) for i in range(3)])
+
+
 def reference_track_text(t, est, truth, gnss):
     """``track.csv`` formatted cell by cell, with empty GNSS cells where a
     row's GNSS position is NaN."""
@@ -273,13 +279,6 @@ def reference_update(state, cov, y, r_cov, gate, params):
         posterior = GaussianBelief(gain @ innovation, 0.5 * (cov + cov.T))
         state = _retract(state, posterior.mean)
         cov = posterior.cov
-    fields = dict(
-        nis=nis,
-        accepted=accepted,
-        trace_before=trace_before,
-        trace_after=float(np.trace(cov)),
-        innovation=innovation,
-        cov_min_eig=float(np.linalg.eigvalsh(cov)[0]),
-        cov_asymmetry=float(np.max(np.abs(cov - cov.T))),
-    )
+    fields = (nis, accepted, trace_before, float(np.trace(cov)), innovation,
+              float(np.linalg.eigvalsh(cov)[0]))
     return state, cov, fields

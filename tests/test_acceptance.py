@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+import navfuse.fusion as fusion
 from navfuse.cli import main as cli_main
 from navfuse.errors import MalformedRecord, MissingTimestamps, RecordCountMismatch
 from navfuse.evaluate import align_and_diff, rmse
@@ -204,9 +205,9 @@ def test_criterion_5_outage_robustness(outage_run):
     norm = np.sqrt(np.sum(err**2, axis=1))
     pre = t < 30.0
     pre_rmse = float(np.sqrt(np.mean(norm[pre] ** 2)))
-    recovery_updates = [u for u in result.updates if u.t >= 40.0][:5]
-    assert recovery_updates
-    assert any(norm[u.imu_index] < 2.0 * pre_rmse for u in recovery_updates)
+    recovery_updates = result.updates[result.updates["t"] >= 40.0][:5]
+    assert len(recovery_updates)
+    assert np.any(norm[recovery_updates["imu_index"]] < 2.0 * pre_rmse)
     assert outage_run["elapsed"] < 10.0
     report(5, "outage robustness")
 
@@ -216,16 +217,39 @@ def test_criterion_5_outage_robustness(outage_run):
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_covariance_health(table1_run, outage_run):
-    events = table1_run["result"].updates + outage_run["result"].updates
-    assert events
-    for event in events:
-        assert event.cov_asymmetry <= 1e-12
-        assert event.cov_min_eig >= -1e-9
-        if event.accepted:
-            assert event.trace_after < event.trace_before
+    # Exact symmetry of every carried covariance is
+    # test_criterion_6_every_covariance_exactly_symmetric.
+    events = np.concatenate([table1_run["result"].updates, outage_run["result"].updates])
+    assert len(events)
+    assert np.all(events["cov_min_eig"] >= -1e-9)
+    accepted = events[events["accepted"]]
+    assert np.all(accepted["trace_after"] < accepted["trace_before"])
     for result in (table1_run["result"], outage_run["result"]):
         assert np.all(result.cov_diag >= -1e-9)
     report(6, "covariance health")
+
+
+def test_criterion_6_every_covariance_exactly_symmetric(monkeypatch):
+    # Every covariance a prediction or an update hands on is symmetric
+    # bit for bit, on a gated drive with accepted and rejected fixes.
+    covs = []
+
+    def recorded(kernel):
+        def wrapper(*args):
+            out = kernel(*args)
+            covs.append(out[1])
+            return out
+        return wrapper
+
+    for name in ("_predict", "_update"):
+        monkeypatch.setattr(fusion, name, recorded(getattr(fusion, name)))
+    truth, ideal = generate_truth(TrajectoryProfile("circular", duration=10.0))
+    imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=10.0)
+    result = run_fusion(imu, gnss, FusionConfig(gnss_gate=1.0))
+    assert set(result.updates["accepted"].tolist()) == {True, False}
+    assert len(covs) == len(imu) - 1 + len(gnss)
+    assert all(np.array_equal(cov, cov.T) for cov in covs)
+    report(6, "exact covariance symmetry")
 
 
 # ---------------------------------------------------------------------------

@@ -303,11 +303,13 @@ class TestMalformedStreams:
     def test_absurd_imu_reading_is_data_error(self, tmp_path, capsys):
         sim = simulate_into(tmp_path)
         clean = (sim / "imu.csv").read_text().splitlines()
+        t = [float(line.split(",")[0]) for line in clean[1:]]
         for ax, message in [
-            # Finite but absurd: the covariance is indefinite at the next fix.
-            ("1e155", "error: covariance "),
+            # Finite but absurd: the covariance is indefinite at the next
+            # fix, the one at 3 s (sample 300).
+            ("1e155", f"error: IMU sample 300 (t = {t[300]!r} s): covariance "),
             # The prediction overflows at the sample itself (row 300 is sample 299).
-            ("1e300", "error: IMU sample 299: overflow "),
+            ("1e300", f"error: IMU sample 299 (t = {t[299]!r} s): overflow "),
         ]:
             lines = list(clean)
             cells = lines[300].split(",")

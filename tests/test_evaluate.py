@@ -12,6 +12,7 @@ from oracles import (
     reference_read_table,
     reference_rmse_text,
     reference_track_text,
+    reference_truth_at,
 )
 
 from navfuse import evaluate
@@ -220,7 +221,7 @@ class TestWriteTable:
         err = align_and_diff(result.track, truth_track)
         assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
         t, est = result.track
-        expected = reference_track_text(t, est, est - err[1], result.fix)
+        expected = reference_track_text(t, est, reference_truth_at(t, truth_track), result.fix)
         assert (tmp_path / "track.csv").read_text() == expected
         gnss_err = align_and_diff(result.gnss_track, truth_track)
         reports = [rmse(gnss_err, "GNSS"), rmse(err, "GNSS-IMU")]
@@ -282,7 +283,8 @@ class TestWriteTable:
                 continue
             err = align_and_diff(result.track, truth_track)
             assert (out / "errors.csv").read_text() == reference_errors_text(err)
-            expected = reference_track_text(t, est, est - err[1], gnss)
+            # The truth track's times are the steps', so its cells are the truth.
+            expected = reference_track_text(t, est, truth, gnss)
             assert (out / "track.csv").read_text() == expected
 
         reports = [RmseReport(f"run-{k}", *row) for k, row in enumerate(gnss)]

@@ -5,11 +5,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import reference_errors_text, reference_estimates_text, reference_track_text
+from oracles import (
+    reference_errors_text,
+    reference_estimates_text,
+    reference_track_text,
+    reference_truth_at,
+)
 
 from navfuse import cli, fusion
 from navfuse.cli import main, write_gnss_csv, write_imu_csv, write_truth_csv
-from navfuse.errors import InvalidCovariance
+from navfuse.errors import DecompositionFailure, InvalidCovariance, SingularInnovationCov
 from navfuse.evaluate import align_and_diff, write_run
 from navfuse.fusion import FusionConfig, fuse_chunks, run_fusion, run_gnss_only
 from navfuse.geodesy import enu_to_geodetic
@@ -66,19 +71,14 @@ def same_bits(a, b):
 def assert_same_run(chunks, whole):
     """The concatenated ``chunks`` are ``whole``, bit for bit, and every
     chunk holds the run's ``origin`` and ``gnss_track`` objects."""
-    for column in ("t", "state", "cov_diag", "nis", "fix", "diverged"):
+    for column in ("t", "state", "cov_diag", "nis", "fix", "diverged", "updates"):
         joined = np.concatenate([getattr(c, column) for c in chunks])
-        assert same_bits(joined, getattr(whole, column))
+        assert same_bits(joined, getattr(whole, column)), column
     for part, ours in zip(whole.gnss_track, chunks[0].gnss_track):
         assert same_bits(ours, part)
     assert all(c.gnss_track is chunks[0].gnss_track for c in chunks)
     assert all(c.origin is chunks[0].origin for c in chunks)
     assert chunks[0].origin == whole.origin
-    updates = [event for c in chunks for event in c.updates]
-    assert len(updates) == len(whole.updates)
-    for ours, theirs in zip(updates, whole.updates):
-        for name, value in vars(theirs).items():
-            assert same_bits(getattr(ours, name), value), name
 
 
 @pytest.mark.parametrize("gate", [None, 3.0])
@@ -87,8 +87,9 @@ def test_chunks_equal_one_pass(monkeypatch, drive, gate):
     cfg = FusionConfig(gnss_gate=gate)
     n = len(imu)
     (whole,) = chunks_at(monkeypatch, n + 1, imu, gnss, cfg)
-    assert [event.imu_index for event in whole.updates] == [*ANCHORS, n - 1]
-    assert whole.updates[OUTLIER].accepted is (gate is None)
+    assert whole.updates.dtype == fusion.UPDATE_DTYPE
+    assert whole.updates["imu_index"].tolist() == [*ANCHORS, n - 1]
+    assert whole.updates["accepted"][OUTLIER] == (gate is None)
     assert len(whole.gnss_track[0]) == len(gnss)
     for size in (1, 7, 256):
         chunks = chunks_at(monkeypatch, size, imu, gnss, cfg)
@@ -99,7 +100,8 @@ def test_chunks_equal_one_pass(monkeypatch, drive, gate):
         assert_same_run([run_fusion(imu, gnss, cfg)], whole)
         # A chunk holds the updates of its own steps.
         for k, c in enumerate(chunks):
-            assert all(k * size <= event.imu_index < k * size + len(c.t) for event in c.updates)
+            steps = c.updates["imu_index"]
+            assert np.all((k * size <= steps) & (steps < k * size + len(c.t)))
 
 
 def test_fix_column_holds_the_last_update_attempted_at_a_step(monkeypatch, drive):
@@ -122,9 +124,9 @@ def test_fix_column_holds_the_last_update_attempted_at_a_step(monkeypatch, drive
             expected[step] = enu[k]  # a later fix at the same step overwrites
     for size in (1, 7, n + 1):
         chunks = chunks_at(monkeypatch, size, imu, gnss, cfg)
-        updates = [event for c in chunks for event in c.updates]
-        assert [event.imu_index for event in updates] == steps[1:]
-        assert not updates[OUTLIER].accepted and not updates[-1].accepted
+        updates = np.concatenate([c.updates for c in chunks])
+        assert updates["imu_index"].tolist() == steps[1:]
+        assert not updates["accepted"][OUTLIER] and not updates["accepted"][-1]
         assert same_bits(np.concatenate([c.fix for c in chunks]), expected)
 
 
@@ -147,8 +149,36 @@ def test_overflow_in_a_later_chunk_names_the_sample(monkeypatch, drive):
         with pytest.raises(InvalidCovariance) as excinfo:
             next(chunks)
         messages.append(str(excinfo.value))
-    assert messages[0].startswith("IMU sample 280: overflow ")
+    assert messages[0].startswith(f"IMU sample 280 (t = {float(imu.t[280])!r} s): overflow ")
     assert messages == messages[:1] * 4
+
+
+@pytest.mark.parametrize("error", [DecompositionFailure, SingularInnovationCov, InvalidCovariance])
+def test_filter_error_names_the_sample(monkeypatch, tmp_path, capsys, drive, error):
+    # An update that fails on the outlier, the fix 500 m off at step 140,
+    # raises its own class with the step and its time prefixed, whatever
+    # the chunking, and fuse then leaves no output.
+    imu, gnss, truth = drive
+    kernel = fusion._update
+
+    def failing(state, cov, y, r_cov, gate):
+        if np.linalg.norm(y - state[0:3]) > 400.0:
+            raise error("injected")
+        return kernel(state, cov, y, r_cov, gate)
+
+    monkeypatch.setattr(fusion, "_update", failing)
+    expected = f"IMU sample 140 (t = {float(imu.t[140])!r} s): injected"
+    for size in (1, 7, 256):
+        monkeypatch.setattr(fusion, "CHUNK_STEPS", size)
+        with pytest.raises(error) as excinfo:
+            list(fuse_chunks(imu, gnss, FusionConfig()))
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == expected
+    inputs = write_streams(tmp_path, imu, gnss, truth)
+    capsys.readouterr()
+    assert main([str(a) for a in ["fuse", *inputs, "--out", tmp_path / "out"]]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def write_streams(tmp_path, imu, gnss, truth):
@@ -170,7 +200,9 @@ def test_failing_run_leaves_no_output(tmp_path, capsys, drive):
     for out in (fresh, used):
         capsys.readouterr()
         assert main([str(a) for a in ["fuse", *inputs, "--out", out]]) == 1
-        assert capsys.readouterr().err.startswith("error: IMU sample 280: overflow ")
+        assert capsys.readouterr().err.startswith(
+            f"error: IMU sample 280 (t = {float(imu.t[280])!r} s): overflow "
+        )
     # Sample 280 is in the second chunk: the first was written, then removed.
     assert not fresh.exists()
     assert sorted(p.name for p in used.iterdir()) == ["estimate.csv"]
@@ -215,10 +247,25 @@ def test_streamed_outputs_equal_whole_run_writers(monkeypatch, tmp_path, drive):
     expected = {
         "estimate.csv": reference_estimates_text(result),
         "errors.csv": reference_errors_text(err),
-        "track.csv": reference_track_text(t, est, est - err[1], result.fix),
+        "track.csv": reference_track_text(t, est, reference_truth_at(t, truth_track), result.fix),
     }
     for name, text in expected.items():
         assert (ref / name).read_text() == text
+
+
+def test_track_truth_cells_are_the_interpolated_truth(tmp_path, drive):
+    # The truth cells of track.csv hold the truth itself, not the estimate
+    # minus its error, which carries the estimate's round-off.
+    inputs = write_streams(tmp_path, *drive)
+    assert main([str(a) for a in ["fuse", *inputs, "--out", tmp_path / "out"]]) == 0
+    gnss = cli.read_gnss_csv(tmp_path / "gnss.csv")
+    truth_track = run_gnss_only(cli.read_gnss_csv(tmp_path / "truth.csv"),
+                                fusion.frame_origin(gnss))
+    rows = [line.split(",") for line in
+            (tmp_path / "out" / "track.csv").read_text().splitlines()[1:]]
+    t = np.array([float(row[0]) for row in rows])
+    cells = np.array([[float(cell) for cell in row[4:7]] for row in rows])
+    assert same_bits(cells, reference_truth_at(t, truth_track))
 
 
 def fuse_peak(tmp_path, duration):

@@ -117,12 +117,11 @@ class TestRunFusion:
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=6), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
-        assert len(result.updates) == len(gnss)
-        for event in result.updates:
-            assert event.accepted
-            assert event.trace_after < event.trace_before
-            assert event.cov_min_eig >= -1e-9
-            assert event.cov_asymmetry <= 1e-12
+        updates = result.updates
+        assert len(updates) == len(gnss)
+        assert updates["accepted"].all()
+        assert np.all(updates["trace_after"] < updates["trace_before"])
+        assert np.all(updates["cov_min_eig"] >= -1e-9)
 
     def test_outage_continuity(self):
         profile = TrajectoryProfile("circular", duration=60.0)
@@ -167,14 +166,14 @@ class TestRunFusion:
         gnss = GnssStream(gnss.t, *columns)
         cfg = FusionConfig(gnss_noise=GnssNoise(1.0), gnss_gate=16.27)
         result = run_fusion(imu, gnss, cfg)
-        rejected = [u for u in result.updates if not u.accepted]
+        rejected = result.updates[~result.updates["accepted"]]
         assert len(rejected) == 1
-        assert rejected[0].t == gnss.t[3]
-        assert rejected[0].trace_after == rejected[0].trace_before
+        assert rejected["t"][0] == gnss.t[3]
+        assert rejected["trace_after"][0] == rejected["trace_before"][0]
 
     def test_fix_before_first_imu_sample_skipped(self):
         result = run_fusion(stationary_imu(10, t0=10.0), ORIGIN_FIX, FusionConfig())
-        assert result.updates == []
+        assert len(result.updates) == 0
 
     def test_nis_recorded_on_update_estimates(self):
         profile = TrajectoryProfile("stationary", duration=3.0)
@@ -182,11 +181,11 @@ class TestRunFusion:
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=12), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
         traces = result.cov_diag.sum(axis=1)
-        for event in result.updates:
-            assert result.nis[event.imu_index] == pytest.approx(event.nis)
-            assert traces[event.imu_index] == event.trace_after
+        steps = result.updates["imu_index"]
+        assert result.nis[steps] == pytest.approx(result.updates["nis"])
+        assert np.array_equal(traces[steps], result.updates["trace_after"])
         applied = np.zeros(len(result.t), dtype=bool)
-        applied[[event.imu_index for event in result.updates]] = True
+        applied[steps] = True
         assert np.isnan(result.nis[~applied]).all()
 
     def test_gnss_track_is_the_baseline(self):
