@@ -15,7 +15,10 @@ writers are the forms that the array conversions
 (``geodesy.geodetic_to_enu`` and ``geodesy.enu_to_geodetic``) and
 ``evaluate._write_table`` must reproduce bit for bit and byte for byte,
 and the whole-file CSV reader is the one whose rows and errors the
-streamed ``evaluate._read_table`` must reproduce.
+streamed ``evaluate._read_table`` must reproduce.  The per-record KITTI
+loader (one ``Path``, one ``float()`` per token and one namedtuple per
+OXTS record) is the one whose streams and errors the columnar
+``kitti.load_sequence`` must reproduce bit for bit.
 """
 
 import math
@@ -26,9 +29,12 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.transform import Rotation
 
-from navfuse.errors import MalformedRecord, NavFuseError
+from navfuse.errors import MalformedRecord, MissingTimestamps, NavFuseError, RecordCountMismatch
+from navfuse.evaluate import _read_text
 from navfuse.geodesy import WGS84
-from navfuse.strapdown import ERROR_DIM
+from navfuse.gnss import GnssStream, decimate_indices
+from navfuse.kitti import _INT_FIELDS, OXTS_FIELDS, OxtsRecord, parse_timestamp
+from navfuse.strapdown import ERROR_DIM, ImuStream
 from navfuse.ukf import (
     GaussianBelief,
     check_innovation_eigs,
@@ -282,3 +288,62 @@ def reference_update(state, cov, y, r_cov, gate, params):
     fields = (nis, accepted, trace_before, float(np.trace(cov)), innovation,
               float(np.linalg.eigvalsh(cov)[0]))
     return state, cov, fields
+
+
+def reference_parse_oxts_record(line, context=""):
+    """Parse one 30-field OXTS line into an :class:`OxtsRecord`, one
+    ``float()`` per token."""
+    where = f" in {context}" if context else ""
+    tokens = line.split()
+    if len(tokens) != len(OXTS_FIELDS):
+        raise MalformedRecord(
+            f"expected {len(OXTS_FIELDS)} fields, got {len(tokens)}{where}: {line!r}"
+        )
+    values = {}
+    for name, token in zip(OXTS_FIELDS, tokens):
+        try:
+            number = float(token)
+        except ValueError:
+            raise MalformedRecord(f"non-numeric field {name}={token!r}{where}") from None
+        if not math.isfinite(number):
+            raise MalformedRecord(f"non-finite field {name}={token!r}{where}")
+        values[name] = int(number) if name in _INT_FIELDS else number
+    record = OxtsRecord(**values)
+    if not (-90.0 <= record.lat <= 90.0 and -180.0 <= record.lon <= 180.0):
+        raise MalformedRecord(
+            f"lat/lon ({record.lat}, {record.lon}) outside geodetic bounds{where}"
+        )
+    return record
+
+
+def reference_load_sequence(drive_dir, gnss_rate=1.0):
+    """Load a KITTI drive into (``ImuStream``, ``GnssStream``), one record
+    file read and parsed at a time."""
+    drive_dir = Path(drive_dir)
+    ts_path = drive_dir / "oxts" / "timestamps.txt"
+    data_dir = drive_dir / "oxts" / "data"
+    if not ts_path.is_file():
+        raise MissingTimestamps(f"missing {ts_path}")
+    ts_lines = [line for line in _read_text(ts_path).splitlines() if line.strip()]
+    # By name: the same order as sorting the paths, without Path comparisons.
+    data_files = sorted(data_dir.glob("*.txt"), key=lambda p: p.name) if data_dir.is_dir() else []
+    if not data_files or len(data_files) != len(ts_lines):
+        raise RecordCountMismatch(
+            f"{len(data_files)} data files vs {len(ts_lines)} timestamp lines in {drive_dir}"
+        )
+
+    base_dt, base_frac = parse_timestamp(ts_lines[0])
+    times = np.array([
+        (stamp - base_dt).total_seconds() + (frac - base_frac)
+        for stamp, frac in map(parse_timestamp, ts_lines)
+    ])
+    records = [
+        reference_parse_oxts_record(_read_text(path).strip(), path.name) for path in data_files
+    ]
+    # The drive's columns, one array per field.
+    c = OxtsRecord(*np.array(records).T)
+    imu = ImuStream(times, np.stack([c.wf, c.wl, c.wu], 1), np.stack([c.af, c.al, c.au], 1))
+
+    k = decimate_indices(times, gnss_rate)
+    std = np.where(c.pos_accuracy[k] > 0, c.pos_accuracy[k], np.nan)
+    return imu, GnssStream(times[k], np.radians(c.lat[k]), np.radians(c.lon[k]), c.alt[k], std)

@@ -19,17 +19,19 @@ streams, and the script prints the sha256 of ``estimate.csv``,
 sides.  A manifest is hashed without its ``input_*`` lines, which name
 the input paths.
 
-When a ``fuse`` output differs, :func:`drift` reports how far the run
-moved, tree against ref.  For each column of ``estimate.csv``,
-``errors.csv`` and ``track.csv`` that moved, it prints the largest
+When a stream or a ``fuse`` output differs, :func:`moved_tables`
+reports how far it moved, tree against ref.  For each column of
+``imu.csv``, ``gnss.csv`` and ``truth.csv``, or of ``estimate.csv``,
+``errors.csv`` and ``track.csv``, that moved, it prints the largest
 absolute difference, the largest relative one (|ref - tree| over the
 larger magnitude of the two cells), and the number of cells that are
 empty on one side only; a change in the header or the row count is
-printed too.  It also prints both sides' ``rmse.csv`` rows and NIS mean
-over the fixes of ``estimate.csv``, and, for a run with ``--gate``, the
-fixes that pass the gate (NIS <= gate) on each side and how many pass on
-one side only.  The script exits 1 if a command fails on either side or
-any output differs, by however little, and 0 otherwise.
+printed too.  For a ``fuse`` run, :func:`drift` also prints both sides'
+``rmse.csv`` rows and NIS mean over the fixes of ``estimate.csv``, and,
+for a run with ``--gate``, the fixes that pass the gate (NIS <= gate) on
+each side and how many pass on one side only.  The script exits 1 if a
+command fails on either side or any output differs, by however little,
+and 0 otherwise.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
 ``tests/`` imports it.  It runs for a few minutes and holds about 40 MB
@@ -147,20 +149,27 @@ def column_drift(name, ref, tree):
     return ref_head, a, b
 
 
+def moved_tables(ref, tree, names):
+    """Print how far each numeric table of ``names`` whose bytes differ
+    moved from the directory ``ref`` to ``tree``; return {name: the
+    result of :func:`column_drift`}."""
+    print("  drift, tree against ref:")
+    cells = {}
+    for name in names:
+        a, b = ref / name, tree / name
+        if a.is_file() and b.is_file() and a.read_bytes() != b.read_bytes():
+            cells[name] = column_drift(name, a, b)
+    return cells
+
+
 def drift(ref, tree, gate):
     """Print how far the differing tables of a ``fuse`` run moved from the
     output directory ``ref`` to ``tree``, the RMSE and NIS summary, and
     the fixes that pass ``gate`` (None for a run without one)."""
-    print("  drift, tree against ref:")
-    cells = {}
-    for name in ("estimate.csv", "errors.csv", "track.csv", "rmse.csv"):
-        a, b = ref / name, tree / name
-        if not (a.is_file() and b.is_file()) or a.read_bytes() == b.read_bytes():
-            continue
-        if name != "rmse.csv":
-            cells[name] = column_drift(name, a, b)
-            continue
-        print(f"    {name}")
+    cells = moved_tables(ref, tree, ("estimate.csv", "errors.csv", "track.csv"))
+    a, b = ref / "rmse.csv", tree / "rmse.csv"
+    if a.is_file() and b.is_file() and a.read_bytes() != b.read_bytes():
+        print("    rmse.csv")
         for side, path in (("ref ", a), ("tree", b)):
             for row in path.read_text().splitlines()[1:]:
                 print(f"      {side} {row}")
@@ -200,7 +209,10 @@ def make_drives(sides, tmp):
                 print(f"  {side}: {command[0]} exited {rc}: {err.strip()}")
                 differ += 1
             hashes[side] = {stream: digest(out / stream) for stream in STREAMS}
-        differ += compare(hashes, STREAMS)
+        moved = compare(hashes, STREAMS)
+        if moved:
+            moved_tables(tmp / "ref" / name, tmp / "tree" / name, STREAMS[:-1])
+        differ += moved
     inputs = {}
     for name in SIMULATED:
         sim = tmp / "tree" / name
