@@ -265,6 +265,8 @@ def _fusion_config(res):
 def _cmd_fuse(args):
     if bool(args.kitti) == bool(args.imu or args.gnss):
         raise _UsageError("provide either --kitti DIR or both --imu and --gnss")
+    if args.gnss_rate is not None and not args.kitti:
+        raise _UsageError("--gnss-rate applies only to --kitti input")
     res = _Resolver(args)
     with _usage_errors():
         cfg = _fusion_config(res)

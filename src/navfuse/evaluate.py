@@ -313,23 +313,18 @@ ERRORS_HEADER = "t,ex,ey,ez"
 TRACK_HEADER = "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"
 
 
-def _estimate_columns(result):
-    """The ``estimate.csv`` columns of a :class:`FusionResult`: position,
-    velocity and attitude (not the biases), the variances, the NIS (NaN,
-    an empty cell, where the step attempted no update), and ``diverged``
-    as 1 or 0."""
-    return [result.t, result.state[:, 0:10], result.cov_diag, result.nis, result.diverged]
-
-
 def write_run(results, t, truth, out):
     """Write the tables of a filter run into the directory ``out``:
     ``estimate.csv``, and with a ``truth`` track (or None) also
     ``errors.csv``, ``track.csv`` and then ``rmse.csv``.
 
     ``results`` are the run's :class:`FusionResult` parts in step order,
-    and ``t`` its IMU times.  A ``track.csv`` row holds the step's
-    estimated position, the truth interpolated to its time and its ``fix``
-    (empty cells where the step attempted no update).  Beyond the parts it holds only the fused
+    and ``t`` its IMU times.  An ``estimate.csv`` row holds the step's
+    position, velocity and attitude (not the biases), variances, NIS and
+    ``diverged`` as 1 or 0; a ``track.csv`` row its estimated position,
+    the truth interpolated to its time and its fix.  A step's NIS and fix
+    are those of its last ``updates`` row, accepted or not, and empty
+    cells where it has none.  Beyond the parts it holds only the fused
     error column, so ``rmse.csv`` takes its means over whole columns.  It
     is written before the other tables are renamed into place, so
     whatever raises up to those renames leaves none of the four.
@@ -343,16 +338,26 @@ def write_run(results, t, truth, out):
             fused_err = np.empty((len(t), 3))
         start = 0
         for result in results:
-            estimates.rows(_estimate_columns(result))
-            if truth is None:
-                continue
-            step_t, est = result.track
-            truth_at = interpolate_track(step_t, truth)
-            err = est - truth_at
-            errors.rows([step_t, err])
-            fused_err[start : start + len(step_t)] = err
-            start += len(step_t)
-            track.rows([step_t, est, truth_at, result.fix])
+            stop = start + len(result.t)
+            # The rows' steps do not decrease, so a step's last row is one
+            # that the next row's step differs from, or the last row.
+            steps = result.updates["imu_index"]
+            last = np.ones(len(steps), dtype=bool)
+            last[:-1] = steps[1:] != steps[:-1]
+            rows = steps[last] - start
+            nis = np.full(stop - start, np.nan)
+            nis[rows] = result.updates["nis"][last]
+            estimates.rows([result.t, result.state[:, 0:10], result.cov_diag, nis, result.diverged])
+            if truth is not None:
+                step_t, est = result.track
+                truth_at = interpolate_track(step_t, truth)
+                err = est - truth_at
+                errors.rows([step_t, err])
+                fused_err[start:stop] = err
+                fix = np.full((stop - start, 3), np.nan)
+                fix[rows] = result.updates["fix"][last]
+                track.rows([step_t, est, truth_at, fix])
+            start = stop
         if truth is None:
             return
         reports = []

@@ -57,14 +57,13 @@ and its time prefixed to its message, and a floating-point overflow or
 invalid operation raises :class:`InvalidCovariance` with that prefix.
 :func:`run_fusion` concatenates the chunks.  The :class:`FusionResult`
 is columnar: ``t`` (N), ``state`` (N, 16) as [p, v, q, bg, ba],
-``cov_diag`` (N, 15), ``nis`` (N), ``fix`` (N, 3) and ``diverged`` (N);
-``nis`` and ``fix`` are the NIS and the local-frame fix of the last
-update attempted at the step, accepted or not, NaN where there is none.
-``updates`` (M) holds one row of :data:`UPDATE_DTYPE` per attempted
-update, in fix order: its time and IMU step, NIS, gate decision, the
-covariance trace before and after, the innovation y - p (3) and the
-smallest eigenvalue of the covariance it leaves.  The frame
-``origin`` and ``gnss_track``, every fix in the local frame, are the
+``cov_diag`` (N, 15) and ``diverged`` (N) per IMU step, and ``updates``
+(M), one row of :data:`UPDATE_DTYPE` per attempted update, accepted or
+not, in fix order: its time and IMU step, the local-frame fix y (3), NIS,
+gate decision, the covariance trace before and after, the innovation
+y - p (3) and the smallest eigenvalue of the covariance it leaves.  The
+rows' steps do not decrease, and several rows can share a step.  The
+frame ``origin`` and ``gnss_track``, every fix in the local frame, are the
 run's, the same objects in every chunk.  A track is a pair of arrays
 (t, positions); ``result.track`` is the filter's and ``gnss_track`` the
 GNSS-only baseline.
@@ -149,7 +148,7 @@ class FusionConfig:
 
 #: The row of :attr:`FusionResult.updates`: one GNSS update attempt.
 UPDATE_DTYPE = np.dtype([
-    ("t", "f8"), ("imu_index", "i8"), ("nis", "f8"), ("accepted", "?"),
+    ("t", "f8"), ("imu_index", "i8"), ("fix", "f8", (3,)), ("nis", "f8"), ("accepted", "?"),
     ("trace_before", "f8"), ("trace_after", "f8"), ("innovation", "f8", (3,)),
     ("cov_min_eig", "f8"),
 ])
@@ -157,15 +156,13 @@ UPDATE_DTYPE = np.dtype([
 
 @dataclass(frozen=True, eq=False)
 class FusionResult:
-    """Run output as columns over the N IMU timestamps and the M update
-    attempts, plus the run metadata; the module docstring lists the
-    fields."""
+    """Run output as columns over the N IMU timestamps, one record for
+    each of the M update attempts, and the run metadata; the module
+    docstring lists the fields."""
 
     t: np.ndarray
     state: np.ndarray
     cov_diag: np.ndarray
-    nis: np.ndarray
-    fix: np.ndarray
     diverged: np.ndarray
     origin: object
     updates: np.ndarray
@@ -299,8 +296,6 @@ def fuse_chunks(imu, gnss, cfg):
 
         states = np.empty((stop - start, STATE_DIM))
         cov_diag = np.empty((stop - start, ERROR_DIM))
-        nis = np.full(stop - start, np.nan)
-        fix = np.full((stop - start, 3), np.nan)
         first = j
         updates = np.empty(end - first, UPDATE_DTYPE)
         try:
@@ -313,9 +308,7 @@ def fuse_chunks(imu, gnss, cfg):
                         state, cov, fields = _update(
                             state, cov, fix_enu[j], r_covs[j - first], cfg.gnss_gate
                         )
-                        nis[i - start] = fields[0]
-                        fix[i - start] = fix_enu[j]
-                        updates[j - first] = (t[i], i, *fields)
+                        updates[j - first] = (t[i], i, fix_enu[j], *fields)
                         j += 1
                     states[i - start] = state
                     cov_diag[i - start] = cov.diagonal()
@@ -326,9 +319,7 @@ def fuse_chunks(imu, gnss, cfg):
             exc.args = (f"{where}: {exc}",)
             raise
         diverged = cov_diag.sum(axis=1) > cfg.trace_ceiling
-        yield FusionResult(
-            t[start:stop], states, cov_diag, nis, fix, diverged, origin, updates, gnss_track
-        )
+        yield FusionResult(t[start:stop], states, cov_diag, diverged, origin, updates, gnss_track)
 
 
 def run_fusion(imu, gnss, cfg):
@@ -348,8 +339,6 @@ def run_fusion(imu, gnss, cfg):
         imu.t,
         joined("state"),
         joined("cov_diag"),
-        joined("nis"),
-        joined("fix"),
         joined("diverged"),
         chunks[0].origin,
         joined("updates"),

@@ -13,9 +13,11 @@ library's eigendecomposition inverse, and the same scipy retraction.
 The per-point ECEF formula in scalar ``math`` and the per-cell CSV
 writers are the forms that the array conversions
 (``geodesy.geodetic_to_enu`` and ``geodesy.enu_to_geodetic``) and
-``evaluate._write_table`` must reproduce bit for bit and byte for byte,
-and the whole-file CSV reader is the one whose rows and errors the
-streamed ``evaluate._read_table`` must reproduce.  The per-record KITTI
+``evaluate._write_table`` must reproduce bit for bit and byte for byte;
+the writers take a step's NIS and fix by letting each update row
+overwrite the one before it at its step.  The whole-file CSV reader is
+the one whose rows and errors the streamed ``evaluate._read_table`` must
+reproduce.  The per-record KITTI
 loader (one ``Path``, one ``float()`` per token and one namedtuple per
 OXTS record) is the one whose streams and errors the columnar
 ``kitti.load_sequence`` must reproduce bit for bit.
@@ -88,8 +90,21 @@ def _fmt(value):
     return format(float(value), ".17g")
 
 
+def reference_step_updates(updates, n):
+    """The NIS (n,) and fix (n, 3) that each of ``n`` steps shows: the
+    ``updates`` rows are visited in order, a later row at a step
+    overwriting an earlier one; NaN at a step without a row."""
+    nis = np.full(n, np.nan)
+    fix = np.full((n, 3), np.nan)
+    for row in updates:
+        nis[row["imu_index"]] = row["nis"]
+        fix[row["imu_index"]] = row["fix"]
+    return nis, fix
+
+
 def reference_estimates_text(result):
     """``estimate.csv`` of a columnar FusionResult, formatted cell by cell."""
+    nis = reference_step_updates(result.updates, len(result.t))[0]
     lines = [
         "t,e,n,u,ve,vn,vu,qw,qx,qy,qz,"
         "var_pe,var_pn,var_pu,var_ve,var_vn,var_vu,var_re,var_rn,var_ru,"
@@ -100,7 +115,7 @@ def reference_estimates_text(result):
             _fmt(result.t[k]),
             *(_fmt(v) for v in result.state[k, 0:10]),
             *(_fmt(v) for v in result.cov_diag[k]),
-            "" if np.isnan(result.nis[k]) else _fmt(result.nis[k]),
+            "" if np.isnan(nis[k]) else _fmt(nis[k]),
             "1" if result.diverged[k] else "0",
         ]
         lines.append(",".join(cells))
@@ -123,9 +138,10 @@ def reference_truth_at(t, truth):
     return np.column_stack([np.interp(t, truth[0], truth[1][:, i]) for i in range(3)])
 
 
-def reference_track_text(t, est, truth, gnss):
-    """``track.csv`` formatted cell by cell, with empty GNSS cells where a
-    row's GNSS position is NaN."""
+def reference_track_text(t, est, truth, updates):
+    """``track.csv`` formatted cell by cell; a row's GNSS cells are the
+    fix of :func:`reference_step_updates`, empty where the step has none."""
+    gnss = reference_step_updates(updates, len(t))[1]
     lines = ["t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"]
     for k in range(len(t)):
         cells = [_fmt(t[k])]

@@ -7,7 +7,8 @@ import pytest
 
 import navfuse.fusion
 import navfuse.geodesy
-from navfuse.cli import main
+from navfuse.cli import main, read_gnss_csv, read_imu_csv
+from navfuse.fusion import FusionConfig, run_fusion
 from navfuse.geodesy import GeodeticCoord, geodetic_to_enu
 
 
@@ -247,6 +248,40 @@ class TestFuseCommand:
         cells = [[float(c) for c in row[7:10]] for row in rows if float(row[0]) == 5.0]
         assert cells == later.tolist()
 
+    def test_fixes_sharing_the_last_step_show_the_later_one(self, tmp_path):
+        # gnss.csv, written by hand from the simulated one: a fix at 0 s,
+        # before the first IMU sample (0.01 s), and after the last sample
+        # (5 s) a fix at 5.5 s and a fix 0.01 deg east at 6 s, which the
+        # gate rejects.  The last two anchor to the last step, whose nis
+        # and gnss_* cells are the later fix's.
+        sim = simulate_into(tmp_path)
+        imu = (sim / "imu.csv").read_text().splitlines()
+        (sim / "imu.csv").write_text("\n".join(imu[:1] + imu[2:502]) + "\n")
+        rows = [line.split(",") for line in (sim / "gnss.csv").read_text().splitlines()[1:8]]
+        rows[5][0] = "5.5"
+        rows[6][2] = repr(float(rows[6][2]) + 0.01)
+        lines = ["t,lat_deg,lon_deg,alt_m", *(",".join(row) for row in rows)]
+        (sim / "gnss.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "fused"
+        assert run(["fuse", "--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
+                    "--truth", sim / "truth.csv", "--gate", "3", "--out", out]) == 0
+
+        streams = read_imu_csv(sim / "imu.csv"), read_gnss_csv(sim / "gnss.csv")
+        updates = run_fusion(*streams, FusionConfig(gnss_gate=3.0)).updates
+        assert updates["imu_index"].tolist() == [99, 199, 299, 399, 499, 499]
+        assert not updates["accepted"][-1] and updates["nis"][-1] != updates["nis"][-2]
+        fixes = [[math.radians(float(c)) for c in row[1:3]] + [float(row[3])] for row in rows]
+        origin = GeodeticCoord(*fixes[0])
+        later = geodetic_to_enu(*fixes[-1], origin)[0]
+        assert np.array_equal(updates["fix"][-1], later)
+
+        estimate = [line.split(",") for line in (out / "estimate.csv").read_text().splitlines()]
+        nis = estimate[0].index("nis")
+        assert len(estimate) == 1 + 500 and estimate[1][nis] == ""
+        assert float(estimate[-1][nis]) == updates["nis"][-1]
+        track = (out / "track.csv").read_text().splitlines()
+        assert [float(c) for c in track[-1].split(",")[7:10]] == later.tolist()
+
 
 class TestMalformedStreams:
     """A bad stream row fails with one ``error:`` line naming the file and
@@ -385,13 +420,14 @@ class TestParser:
             ["kitti-convert", "--kitti", "KITTI", "--config", "gnss_rate=fast"],
             ["fuse", "--kitti", "KITTI", "--config", "gnss_sgima=5"],
             ["kitti-convert", "--kitti", "KITTI", "--config", "out=elsewhere"],
+            ["fuse", "--imu", "imu.csv", "--gnss", "gnss.csv", "--gnss-rate", "5"],
         ],
         ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
              "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
              "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan",
              "config-duration-text", "config-imu-rate-text", "config-fuse-gnss-rate-text",
              "config-alpha-text", "config-convert-gnss-rate-text", "config-unknown-key",
-             "config-path-key"],
+             "config-path-key", "fuse-csv-gnss-rate"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]
@@ -422,6 +458,21 @@ class TestParser:
         manifest = (tmp_path / "fused" / "manifest").read_text().splitlines()
         assert "alpha=0.90000000000000002" in manifest
         assert not any(line.startswith(("seed=", "duration=")) for line in manifest)
+
+    def test_gnss_rate_config_key_left_unread_by_csv_fuse(self, tmp_path, kitti_drive):
+        # The flag is a usage error without --kitti; the same setting in a
+        # config file, which serves every command, changes nothing.
+        conv = tmp_path / "conv"
+        assert run(["kitti-convert", "--kitti", kitti_drive, "--out", conv]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text("gnss_rate=5\n")
+        inputs = ["fuse", "--imu", conv / "imu.csv", "--gnss", conv / "gnss.csv"]
+        assert run([*inputs, "--out", tmp_path / "plain"]) == 0
+        assert run([*inputs, "--config", config, "--out", tmp_path / "configured"]) == 0
+        plain, configured = (tmp_path / "plain", tmp_path / "configured")
+        assert (configured / "estimate.csv").read_bytes() == (plain / "estimate.csv").read_bytes()
+        assert not any(line.startswith("gnss_rate=")
+                       for line in (configured / "manifest").read_text().splitlines())
 
     @pytest.mark.parametrize("sigma, code", [("0", 1), ("-1", 2)])
     def test_bad_gnss_sigma(self, tmp_path, capsys, sigma, code):

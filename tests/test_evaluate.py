@@ -11,6 +11,7 @@ from oracles import (
     reference_estimates_text,
     reference_read_table,
     reference_rmse_text,
+    reference_step_updates,
     reference_track_text,
     reference_truth_at,
 )
@@ -29,7 +30,7 @@ from navfuse.evaluate import (
     rmse,
     write_run,
 )
-from navfuse.fusion import FusionConfig, FusionResult, run_fusion
+from navfuse.fusion import UPDATE_DTYPE, FusionConfig, FusionResult, run_fusion
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 
 
@@ -44,20 +45,27 @@ def errors(t, ex, ey, ez):
     return t, np.column_stack([ex, ey, ez])
 
 
-def result_of(t, est, fix=None, nis=None, diverged=None, seed=0):
+def updates_at(t, steps, fix, nis):
+    """Update rows at the ``steps`` of the times ``t``, with the fixes
+    ``fix`` (m, 3) and the NIS ``nis`` (m,); the other fields are zero."""
+    updates = np.zeros(len(steps), UPDATE_DTYPE)
+    updates["t"], updates["imu_index"] = t[steps], steps
+    updates["fix"], updates["nis"] = fix, nis
+    return updates
+
+
+def result_of(t, est, updates=None, diverged=None, seed=0):
     """A :class:`FusionResult` with the times ``t``, the estimated
     positions ``est`` (n, 3), random other states and variances, and
-    every fix as its GNSS track; ``fix``, ``nis`` and ``diverged`` default
-    to no update and no divergence."""
+    every fix of ``updates`` as its GNSS track; ``updates`` and
+    ``diverged`` default to no update and no divergence."""
     n = len(t)
     rng = np.random.default_rng(seed)
-    fix = np.full((n, 3), np.nan) if fix is None else fix
-    fixed = ~np.isnan(fix[:, 0])
+    updates = np.zeros(0, UPDATE_DTYPE) if updates is None else updates
     return FusionResult(
         t, np.column_stack([est, rng.standard_normal((n, 13))]), rng.random((n, 15)) * 1e-3,
-        np.full(n, np.nan) if nis is None else nis, fix,
         np.zeros(n, dtype=bool) if diverged is None else diverged,
-        None, [], (t[fixed], fix[fixed]),
+        None, updates, (updates["t"], updates["fix"]),
     )
 
 
@@ -156,8 +164,8 @@ class TestExport:
     def test_track_csv_empty_gnss_cells(self, tmp_path):
         t = np.array([0.0, 1.0])
         est = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        gnss = np.array([[np.nan, np.nan, np.nan], [7.0, 8.0, 9.0]])
-        write_run([result_of(t, est, gnss)], t, (t, est), tmp_path)
+        updates = updates_at(t, [1], [[7.0, 8.0, 9.0]], [0.5])
+        write_run([result_of(t, est, updates)], t, (t, est), tmp_path)
         lines = (tmp_path / "track.csv").read_text().splitlines()
         assert lines[0] == "t,est_e,est_n,est_u,truth_e,truth_n,truth_u,gnss_e,gnss_n,gnss_u"
         assert lines[1].endswith(",,,")
@@ -195,20 +203,29 @@ def circular_run():
 
 
 def chunked(result, size):
-    """``result`` cut into parts of ``size`` steps, as ``fuse_chunks``
-    yields them (an empty result stays one part)."""
-    columns = ("t", "state", "cov_diag", "nis", "fix", "diverged")
-    starts = range(0, max(len(result.t), 1), size)
+    """``result`` cut into parts of ``size`` steps, each with the updates
+    of its steps, as ``fuse_chunks`` yields them (an empty result stays
+    one part)."""
+    columns = ("t", "state", "cov_diag", "diverged")
+    steps = result.updates["imu_index"]
     return [
-        dataclasses.replace(result, **{c: getattr(result, c)[k : k + size] for c in columns})
-        for k in starts
+        dataclasses.replace(
+            result, **{c: getattr(result, c)[k : k + size] for c in columns},
+            updates=result.updates[(k <= steps) & (steps < k + size)],
+        )
+        for k in range(0, max(len(result.t), 1), size)
     ]
+
+
+def has_steps_with_and_without_updates(result):
+    steps = np.unique(result.updates["imu_index"])
+    return 0 < len(steps) < len(result.t)
 
 
 class TestWriteTable:
     def test_estimates_byte_equal_to_per_cell_writer(self, tmp_path, circular_run):
         result = circular_run[0]
-        assert np.isnan(result.nis).any() and not np.isnan(result.nis).all()
+        assert has_steps_with_and_without_updates(result)
         flagged = dataclasses.replace(result, diverged=np.arange(len(result.t)) % 7 == 0)
         for run in (result, flagged):
             write_run([run], run.t, None, tmp_path)
@@ -216,12 +233,14 @@ class TestWriteTable:
 
     def test_errors_and_track_byte_equal_to_per_cell_writers(self, tmp_path, circular_run):
         result, truth_track = circular_run
-        assert np.isnan(result.fix).any() and not np.isnan(result.fix).all()
+        assert has_steps_with_and_without_updates(result)
         write_run([result], result.t, truth_track, tmp_path)
         err = align_and_diff(result.track, truth_track)
         assert (tmp_path / "errors.csv").read_text() == reference_errors_text(err)
         t, est = result.track
-        expected = reference_track_text(t, est, reference_truth_at(t, truth_track), result.fix)
+        expected = reference_track_text(
+            t, est, reference_truth_at(t, truth_track), result.updates
+        )
         assert (tmp_path / "track.csv").read_text() == expected
         gnss_err = align_and_diff(result.gnss_track, truth_track)
         reports = [rmse(gnss_err, "GNSS"), rmse(err, "GNSS-IMU")]
@@ -261,13 +280,22 @@ class TestWriteTable:
     def test_chunk_edges_byte_equal_to_per_cell_writers(self, tmp_path, n):
         rng = np.random.default_rng(n)
         t = np.arange(n) / 100.0
-        # NaN cells on the rows either side of every chunk edge, and on the last row.
+        # 0 to 3 update rows per step, each with its own values: 2 or 3 on
+        # the steps either side of every chunk edge and on the last step,
+        # so a later row must win there across the edge; none on the
+        # steps next to those, so empty cells border the edges too.
         edges = np.arange(n) % _CHUNK_ROWS
-        nan_rows = (edges == 0) | (edges == _CHUNK_ROWS - 1) | (np.arange(n) == n - 1)
-        nis = np.where(nan_rows, np.nan, rng.random(n))
+        rows = rng.integers(0, 4, n)
+        rows[(edges == 1) | (edges == _CHUNK_ROWS - 2)] = 0
+        edge = (edges == 0) | (edges == _CHUNK_ROWS - 1)
+        rows[edge] = rng.integers(2, 4, edge.sum())
+        rows[n - 1 :] = 3
+        steps = np.repeat(np.arange(n), rows)
+        updates = updates_at(
+            t, steps, rng.standard_normal((len(steps), 3)), rng.random(len(steps))
+        )
         est, truth = rng.standard_normal((2, n, 3)) * 1e3
-        gnss = np.where(nan_rows[:, None], np.nan, rng.standard_normal((n, 3)))
-        result = result_of(t, est, gnss, nis, rng.random(n) < 0.3, seed=n)
+        result = result_of(t, est, updates, rng.random(n) < 0.3, seed=n)
         truth_track = (t, truth)
         # The whole run, and the run in chunks of the formatted rows.
         for k, results in enumerate([[result], chunked(result, _CHUNK_ROWS)]):
@@ -284,9 +312,10 @@ class TestWriteTable:
             err = align_and_diff(result.track, truth_track)
             assert (out / "errors.csv").read_text() == reference_errors_text(err)
             # The truth track's times are the steps', so its cells are the truth.
-            expected = reference_track_text(t, est, truth, gnss)
+            expected = reference_track_text(t, est, truth, updates)
             assert (out / "track.csv").read_text() == expected
 
+        gnss = reference_step_updates(updates, n)[1]
         reports = [RmseReport(f"run-{k}", *row) for k, row in enumerate(gnss)]
         export_rmse_csv(reports, tmp_path / "rmse.csv")
         assert (tmp_path / "rmse.csv").read_text() == reference_rmse_text(reports)

@@ -71,7 +71,7 @@ def same_bits(a, b):
 def assert_same_run(chunks, whole):
     """The concatenated ``chunks`` are ``whole``, bit for bit, and every
     chunk holds the run's ``origin`` and ``gnss_track`` objects."""
-    for column in ("t", "state", "cov_diag", "nis", "fix", "diverged", "updates"):
+    for column in ("t", "state", "cov_diag", "diverged", "updates"):
         joined = np.concatenate([getattr(c, column) for c in chunks])
         assert same_bits(joined, getattr(whole, column)), column
     for part, ours in zip(whole.gnss_track, chunks[0].gnss_track):
@@ -106,7 +106,8 @@ def test_chunks_equal_one_pass(monkeypatch, drive, gate):
 
 def test_fix_column_holds_the_last_update_attempted_at_a_step(monkeypatch, drive):
     # A second fix after the last IMU sample, at the outlier's position:
-    # the gate rejects it, and it is the one recorded at the last step.
+    # the gate rejects it, and it is recorded after the first at the last
+    # step.  Each update row holds its fix in the local frame.
     imu, gnss, _ = drive
     late = np.append(np.arange(len(gnss)), OUTLIER + 1)
     columns = [getattr(gnss, name)[late] for name in ("t", "lat", "lon", "alt", "std")]
@@ -118,16 +119,12 @@ def test_fix_column_holds_the_last_update_attempted_at_a_step(monkeypatch, drive
     # precedes every sample, and the last two follow the last one.
     steps = [None, *ANCHORS, n - 1, n - 1]
     enu = run_gnss_only(gnss, fusion.frame_origin(gnss))[1]
-    expected = np.full((n, 3), np.nan)
-    for k, step in enumerate(steps):
-        if step is not None:
-            expected[step] = enu[k]  # a later fix at the same step overwrites
     for size in (1, 7, n + 1):
         chunks = chunks_at(monkeypatch, size, imu, gnss, cfg)
         updates = np.concatenate([c.updates for c in chunks])
         assert updates["imu_index"].tolist() == steps[1:]
         assert not updates["accepted"][OUTLIER] and not updates["accepted"][-1]
-        assert same_bits(np.concatenate([c.fix for c in chunks]), expected)
+        assert same_bits(updates["fix"], enu[1:])
 
 
 def overflowing(imu, sample):
@@ -241,13 +238,14 @@ def test_streamed_outputs_equal_whole_run_writers(monkeypatch, tmp_path, drive):
     write_run([result], result.t, truth_track, ref)
     for name in ("estimate.csv", "errors.csv", "track.csv", "rmse.csv"):
         assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes()
-    assert np.isnan(result.fix).any() and not np.isnan(result.fix).all()
+    assert 0 < len(np.unique(result.updates["imu_index"])) < len(result.t)
     err = align_and_diff(result.track, truth_track)
     t, est = result.track
+    truth_at = reference_truth_at(t, truth_track)
     expected = {
         "estimate.csv": reference_estimates_text(result),
         "errors.csv": reference_errors_text(err),
-        "track.csv": reference_track_text(t, est, reference_truth_at(t, truth_track), result.fix),
+        "track.csv": reference_track_text(t, est, truth_at, result.updates),
     }
     for name, text in expected.items():
         assert (ref / name).read_text() == text

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from navfuse.errors import EmptyStream, InvalidScaling, NonMonotonicTime
-from navfuse.evaluate import align_and_diff, rmse
+from navfuse.evaluate import align_and_diff, rmse, write_run
 from navfuse.fusion import FusionConfig, run_fusion, run_gnss_only
 from navfuse.geodesy import enu_to_geodetic
 from navfuse.gnss import GnssNoise, GnssStream
@@ -144,7 +144,8 @@ class TestRunFusion:
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.state, b.state)
         assert np.array_equal(a.cov_diag, b.cov_diag)
-        assert np.array_equal(a.nis, b.nis, equal_nan=True)
+        assert a.updates.dtype == b.updates.dtype
+        assert a.updates.tobytes() == b.updates.tobytes()
 
     def test_divergence_flag_instead_of_crash(self):
         imu = stationary_imu(50)
@@ -175,18 +176,20 @@ class TestRunFusion:
         result = run_fusion(stationary_imu(10, t0=10.0), ORIGIN_FIX, FusionConfig())
         assert len(result.updates) == 0
 
-    def test_nis_recorded_on_update_estimates(self):
+    def test_nis_recorded_on_update_estimates(self, tmp_path):
         profile = TrajectoryProfile("stationary", duration=3.0)
         truth, ideal = generate_truth(profile)
         imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=12), gnss_rate=1.0)
         result = run_fusion(imu, gnss, FusionConfig())
         traces = result.cov_diag.sum(axis=1)
         steps = result.updates["imu_index"]
-        assert result.nis[steps] == pytest.approx(result.updates["nis"])
         assert np.array_equal(traces[steps], result.updates["trace_after"])
-        applied = np.zeros(len(result.t), dtype=bool)
-        applied[steps] = True
-        assert np.isnan(result.nis[~applied]).all()
+        write_run([result], result.t, None, tmp_path)
+        header, *rows = (tmp_path / "estimate.csv").read_text().splitlines()
+        column = header.split(",").index("nis")
+        nis = [row.split(",")[column] for row in rows]
+        assert [k for k, cell in enumerate(nis) if cell] == steps.tolist()
+        assert [float(nis[k]) for k in steps] == result.updates["nis"].tolist()
 
     def test_gnss_track_is_the_baseline(self):
         profile = TrajectoryProfile("circular", duration=10.0)

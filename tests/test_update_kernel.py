@@ -38,7 +38,7 @@ def assert_within(diff, scale, what):
 
 def named(fields):
     """The fields that ``_update`` returns, by their ``UPDATE_DTYPE`` names."""
-    return dict(zip(UPDATE_DTYPE.names[2:], fields, strict=True))
+    return dict(zip(UPDATE_DTYPE.names[3:], fields, strict=True))
 
 
 def assert_matches(kernel, oracle, prior_cov, r_cov):

@@ -12,8 +12,8 @@ seed 42, simulated once by the working tree.  After one untimed run of
 each, each of 40 pairs times one run of each side, the side that goes first
 alternating from pair to pair.  The script prints each side's median and
 quartiles, the pairs the working tree won, and whether the array fields
-that both sides' ``FusionResult`` have are bit-identical, naming those
-that are not.
+that both sides' ``FusionResult`` have are bit-identical (a record array
+in the fields that both sides have), naming those that are not.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
 ``tests/`` imports it.
@@ -57,7 +57,10 @@ def rebuild(stream, cls):
 
 
 def same_bits(a, b):
-    """Whether the arrays ``a`` and ``b`` have the same dtype, shape and bytes."""
+    """Whether the arrays ``a`` and ``b`` have the same dtype, shape and
+    bytes; two record arrays, in each field that both have."""
+    if a.dtype.names and b.dtype.names:
+        return all(same_bits(a[name], b[name]) for name in a.dtype.names if name in b.dtype.names)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
