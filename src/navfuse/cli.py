@@ -13,9 +13,12 @@ then hands the filter's chunks to :func:`navfuse.evaluate.write_run`,
 which writes the run's tables.  Exit codes: 0 success, 1 runtime/data
 error, 2 usage error (also a NaN, infinite or out-of-range configuration
 value, a config file value that does not parse, or a config file key
-that names no setting of any command).  Flags override an optional
-``key=value`` config file (``--config``); defaults apply last.  Every
-command writes a ``manifest`` echoing the resolved configuration,
+that names no setting of any command or is given twice).  Each setting
+is a field of a config dataclass, with the field's name and default:
+``profile``, ``gnss_sigma`` and ``gate`` are ``TrajectoryProfile.kind``,
+``GnssNoise.sigma`` and ``FusionConfig.gnss_gate``.  Flags override an
+optional ``key=value`` config file (``--config``); defaults apply last.
+Every command writes a ``manifest`` echoing the resolved configuration,
 sufficient to reproduce the run byte for byte.
 """
 
@@ -23,13 +26,13 @@ import argparse
 import math
 import sys
 from contextlib import contextmanager, suppress
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError
+from .errors import EmptyStream, InvalidNoise, InvalidScaling, NavFuseError, UnknownProfileKind
 from .evaluate import (
     _fmt,
     _read_table,
@@ -41,7 +44,7 @@ from .evaluate import (
 )
 from .fusion import FusionConfig, frame_origin, fuse_chunks
 from .geodesy import GeodeticCoord, enu_to_geodetic, geodetic_in_range, geodetic_to_enu
-from .gnss import GnssNoise, GnssStream, outage_mask
+from .gnss import GnssStream, outage_mask
 from .kitti import load_sequence
 from .simulate import (
     PROFILE_KINDS,
@@ -51,7 +54,7 @@ from .simulate import (
     corrupt,
     generate_truth,
 )
-from .strapdown import ImuNoiseParams, ImuStream, check_times
+from .strapdown import ImuStream, check_times
 
 
 class _UsageError(Exception):
@@ -60,11 +63,10 @@ class _UsageError(Exception):
 
 @contextmanager
 def _usage_errors():
-    """Report a configuration value that a constructor rejects as a
-    usage error."""
+    """Report a value that a config constructor rejects as a usage error."""
     try:
         yield
-    except (ValueError, InvalidNoise, InvalidScaling) as exc:
+    except (ValueError, InvalidNoise, InvalidScaling, UnknownProfileKind) as exc:
         raise _UsageError(str(exc)) from exc
 
 
@@ -93,6 +95,8 @@ def _read_config_file(path, keys):
         key = key.strip()
         if key not in keys:
             raise _UsageError(f"{path}: config key {key!r} is not a setting of any command")
+        if key in values:
+            raise _UsageError(f"{path}: config key {key!r} is given twice")
         values[key] = value.strip()
     return values
 
@@ -118,14 +122,28 @@ class _Resolver:
         return value
 
 
-def _defaults_of(cls):
-    return {f.name: f.default for f in fields(cls)}
+# The settings whose name is not their field's.
+_SETTING_OF = {"kind": "profile", "sigma": "gnss_sigma", "gnss_gate": "gate"}
 
 
-_PROFILE_DEFAULTS = _defaults_of(TrajectoryProfile)
-_IMU_NOISE_DEFAULTS = _defaults_of(ImuNoiseParams)
-_FUSION_DEFAULTS = _defaults_of(FusionConfig)
-_GNSS_SIGMA_DEFAULT = _defaults_of(GnssNoise)["sigma"]
+def _settings(cls, res, **given):
+    """A ``cls`` config: a field in ``given`` as is, a nested config (a
+    field with a ``default_factory``) built the same way, and any other
+    field from the setting of its name, or of :data:`_SETTING_OF`, that
+    ``res`` resolves; a required setting left unset is a usage error."""
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        if f.default_factory is not MISSING:
+            given[f.name] = _settings(f.default_factory, res)
+        else:
+            setting = _SETTING_OF.get(f.name, f.name)
+            required = f.default is MISSING
+            cast = f.type if f.type in (int, str) else float
+            given[f.name] = res.get(setting, None if required else f.default, cast)
+            if required and given[f.name] is None:
+                raise _UsageError(f"--{setting.replace('_', '-')} is required")
+    return cls(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +206,6 @@ def _write_manifest(out_dir, command, res, origin=None, **entries):
 def _manifest_value(value):
     if isinstance(value, float):
         return _fmt(value)
-    if isinstance(value, (tuple, list)):
-        return ";".join(_manifest_value(v) for v in value)
     return str(value)
 
 
@@ -199,27 +215,10 @@ def _manifest_value(value):
 
 def _cmd_simulate(args):
     res = _Resolver(args)
-    profile_kind = res.get("profile", None, str)
-    duration = res.get("duration", None, float)
-    seed = res.get("seed", None, int)
-    if profile_kind is None or duration is None or seed is None:
-        raise _UsageError("--profile, --duration, and --seed are required")
     with _usage_errors():
-        profile = TrajectoryProfile(
-            kind=profile_kind,
-            duration=duration,
-            imu_rate=res.get("imu_rate", _PROFILE_DEFAULTS["imu_rate"]),
-            gnss_rate=res.get("gnss_rate", _PROFILE_DEFAULTS["gnss_rate"]),
-            speed=res.get("speed", _PROFILE_DEFAULTS["speed"]),
-            radius=res.get("radius", _PROFILE_DEFAULTS["radius"]),
-            accel=res.get("accel", _PROFILE_DEFAULTS["accel"]),
-        )
-        corruption = SensorCorruption(
-            seed=int(seed),
-            imu=_imu_noise(res),
-            gnss=GnssNoise(res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)),
-            outages=tuple(_parse_outage(o) for o in (args.gnss_outage or [])),
-        )
+        profile = _settings(TrajectoryProfile, res)
+        outages = tuple(_parse_outage(o) for o in (args.gnss_outage or []))
+        corruption = _settings(SensorCorruption, res, outages=outages)
 
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, corruption, gnss_rate=profile.gnss_rate)
@@ -230,36 +229,9 @@ def _cmd_simulate(args):
     write_imu_csv(imu, out / "imu.csv")
     write_gnss_csv(gnss, out / "gnss.csv")
 
-    outages = ";".join(f"{s}:{e}" for s, e in corruption.outages)
-    _write_manifest(out, "simulate", res, SCENARIO_ORIGIN, gnss_outage=outages)
+    _write_manifest(out, "simulate", res, SCENARIO_ORIGIN,
+                    gnss_outage=";".join(f"{s}:{e}" for s, e in outages))
     return 0
-
-
-def _imu_noise(res):
-    return ImuNoiseParams(
-        gyro_std=res.get("gyro_std", _IMU_NOISE_DEFAULTS["gyro_std"]),
-        accel_std=res.get("accel_std", _IMU_NOISE_DEFAULTS["accel_std"]),
-        gyro_bias_rw=res.get("gyro_bias_rw", _IMU_NOISE_DEFAULTS["gyro_bias_rw"]),
-        accel_bias_rw=res.get("accel_bias_rw", _IMU_NOISE_DEFAULTS["accel_bias_rw"]),
-    )
-
-
-def _fusion_config(res):
-    d = _FUSION_DEFAULTS
-    return FusionConfig(
-        alpha=res.get("alpha", d["alpha"]),
-        beta=res.get("beta", d["beta"]),
-        gamma=res.get("gamma", d["gamma"]),
-        imu_noise=_imu_noise(res),
-        gnss_noise=GnssNoise(res.get("gnss_sigma", _GNSS_SIGMA_DEFAULT)),
-        init_position_std=res.get("init_position_std", d["init_position_std"]),
-        init_velocity_std=res.get("init_velocity_std", d["init_velocity_std"]),
-        init_attitude_std=res.get("init_attitude_std", d["init_attitude_std"]),
-        init_gyro_bias_std=res.get("init_gyro_bias_std", d["init_gyro_bias_std"]),
-        init_accel_bias_std=res.get("init_accel_bias_std", d["init_accel_bias_std"]),
-        gnss_gate=res.get("gate", None),
-        trace_ceiling=res.get("trace_ceiling", d["trace_ceiling"]),
-    )
 
 
 def _cmd_fuse(args):
@@ -269,7 +241,7 @@ def _cmd_fuse(args):
         raise _UsageError("--gnss-rate applies only to --kitti input")
     res = _Resolver(args)
     with _usage_errors():
-        cfg = _fusion_config(res)
+        cfg = _settings(FusionConfig, res)
 
     if args.kitti:
         imu, gnss = _load_kitti(args, res)

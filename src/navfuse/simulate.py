@@ -54,6 +54,16 @@ class TrajectoryProfile:
     accel: float = 1.0
 
     def __post_init__(self):
+        if self.kind not in PROFILE_KINDS:
+            raise UnknownProfileKind(f"unknown profile kind {self.kind!r}; "
+                                     f"expected one of {PROFILE_KINDS}")
+        for name in ("speed", "radius", "accel"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.radius == 0 and self.kind in ("circular", "figure-eight"):
+            raise ValueError(f"radius must be nonzero for {self.kind}")
+        if self.speed == 0 and self.kind == "figure-eight":
+            raise ValueError("speed must be nonzero for figure-eight")
         for name in ("duration", "imu_rate", "gnss_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -92,7 +102,7 @@ class SensorCorruption:
 
 
 def _kinematics(profile, t):
-    """Closed-form planar kinematics at times ``t``.
+    """Closed-form planar kinematics at times ``t`` (all zero when stationary).
 
     Returns (pos (n,3), vel (n,3), acc (n,3), yaw (n,), yaw_rate (n,)).
     """
@@ -103,9 +113,7 @@ def _kinematics(profile, t):
     yaw = np.zeros(n)
     yaw_rate = np.zeros(n)
 
-    if profile.kind == "stationary":
-        pass
-    elif profile.kind == "straight-constant-accel":
+    if profile.kind == "straight-constant-accel":
         a = profile.accel
         pos[:, 0] = 0.5 * a * t**2
         vel[:, 0] = a * t
@@ -142,10 +150,6 @@ def _kinematics(profile, t):
         yaw = np.arctan2(vel[:, 1], vel[:, 0])
         speed2 = vel[:, 0] ** 2 + vel[:, 1] ** 2
         yaw_rate = (vel[:, 0] * acc[:, 1] - vel[:, 1] * acc[:, 0]) / speed2
-    else:
-        raise UnknownProfileKind(
-            f"unknown profile kind {profile.kind!r}; expected one of {PROFILE_KINDS}"
-        )
     return pos, vel, acc, yaw, yaw_rate
 
 

@@ -1,3 +1,4 @@
+import argparse
 import math
 import shutil
 import sys
@@ -7,7 +8,7 @@ import pytest
 
 import navfuse.fusion
 import navfuse.geodesy
-from navfuse.cli import main, read_gnss_csv, read_imu_csv
+from navfuse.cli import _NOT_SETTINGS, build_parser, main, read_gnss_csv, read_imu_csv
 from navfuse.fusion import FusionConfig, run_fusion
 from navfuse.geodesy import GeodeticCoord, geodetic_to_enu
 
@@ -53,6 +54,18 @@ class TestSimulateCommand:
         code = run(["simulate", "--profile", "circular", "--duration", "5",
                     "--out", tmp_path / "x"])
         assert code == 2
+
+    def test_unknown_profile_in_config_is_usage_error(self, tmp_path, capsys):
+        # The flag's choices do not guard a config file; the profile does.
+        config = tmp_path / "run.cfg"
+        config.write_text("profile=bogus\n")
+        code = run(["simulate", "--duration", "5", "--seed", "1", "--config", config,
+                    "--out", tmp_path / "x"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("usage error: unknown profile kind 'bogus'")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x").exists()
 
     def test_seed_from_config_file(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -388,6 +401,29 @@ class TestKittiConvertCommand:
 
 
 class TestParser:
+    def test_manifest_settings_are_the_flags(self, tmp_path, kitti_drive):
+        # Each config field is read under its setting's name and echoed in
+        # the manifest: a field without a flag, or a flag that no field
+        # reads, makes the two sets differ.
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        sim = tmp_path / "sim"
+        runs = [
+            ("simulate", ["--profile", "circular", "--duration", "2", "--seed", "1"], set()),
+            ("fuse", ["--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv"], {"gnss_rate"}),
+            ("fuse", ["--kitti", kitti_drive], set()),
+            ("kitti-convert", ["--kitti", kitti_drive], set()),
+        ]
+        not_read = {"command", "tool_version", "origin_lat_deg", "origin_lon_deg",
+                    "origin_alt_m", "input_imu", "input_gnss", "input_kitti"}
+        for k, (command, inputs, unread) in enumerate(runs):
+            out = sim if command == "simulate" else tmp_path / str(k)
+            assert run([command, *inputs, "--out", out]) == 0
+            lines = (out / "manifest").read_text().splitlines()
+            read = {line.split("=", 1)[0] for line in lines} - not_read - _NOT_SETTINGS
+            flags = {action.dest for action in sub.choices[command]._actions}
+            assert read == flags - _NOT_SETTINGS - unread, command
+
     def test_version_flag(self):
         assert run(["--version"]) == 0
 
@@ -421,13 +457,33 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--config", "gnss_sgima=5"],
             ["kitti-convert", "--kitti", "KITTI", "--config", "out=elsewhere"],
             ["fuse", "--imu", "imu.csv", "--gnss", "gnss.csv", "--gnss-rate", "5"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--radius", "0"],
+            ["simulate", "--profile", "figure-eight", "--duration", "5", "--seed", "1",
+             "--radius", "0"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--radius", "nan"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--radius", "inf"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--speed", "inf"],
+            ["simulate", "--profile", "straight-constant-accel", "--duration", "5", "--seed",
+             "1", "--accel", "nan"],
+            ["simulate", "--profile", "straight-constant-accel", "--duration", "5", "--seed",
+             "1", "--accel", "inf"],
+            ["simulate", "--profile", "figure-eight", "--duration", "5", "--seed", "1",
+             "--speed", "0"],
+            ["simulate", "--profile", "circular", "--duration", "5",
+             "--config", "seed=1\nseed=2"],
         ],
         ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
              "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
              "gamma-nan", "alpha-zero", "gate-nan", "gate-negative", "trace-ceiling-nan",
              "config-duration-text", "config-imu-rate-text", "config-fuse-gnss-rate-text",
              "config-alpha-text", "config-convert-gnss-rate-text", "config-unknown-key",
-             "config-path-key", "fuse-csv-gnss-rate"],
+             "config-path-key", "fuse-csv-gnss-rate", "circular-radius-zero",
+             "figure-eight-radius-zero", "radius-nan", "radius-inf", "speed-inf", "accel-nan",
+             "accel-inf", "figure-eight-speed-zero", "config-key-twice"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]

@@ -89,10 +89,16 @@ class TestGenerateTruth:
         with pytest.raises(ValueError):
             TrajectoryProfile("circular", duration=1.0, imu_rate=1.0, gnss_rate=10.0)
         for bad in (math.nan, math.inf):
-            for field in ("duration", "imu_rate", "gnss_rate"):
+            for field in ("duration", "imu_rate", "gnss_rate", "speed", "radius", "accel"):
                 kwargs = {"duration": 1.0, field: bad}
                 with pytest.raises(ValueError, match=field):
                     TrajectoryProfile("circular", **kwargs)
+        for kind, field in [("circular", "radius"), ("figure-eight", "radius"),
+                            ("figure-eight", "speed")]:
+            with pytest.raises(ValueError, match=field):
+                TrajectoryProfile(kind, duration=1.0, **{field: 0.0})
+        with pytest.raises(UnknownProfileKind):
+            TrajectoryProfile("bogus", duration=1.0)
 
 
 class TestCorrupt:

@@ -9,15 +9,21 @@ directory by ``extract`` of ``tools/fuse_pairs.py``.  Each side, in its
 own processes, simulates the drives of :data:`SIMULATED` at seed 42: the
 90 s circular drive (``circ90``), the same drive with a 7.3 m GNSS sigma,
 and the 600 s figure-eight with a fix at every 10 Hz IMU sample
-(``gnss-dense``).  Each side also converts the ``kitti-jitter`` drive of
+(``gnss-dense``).  It also simulates ``every-setting``, a 30 s
+figure-eight that sets every ``simulate`` setting away from its default
+through a ``--config`` file (:data:`EVERY_SIMULATE_SETTING`).  Each side
+also converts the ``kitti-jitter`` drive of
 ``perfbench/kitti_drive.py`` (seed 1) with ``kitti-convert``.  The script
 prints the sha256 of each stream (``imu.csv``, ``gnss.csv``,
 ``truth.csv``) and ``manifest`` on both sides.  Then each side runs
 ``navfuse fuse`` on every run of :data:`RUNS`, on the working tree's
 streams, and the script prints the sha256 of ``estimate.csv``,
 ``errors.csv``, ``rmse.csv``, ``track.csv`` and ``manifest`` on both
-sides.  A manifest is hashed without its ``input_*`` lines, which name
-the input paths.
+sides.  The ``fuse`` run of ``every-setting`` sets every ``fuse``
+setting away from its default through a ``--config`` file
+(:data:`EVERY_FUSE_SETTING`), all but ``gnss_rate``, which only a
+``--kitti`` input reads.  A manifest is hashed without its ``input_*``
+lines, which name the input paths.
 
 When a stream or a ``fuse`` output differs, :func:`moved_tables`
 reports how far it moved, tree against ref.  For each column of
@@ -34,8 +40,9 @@ command fails on either side or any output differs, by however little,
 and 0 otherwise.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
-``tests/`` imports it.  It runs for a few minutes and holds about 40 MB
-of streams and outputs in the temporary directory.
+``tests/`` imports it.  It runs for about 35 s on a 2-core machine (the
+``every-setting`` runs add about 2 s) and holds about 40 MB of streams
+and outputs in the temporary directory.
 """
 
 import argparse
@@ -61,6 +68,19 @@ SIMULATED = {
     "gnss-dense": ["--profile", "figure-eight", "--duration", "600",
                    "--imu-rate", "10", "--gnss-rate", "10"],
 }
+# Each setting of a command away from its default, written to a config
+# file that both sides read.
+EVERY_SIMULATE_SETTING = {
+    "profile": "figure-eight", "duration": 30, "imu_rate": 50, "gnss_rate": 2, "speed": 4,
+    "radius": 25, "accel": 0.5, "seed": 7, "gyro_std": 0.006, "accel_std": 0.08,
+    "gyro_bias_rw": 2e-6, "accel_bias_rw": 5e-5, "gnss_sigma": 5,
+}
+EVERY_FUSE_SETTING = {
+    "alpha": 0.5, "beta": 1.5, "gamma": 0.5, "gyro_std": 0.007, "accel_std": 0.09,
+    "gyro_bias_rw": 3e-6, "accel_bias_rw": 2e-4, "gnss_sigma": 6, "init_position_std": 8,
+    "init_velocity_std": 4, "init_attitude_std": 0.02, "init_gyro_bias_std": 2e-4,
+    "init_accel_bias_std": 2e-3, "gate": 16.27, "trace_ceiling": 40,
+}
 KITTI_SEED = 1
 # Name, drive (None for the KITTI fixture, read with --kitti), fuse flags.
 RUNS = [
@@ -72,6 +92,7 @@ RUNS = [
     ("circ90 --gnss-outage 0:100", "circ90", ["--gnss-outage", "0:100"]),
     ("--kitti tests/data/kitti_drive", None, []),
     ("kitti-jitter", "kitti-jitter", ["--gnss-outage", "300:330"]),
+    ("every-setting", "every-setting", []),
 ]
 
 
@@ -187,6 +208,12 @@ def drift(ref, tree, gate):
               f"{int((passed[0] != passed[1]).sum())}")
 
 
+def write_config(path, settings):
+    """Write ``settings`` to ``path`` as a ``key=value`` config file."""
+    path.write_text("".join(f"{key}={value}\n" for key, value in settings.items()))
+    return path
+
+
 def make_drives(sides, tmp):
     """Simulate and convert the drives with both sides and compare their
     streams; return the number of failures and differences, and the fuse
@@ -197,6 +224,8 @@ def make_drives(sides, tmp):
     drive = tmp / "kitti-drive"
     kitti_drive.write_drive(KITTI_SEED, drive)
     commands = {name: ["simulate", *shape, "--seed", "42"] for name, shape in SIMULATED.items()}
+    commands["every-setting"] = [
+        "simulate", "--config", write_config(tmp / "simulate.cfg", EVERY_SIMULATE_SETTING)]
     commands["kitti-jitter"] = ["kitti-convert", "--kitti", drive]
     differ = 0
     for name, command in commands.items():
@@ -214,7 +243,7 @@ def make_drives(sides, tmp):
             moved_tables(tmp / "ref" / name, tmp / "tree" / name, STREAMS[:-1])
         differ += moved
     inputs = {}
-    for name in SIMULATED:
+    for name in (*SIMULATED, "every-setting"):
         sim = tmp / "tree" / name
         inputs[name] = ["--imu", sim / "imu.csv", "--gnss", sim / "gnss.csv",
                         "--truth", sim / "truth.csv"]
@@ -224,6 +253,7 @@ def make_drives(sides, tmp):
         "--imu", conv / "imu.csv", "--gnss", conv / "gnss.csv", "--truth", drive / "truth.csv",
         "--gyro-std", repr(noise["gyro_std"]), "--accel-std", repr(noise["accel_std"]),
     ]
+    inputs["every-setting"] += ["--config", write_config(tmp / "fuse.cfg", EVERY_FUSE_SETTING)]
     inputs[None] = ["--kitti", REPO / "tests" / "data" / "kitti_drive"]
     return differ, inputs
 
