@@ -126,24 +126,23 @@ class _Resolver:
 _SETTING_OF = {"kind": "profile", "sigma": "gnss_sigma", "gnss_gate": "gate"}
 
 
-def _settings(cls, res, **given):
-    """A ``cls`` config: a field in ``given`` as is, a nested config (a
-    field with a ``default_factory``) built the same way, and any other
-    field from the setting of its name, or of :data:`_SETTING_OF`, that
-    ``res`` resolves; a required setting left unset is a usage error."""
+def _settings(cls, res):
+    """A ``cls`` config: a nested config (a field with a
+    ``default_factory``) built the same way, and any other field from the
+    setting of its name, or of :data:`_SETTING_OF`, that ``res``
+    resolves; a required setting left unset is a usage error."""
+    values = {}
     for f in fields(cls):
-        if f.name in given:
-            continue
         if f.default_factory is not MISSING:
-            given[f.name] = _settings(f.default_factory, res)
+            values[f.name] = _settings(f.default_factory, res)
         else:
             setting = _SETTING_OF.get(f.name, f.name)
             required = f.default is MISSING
             cast = f.type if f.type in (int, str) else float
-            given[f.name] = res.get(setting, None if required else f.default, cast)
-            if required and given[f.name] is None:
+            values[f.name] = res.get(setting, None if required else f.default, cast)
+            if required and values[f.name] is None:
                 raise _UsageError(f"--{setting.replace('_', '-')} is required")
-    return cls(**given)
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +216,7 @@ def _cmd_simulate(args):
     res = _Resolver(args)
     with _usage_errors():
         profile = _settings(TrajectoryProfile, res)
-        outages = tuple(_parse_outage(o) for o in (args.gnss_outage or []))
-        corruption = _settings(SensorCorruption, res, outages=outages)
+        corruption = _settings(SensorCorruption, res)
 
     truth, ideal = generate_truth(profile)
     imu, gnss = corrupt(truth, ideal, corruption, gnss_rate=profile.gnss_rate)
@@ -229,8 +227,7 @@ def _cmd_simulate(args):
     write_imu_csv(imu, out / "imu.csv")
     write_gnss_csv(gnss, out / "gnss.csv")
 
-    _write_manifest(out, "simulate", res, SCENARIO_ORIGIN,
-                    gnss_outage=";".join(f"{s}:{e}" for s, e in outages))
+    _write_manifest(out, "simulate", res, SCENARIO_ORIGIN)
     return 0
 
 
@@ -353,8 +350,6 @@ def build_parser():
     sim.add_argument("--radius", type=float, help="profile radius (m)")
     sim.add_argument("--accel", type=float, help="straight-profile acceleration (m/s^2)")
     sim.add_argument("--seed", type=int, help="64-bit RNG seed")
-    sim.add_argument("--gnss-outage", action="append", metavar="START:END",
-                     help="drop fixes in [START, END); repeatable")
     _add_noise_flags(sim)
     sim.add_argument("--config", help="key=value config file (flags take precedence)")
     sim.add_argument("--out", required=True, help="output directory")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import UnknownProfileKind
 from .geodesy import GeodeticCoord, enu_to_geodetic
-from .gnss import GnssNoise, GnssStream, decimate_indices, outage_mask
+from .gnss import GnssNoise, GnssStream, decimate_indices
 from .strapdown import GRAVITY, ImuNoiseParams, ImuStream
 
 #: Fixed geodetic anchor of simulated scenarios, so generated GNSS data
@@ -64,6 +64,15 @@ class TrajectoryProfile:
             raise ValueError(f"radius must be nonzero for {self.kind}")
         if self.speed == 0 and self.kind == "figure-eight":
             raise ValueError("speed must be nonzero for figure-eight")
+        if self.kind in ("circular", "figure-eight"):
+            # _kinematics' acceleration speed * w (w the turn rate), and the
+            # figure-eight's w**2 and yaw-rate numerator speed**2 * w.
+            w = self.speed / self.radius
+            peaks = [self.speed * w]
+            if self.kind == "figure-eight":
+                peaks += [w * w, self.speed * self.speed * w]
+            if not all(map(math.isfinite, peaks)):
+                raise ValueError(f"{self.kind} speed {self.speed} on radius {self.radius} overflows")
         for name in ("duration", "imu_rate", "gnss_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -88,13 +97,12 @@ class Truth:
 
 @dataclass(frozen=True)
 class SensorCorruption:
-    """Noise/bias/outage configuration; the seed is mandatory and
-    non-negative (a PCG64 seed)."""
+    """Noise and bias configuration (no GNSS outage); the seed is
+    mandatory and non-negative (a PCG64 seed)."""
 
     seed: int
     imu: ImuNoiseParams = field(default_factory=ImuNoiseParams)
     gnss: GnssNoise = field(default_factory=GnssNoise)
-    outages: tuple = ()
 
     def __post_init__(self):
         if self.seed < 0:
@@ -192,17 +200,15 @@ def generate_truth(profile):
     return truth, ideal
 
 
-def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN):
+def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0):
     """Produce a noisy :class:`ImuStream` and :class:`GnssStream` from a
     :class:`Truth` and its ideal IMU stream.
 
     IMU readings get additive white noise plus a per-axis bias random
     walk b_k = b_{k-1} + rw * sqrt(dt_k) * eta.  GNSS fixes are truth
-    positions decimated to ``gnss_rate``, perturbed per ENU axis, mapped
-    to geodetic about ``origin``, and dropped inside the half-open
-    outage windows [start, end).  Outage filtering happens after all
-    noise draws, so the surviving fixes are identical across outage
-    configurations at the same seed.
+    positions decimated to ``gnss_rate``, perturbed per ENU axis and
+    mapped to geodetic about :data:`SCENARIO_ORIGIN`.  It cuts no fixes:
+    ``fuse --gnss-outage`` or :func:`navfuse.gnss.outage_mask` does.
     """
     rng = np.random.default_rng(corruption.seed)
     n = len(ideal_imu)
@@ -226,9 +232,5 @@ def corrupt(truth, ideal_imu, corruption, gnss_rate=1.0, origin=SCENARIO_ORIGIN)
 
     fix_idx = decimate_indices(truth.t, gnss_rate)
     noise = rng.standard_normal((fix_idx.shape[0], 3)) * corruption.gnss.sigma
-
-    kept = ~outage_mask(truth.t[fix_idx], corruption.outages)
-    fix_idx = fix_idx[kept]
-    enu = truth.position[fix_idx] + noise[kept]
-    lat, lon, alt = enu_to_geodetic(enu, origin)
+    lat, lon, alt = enu_to_geodetic(truth.position[fix_idx] + noise, SCENARIO_ORIGIN)
     return imu_out, GnssStream(truth.t[fix_idx], lat, lon, alt)

@@ -178,9 +178,11 @@ class ImuNoiseParams:
     accel_bias_rw: float = 1e-4
 
     def __post_init__(self):
+        # process_noise_diag squares each magnitude.
         for name in ("gyro_std", "accel_std", "gyro_bias_rw", "accel_bias_rw"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (0 <= value and math.isfinite(float(value) * float(value))):
+                raise ValueError(f"{name} must be >= 0 with a finite square, got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from navfuse.geodesy import (
     enu_rotation,
     geodetic_to_ecef,
 )
+from navfuse.gnss import outage_mask
 from navfuse.kitti import load_sequence, parse_oxts_record
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
 from navfuse.strapdown import GRAVITY, propagate
@@ -43,9 +44,8 @@ def report(number, name):
 def _table1_streams(outages=()):
     profile = TrajectoryProfile("circular", duration=90.0, imu_rate=100.0, gnss_rate=1.0)
     truth, ideal = generate_truth(profile)
-    corruption = SensorCorruption(seed=42, outages=outages)
-    imu, gnss = corrupt(truth, ideal, corruption, gnss_rate=profile.gnss_rate)
-    return truth, imu, gnss
+    imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=profile.gnss_rate)
+    return truth, imu, gnss.take(~outage_mask(gnss.t, outages))
 
 
 @pytest.fixture(scope="module")

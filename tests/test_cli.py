@@ -125,6 +125,13 @@ class TestFuseCommand:
         assert len(est_lines) == 1 + 2000
         times = [float(line.split(",")[0]) for line in est_lines[1:]]
         assert any(5.0 <= t < 10.0 for t in times)
+        # The window [5, 10) is half-open: it cuts the fixes at t = 5..9
+        # and keeps those at t = 4 and t = 10.
+        nis = est_lines[0].split(",").index("nis")
+        fixed = [t for t, line in zip(times, est_lines[1:]) if line.split(",")[nis]]
+        assert len(fixed) == 15
+        assert not any(5.0 <= t < 10.0 for t in fixed)
+        assert 4.0 in fixed and 10.0 in fixed
 
     def test_missing_input_names_path(self, tmp_path, capsys):
         code = run(["fuse", "--imu", tmp_path / "absent.csv",
@@ -475,6 +482,14 @@ class TestParser:
              "--speed", "0"],
             ["simulate", "--profile", "circular", "--duration", "5",
              "--config", "seed=1\nseed=2"],
+            ["simulate", "--profile", "figure-eight", "--duration", "5", "--seed", "1",
+             "--speed", "1e200"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--speed", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--gyro-std", "1e160"],
+            ["fuse", "--kitti", "KITTI", "--accel-std", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--gyro-bias-walk", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--accel-bias-walk", "1e160"],
         ],
         ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
              "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
@@ -483,7 +498,9 @@ class TestParser:
              "config-alpha-text", "config-convert-gnss-rate-text", "config-unknown-key",
              "config-path-key", "fuse-csv-gnss-rate", "circular-radius-zero",
              "figure-eight-radius-zero", "radius-nan", "radius-inf", "speed-inf", "accel-nan",
-             "accel-inf", "figure-eight-speed-zero", "config-key-twice"],
+             "accel-inf", "figure-eight-speed-zero", "config-key-twice",
+             "figure-eight-speed-overflow", "circular-speed-overflow", "gyro-std-overflow",
+             "accel-std-overflow", "gyro-bias-walk-overflow", "accel-bias-walk-overflow"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]

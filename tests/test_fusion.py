@@ -7,7 +7,7 @@ from navfuse.errors import EmptyStream, InvalidScaling, NonMonotonicTime
 from navfuse.evaluate import align_and_diff, rmse, write_run
 from navfuse.fusion import FusionConfig, run_fusion, run_gnss_only
 from navfuse.geodesy import enu_to_geodetic
-from navfuse.gnss import GnssNoise, GnssStream
+from navfuse.gnss import GnssNoise, GnssStream, outage_mask
 from navfuse.simulate import (
     SCENARIO_ORIGIN,
     SensorCorruption,
@@ -126,8 +126,8 @@ class TestRunFusion:
     def test_outage_continuity(self):
         profile = TrajectoryProfile("circular", duration=60.0)
         truth, ideal = generate_truth(profile)
-        corr = SensorCorruption(seed=9, outages=((20.0, 35.0),))
-        imu, gnss = corrupt(truth, ideal, corr, gnss_rate=1.0)
+        imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=9), gnss_rate=1.0)
+        gnss = gnss.take(~outage_mask(gnss.t, [(20.0, 35.0)]))
         result = run_fusion(imu, gnss, FusionConfig())
         assert len(result.t) == len(imu)
         t = result.t

@@ -251,6 +251,13 @@ class TestProcessNoise:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="accel_bias_rw"):
                 ImuNoiseParams(accel_bias_rw=bad)
+        # A finite magnitude whose square overflows, as a float or numpy
+        # scalar, without an overflow warning; 1e150 squares to 1e300.
+        for name in ("gyro_std", "accel_std", "gyro_bias_rw", "accel_bias_rw"):
+            for bad in (1e160, np.float64(1e200)):
+                with pytest.raises(ValueError, match=name):
+                    ImuNoiseParams(**{name: bad})
+            ImuNoiseParams(**{name: 1e150})
 
 
 def predict_still(state, variances):

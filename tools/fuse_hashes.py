@@ -40,7 +40,7 @@ command fails on either side or any output differs, by however little,
 and 0 otherwise.
 
 It needs only the standard library and numpy, and nothing in ``src/`` or
-``tests/`` imports it.  It runs for about 35 s on a 2-core machine (the
+``tests/`` imports it.  It runs for about 40 s on a 2-core machine (the
 ``every-setting`` runs add about 2 s) and holds about 40 MB of streams
 and outputs in the temporary directory.
 """
@@ -90,6 +90,8 @@ RUNS = [
     ("gnss-dense --gate 3", "gnss-dense", ["--gate", "3"]),
     ("circ90 --gnss-outage 20:50", "circ90", ["--gnss-outage", "20:50"]),
     ("circ90 --gnss-outage 0:100", "circ90", ["--gnss-outage", "0:100"]),
+    ("circ90 --gnss-outage 20:30 --gnss-outage 50:60", "circ90",
+     ["--gnss-outage", "20:30", "--gnss-outage", "50:60"]),
     ("--kitti tests/data/kitti_drive", None, []),
     ("kitti-jitter", "kitti-jitter", ["--gnss-outage", "300:330"]),
     ("every-setting", "every-setting", []),
