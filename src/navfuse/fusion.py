@@ -29,14 +29,14 @@ So the UKF update of the paper equals the linear Kalman update, and
 applies it with v = y - p, S = P[0:3, 0:3] + R (symmetrized) and the
 cross covariance P[:, 0:3].  A fix that the gate rejects keeps the
 prior.  The error K v is retracted onto the nominal state by
-:func:`_retract`, q * exp(dtheta) for the attitude.  The checks of the
-generic path are kept, each matrix factored once: the prior and the
-posterior pass :func:`navfuse.ukf.validate_cov` (one ``eigvalsh`` each,
-which also gives the update's ``cov_min_eig``); the prior keeps the
-jitter-retry :class:`DecompositionFailure` of
-:func:`navfuse.ukf.cholesky_sqrt`; the one ``eigh`` of S in
-:func:`navfuse.ukf.innovation_inverse` feeds the
-:class:`SingularInnovationCov` check; and a non-finite S or v raises
+:func:`_retract`, q * exp(dtheta) for the attitude.  An update checks
+only the covariance it leaves, the posterior or, when the gate rejects
+the fix, the prior, by one :func:`navfuse.ukf.validate_cov`, whose
+``eigvalsh`` also gives ``cov_min_eig``; as K S K^T is PSD, the
+posterior's smallest eigenvalue is at most the prior's (Weyl).  The next
+prediction's :func:`navfuse.ukf.cholesky_sqrt` factors it.  The ``eigh``
+of S in :func:`navfuse.ukf.innovation_inverse` feeds
+:class:`SingularInnovationCov`, and a non-finite S or v raises
 :class:`InvalidCovariance`.
 
 A run is one pass over arrays, made in chunks of :data:`CHUNK_STEPS`
@@ -92,7 +92,6 @@ from .strapdown import (
 )
 from .ukf import (
     SigmaParams,
-    cholesky_sqrt,
     kalman_correct,
     unscented_transform,
     validate_cov,
@@ -129,9 +128,11 @@ class FusionConfig:
     trace_ceiling: float = 1e9
 
     def __post_init__(self):
+        # initial_covariance squares each.
         for name in _INIT_STDS:
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (0 < value and math.isfinite(float(value) * float(value))):
+                raise ValueError(f"{name} must be positive with a finite square, got {value}")
         for name in ("gnss_gate", "trace_ceiling"):
             value = getattr(self, name)
             if value is not None and not value > 0:
@@ -225,11 +226,10 @@ def _update(state, cov, y, r_cov, gate):
     noise covariance; ``gate`` (or None) bounds the accepted NIS.
 
     Returns the posterior state and covariance (the prior ones when the
-    gate rejects the fix) and the fields of the update's
-    :data:`UPDATE_DTYPE` row from ``nis`` on, as a tuple.
+    gate rejects the fix), checked by one :func:`validate_cov` and left
+    for the next :func:`_predict` to factor, and the fields of the
+    update's :data:`UPDATE_DTYPE` row from ``nis`` on, as a tuple.
     """
-    min_eig = validate_cov(cov)
-    cholesky_sqrt(cov)  # for its DecompositionFailure; the factor is not needed
     s = cov[0:3, 0:3] + r_cov
     s = 0.5 * (s + s.T)
     if not np.isfinite(s).all():
@@ -241,10 +241,8 @@ def _update(state, cov, y, r_cov, gate):
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))
     if accepted:
-        cov = posterior
-        min_eig = validate_cov(cov)
-        state = _retract(state, dx[:, None])[:, 0]
-    return state, cov, (nis, accepted, trace_before, float(np.trace(cov)), v, min_eig)
+        state, cov = _retract(state, dx[:, None])[:, 0], posterior
+    return state, cov, (nis, accepted, trace_before, float(np.trace(cov)), v, validate_cov(cov))
 
 
 #: IMU steps per chunk of :func:`fuse_chunks`, the rows that

@@ -45,8 +45,10 @@ class GnssNoise:
     sigma: float = 13.0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
-            raise InvalidNoise(f"GNSS sigma must be finite and >= 0, got {self.sigma}")
+        # measurement_covs squares it.
+        if not (0 <= self.sigma and math.isfinite(float(self.sigma) * float(self.sigma))):
+            raise InvalidNoise(f"GNSS sigma must be finite and >= 0 with a finite square, "
+                               f"got {self.sigma}")
 
 
 def decimate_indices(times, rate):
@@ -74,7 +76,8 @@ def measurement_covs(std, default_noise):
     """R = sigma^2 I (m, 3, 3) for the ``std`` (m,) of m fixes: a fix's
     receiver sigma, or the ``default_noise`` sigma where it is NaN.
 
-    Raises :class:`InvalidNoise` when a sigma that R uses is not positive.
+    Raises :class:`InvalidNoise` when a sigma that R uses is not positive
+    or its square is not finite.
     """
     sigmas = np.where(np.isnan(std), default_noise.sigma, std)
     bad = ~(sigmas > 0)
@@ -82,4 +85,8 @@ def measurement_covs(std, default_noise):
         raise InvalidNoise(f"GNSS sigma must be > 0, got {sigmas[bad][0]}")
     # float_power is libm pow, as Python's **; the ndarray ** operator
     # squares by multiplication and can differ in the last bit.
-    return np.float_power(sigmas, 2.0)[:, None, None] * np.eye(3)
+    with np.errstate(over="ignore"):
+        variances = np.float_power(sigmas, 2.0)
+    if not np.isfinite(variances).all():
+        raise InvalidNoise(f"GNSS sigma {sigmas[~np.isfinite(variances)][0]} has no finite square")
+    return variances[:, None, None] * np.eye(3)

@@ -50,8 +50,8 @@ class SigmaParams:
     gamma : float
         Secondary scaling factor, typically 1.
 
-    alpha, beta and gamma must be finite, and the derived ``kappa`` =
-    alpha^2 (n + gamma) - n must satisfy n + kappa > 0.
+    alpha, beta and gamma must be finite, alpha^2 and the derived
+    ``kappa`` = alpha^2 (n + gamma) - n too, and n + kappa > 0.
     """
 
     n: int
@@ -69,6 +69,9 @@ class SigmaParams:
         for name in ("alpha", "beta", "gamma"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidScaling(f"{name} must be finite, got {getattr(self, name)}")
+        alpha = float(self.alpha)
+        if not (math.isfinite(alpha * alpha) and math.isfinite(self.kappa)):
+            raise InvalidScaling(f"alpha {self.alpha} overflows alpha^2 or kappa")
         if self.n + self.kappa <= 0:
             raise InvalidScaling(
                 f"n + kappa must be positive, got {self.n + self.kappa}"

@@ -490,6 +490,16 @@ class TestParser:
             ["fuse", "--kitti", "KITTI", "--accel-std", "1e200"],
             ["fuse", "--kitti", "KITTI", "--gyro-bias-walk", "1e200"],
             ["fuse", "--kitti", "KITTI", "--accel-bias-walk", "1e160"],
+            ["fuse", "--kitti", "KITTI", "--gnss-sigma", "1e200"],
+            ["simulate", "--profile", "circular", "--duration", "5", "--seed", "1",
+             "--gnss-sigma", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--init-position-std", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--init-velocity-std", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--init-attitude-std", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--init-gyro-bias-std", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--init-accel-bias-std", "1e160"],
+            ["fuse", "--kitti", "KITTI", "--alpha", "1e200"],
+            ["fuse", "--kitti", "KITTI", "--alpha", "1e154"],
         ],
         ids=["duration-nan", "duration-below-one-sample", "imu-rate-nan", "gyro-std-negative",
              "init-position-std-negative", "gyro-std-nan", "fuse-gnss-rate-zero", "convert-gnss-rate-zero", "alpha-nan",
@@ -500,7 +510,11 @@ class TestParser:
              "figure-eight-radius-zero", "radius-nan", "radius-inf", "speed-inf", "accel-nan",
              "accel-inf", "figure-eight-speed-zero", "config-key-twice",
              "figure-eight-speed-overflow", "circular-speed-overflow", "gyro-std-overflow",
-             "accel-std-overflow", "gyro-bias-walk-overflow", "accel-bias-walk-overflow"],
+             "accel-std-overflow", "gyro-bias-walk-overflow", "accel-bias-walk-overflow",
+             "gnss-sigma-overflow", "simulate-gnss-sigma-overflow", "init-position-std-overflow",
+             "init-velocity-std-overflow", "init-attitude-std-overflow",
+             "init-gyro-bias-std-overflow", "init-accel-bias-std-overflow", "alpha-overflow",
+             "alpha-kappa-overflow"],
     )
     def test_bad_config_value_is_usage_error(self, tmp_path, kitti_drive, capsys, command):
         args = [kitti_drive if arg == "KITTI" else arg for arg in command]

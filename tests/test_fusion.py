@@ -210,6 +210,16 @@ class TestFusionConfig:
                 FusionConfig(**kwargs)
         assert FusionConfig(gnss_gate=None, trace_ceiling=math.inf).gnss_gate is None
 
+    def test_rejects_init_std_whose_square_overflows(self):
+        # initial_covariance squares each; 1e150 squares to 1e300.
+        for name in ("init_position_std", "init_velocity_std", "init_attitude_std",
+                     "init_gyro_bias_std", "init_accel_bias_std"):
+            for bad in (1e160, np.float64(1e200), math.inf):
+                with pytest.raises(ValueError, match=name):
+                    FusionConfig(**{name: bad})
+            cov = FusionConfig(**{name: 1e150}).initial_covariance()
+            assert np.isfinite(cov).all()
+
     def test_rejects_bad_sigma_scaling(self):
         for kwargs in ({"alpha": math.nan}, {"gamma": math.nan}, {"alpha": 0.0}):
             with pytest.raises(InvalidScaling):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,9 +106,12 @@ class TestMeasurementCov:
             measurement_covs(NAN, GnssNoise(0.0))
 
     def test_negative_sigma_rejected_at_construction(self):
-        for bad in (-1.0, math.nan, math.inf):
+        # So is a sigma whose square overflows, as a float or a numpy
+        # scalar, without an overflow warning; 1e150 squares to 1e300.
+        for bad in (-1.0, math.nan, math.inf, 1e160, np.float64(1e200)):
             with pytest.raises(InvalidNoise, match="GNSS sigma must be finite and >= 0"):
                 GnssNoise(bad)
+        assert GnssNoise(1e150).sigma == 1e150
 
     def test_per_fix_sigma_overrides_default(self):
         covs = measurement_covs(np.array([2.0, math.nan]), GnssNoise())
@@ -138,6 +142,12 @@ class TestMeasurementCov:
         for bad in (0.0, -2.0, -math.inf):
             with pytest.raises(InvalidNoise):
                 measurement_covs(np.array([1.0, bad]), GnssNoise())
+        # A receiver sigma whose square overflows, as KITTI's pos_accuracy
+        # can give, is named, with no overflow warning.
+        for bad in (1e200, math.inf):
+            with pytest.raises(InvalidNoise, match=re.escape(f"GNSS sigma {bad} has no finite")):
+                measurement_covs(np.array([1.0, bad, math.nan]), GnssNoise())
+        assert np.isfinite(measurement_covs(np.array([1e150]), GnssNoise())).all()
         with pytest.raises(InvalidNoise):
             measurement_covs(np.array([1.0, math.nan]), GnssNoise(0.0))
         # The default is only needed by a fix without a receiver sigma.

@@ -56,6 +56,12 @@ class TestSigmaParams:
         for kwargs in ({"alpha": math.nan}, {"gamma": math.nan}, {"beta": math.inf}):
             with pytest.raises(InvalidScaling, match="must be finite"):
                 SigmaParams(15, **kwargs)
+        # 1e200 squares to inf; 1e154 squares to 1e308, and kappa =
+        # 1e308 * 16 - 15 overflows.  A numpy scalar warns of nothing.
+        for bad in (1e200, np.float64(1e200), 1e154):
+            with pytest.raises(InvalidScaling, match="overflows"):
+                SigmaParams(15, alpha=bad)
+        assert math.isfinite(SigmaParams(15, alpha=1e150).kappa)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(InvalidScaling):

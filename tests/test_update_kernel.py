@@ -20,10 +20,11 @@ from oracles import reference_update
 
 import navfuse.fusion as fusion
 import navfuse.ukf as ukf
-from navfuse.errors import DecompositionFailure, SingularInnovationCov
+from navfuse.errors import DecompositionFailure, InvalidCovariance, SingularInnovationCov
 from navfuse.fusion import UPDATE_DTYPE, FusionConfig, run_fusion
 from navfuse.gnss import GnssNoise, measurement_covs
 from navfuse.simulate import SensorCorruption, TrajectoryProfile, corrupt, generate_truth
+from navfuse.strapdown import GRAVITY
 
 RTOL = 1e-11
 CFG = FusionConfig()
@@ -158,19 +159,46 @@ class TestEdgeCases:
                 update(nominal(), cov, np.zeros(3), -0.5 * np.eye(3), None)
 
     def test_indefinite_prior_raises(self):
+        # The kernel checks only the covariance it leaves: the prior when
+        # the gate rejects the fix, else the posterior P - K S K^T, whose
+        # smallest eigenvalue is at most the prior's as K S K^T is PSD.
         cov = CFG.initial_covariance()
         cov[0, 0] = -1.0
-        for update in (fusion._update, self.reference):
-            with pytest.raises(ValueError):
-                update(nominal(), cov, np.zeros(3), R_DEFAULT, None)
+        priors = [cov]
+        rng = np.random.default_rng(24)
+        for _ in range(40):
+            basis = np.linalg.qr(rng.standard_normal((15, 15)))[0]
+            eigs = np.r_[10.0 ** rng.uniform(-6.0, 2.0, 14), -(10.0 ** rng.uniform(-8.7, 0.0))]
+            prior = (basis * eigs) @ basis.T
+            priors.append(0.5 * (prior + prior.T))
+        y = nominal()[0:3] + np.array([40.0, -30.0, 20.0])
+        for prior in priors:
+            assert np.linalg.eigvalsh(prior)[0] <= -2e-9
+            for gate in (None, 1e-3):
+                for update in (fusion._update, self.reference):
+                    with pytest.raises(InvalidCovariance, match="eigenvalue"):
+                        update(nominal(), prior, y, R_DEFAULT, gate)
 
-    def test_prior_failing_cholesky_after_jitter(self):
+    def test_prior_failing_cholesky_after_jitter(self, monkeypatch):
         # Minimum eigenvalue -5e-10 passes the -1e-9 floor, but the jitter
-        # 1e-9 * trace / 15 is only ~1e-12.
+        # 1e-9 * trace / 15 is only ~1e-12.  The kernel leaves it in the
+        # posterior, and the prediction that follows fails to factor it.
         cov = np.diag(np.r_[np.full(14, 1e-3), -5e-10])
-        for update in (fusion._update, self.reference):
-            with pytest.raises(DecompositionFailure):
-                update(nominal(), cov, np.zeros(3), R_DEFAULT, None)
+        state, left, _ = fusion._update(nominal(), cov, np.zeros(3), R_DEFAULT, None)
+        with pytest.raises(DecompositionFailure):
+            fusion._predict(state, left, np.zeros(3), np.array([0.0, 0.0, GRAVITY]), 0.01,
+                            PARAMS, np.zeros(15))
+        with pytest.raises(DecompositionFailure):
+            self.reference(nominal(), cov, np.zeros(3), R_DEFAULT, None)
+        # As the initial covariance of a run with a fix at t = 0, the
+        # update of IMU sample 0 leaves it and the prediction of sample 1
+        # raises.
+        monkeypatch.setattr(FusionConfig, "initial_covariance", lambda self: cov.copy())
+        truth, ideal = generate_truth(TrajectoryProfile("circular", duration=2.0))
+        imu, gnss = corrupt(truth, ideal, SensorCorruption(seed=42), gnss_rate=10.0)
+        assert gnss.t[0] == imu.t[0] == 0.0
+        with pytest.raises(DecompositionFailure, match=r"^IMU sample 1 \(t = 0\.01 s\): "):
+            run_fusion(imu, gnss, CFG)
 
     def test_ill_conditioned_innovation_covariance(self):
         r_cov = np.diag([1.0, 1.0, 1e-15])
@@ -190,13 +218,16 @@ class TestEdgeCases:
         return reference_update(state, cov, y, r_cov, gate, PARAMS)
 
 
-def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
-    """Per fix, the run makes one 15x15 eigvalsh of the prior, one of the
-    posterior (none when the gate rejects it) and one 3x3 eigh of S,
-    corrects once through ``ukf.kalman_correct``, and never draws
-    measurement sigma points.  Per prediction it makes the one 4x4 eigh
-    of the attitude mean, and no other decomposition."""
+def test_one_eigendecomposition_of_the_covariance_left(monkeypatch):
+    """Per fix, the run makes one 15x15 eigvalsh, of the covariance the
+    update leaves (the posterior, or the prior when the gate rejects the
+    fix), and one 3x3 eigh of S, corrects once through
+    ``ukf.kalman_correct``, factors nothing, and never draws measurement
+    sigma points.  Per prediction it makes the one 4x4 eigh of the
+    attitude mean and the one Cholesky factor of the sigma points, and
+    no other decomposition."""
     shapes = []
+    factored = []
     corrections = []
     eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
 
@@ -211,6 +242,13 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted(eigvalsh))
     monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+    cholesky = np.linalg.cholesky
+
+    def counted_cholesky(a):
+        factored.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
     for name in ("unscented_measurement", "GaussianBelief"):
         monkeypatch.setattr(ukf, name, forbidden)
 
@@ -225,8 +263,9 @@ def test_one_eigendecomposition_of_prior_and_posterior(monkeypatch):
     result = run_fusion(imu, gnss, FusionConfig(gnss_gate=1.0))
     accepted = int(result.updates["accepted"].sum())
     assert 0 < accepted < len(gnss)
-    assert shapes.count(("eigvalsh", (15, 15))) == len(gnss) + accepted
+    assert shapes.count(("eigvalsh", (15, 15))) == len(gnss)
     assert shapes.count(("eigh", (3, 3))) == len(gnss)
     assert shapes.count(("eigh", (4, 4))) == len(imu) - 1
-    assert len(shapes) == 2 * len(gnss) + accepted + len(imu) - 1
+    assert len(shapes) == 2 * len(gnss) + len(imu) - 1
+    assert factored == [(15, 15)] * (len(imu) - 1)
     assert len(corrections) == len(gnss)
