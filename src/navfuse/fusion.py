@@ -26,18 +26,17 @@ transform reproduces the mean and covariance of an affine map exactly
 for any alpha, beta and gamma (Wan and van der Merwe 2000; Julier 2002).
 So the UKF update of the paper equals the linear Kalman update, and
 :func:`navfuse.ukf.kalman_correct`, the correction of the generic path,
-applies it with v = y - p, S = P[0:3, 0:3] + R (symmetrized) and the
-cross covariance P[:, 0:3].  A fix that the gate rejects keeps the
-prior.  The error K v is retracted onto the nominal state by
+applies it with v = y - p, the cross covariance P[:, 0:3] and
+HPH^T = P[0:3, 0:3]; there S = P[0:3, 0:3] + R (symmetrized) is formed,
+a non-finite S or v raises :class:`InvalidCovariance`, and the ``eigh``
+of S feeds :class:`SingularInnovationCov`.  A fix that the gate rejects
+keeps the prior.  The error K v is retracted onto the nominal state by
 :func:`_retract`, q * exp(dtheta) for the attitude.  An update checks
 only the covariance it leaves, the posterior or, when the gate rejects
 the fix, the prior, by one :func:`navfuse.ukf.validate_cov`, whose
 ``eigvalsh`` also gives ``cov_min_eig``; as K S K^T is PSD, the
 posterior's smallest eigenvalue is at most the prior's (Weyl).  The next
-prediction's :func:`navfuse.ukf.cholesky_sqrt` factors it.  The ``eigh``
-of S in :func:`navfuse.ukf.innovation_inverse` feeds
-:class:`SingularInnovationCov`, and a non-finite S or v raises
-:class:`InvalidCovariance`.
+prediction's :func:`navfuse.ukf.cholesky_sqrt` factors it.
 
 A run is one pass over arrays, made in chunks of :data:`CHUNK_STEPS`
 IMU steps so that the memory it takes beyond its inputs does not grow
@@ -230,14 +229,8 @@ def _update(state, cov, y, r_cov, gate):
     for the next :func:`_predict` to factor, and the fields of the
     update's :data:`UPDATE_DTYPE` row from ``nis`` on, as a tuple.
     """
-    s = cov[0:3, 0:3] + r_cov
-    s = 0.5 * (s + s.T)
-    if not np.isfinite(s).all():
-        raise InvalidCovariance("innovation covariance is not finite")
     v = y - state[0:3]
-    if not np.isfinite(v).all():
-        raise InvalidCovariance("innovation is not finite")
-    dx, posterior, nis = kalman_correct(cov, cov[:, 0:3], s, v)
+    dx, posterior, nis = kalman_correct(cov, cov[:, 0:3], cov[0:3, 0:3], r_cov, v)
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))
     if accepted:

@@ -18,7 +18,11 @@ its ``plus``, ``minus`` and ``average`` hooks are the boxplus/boxminus
 encapsulation of Hertzberg et al. (Information Fusion 2013).  The
 generic path runs it with vector addition, subtraction and the weighted
 sum, and :mod:`navfuse.fusion` with the navigation state's quaternion
-hooks; both correct through :func:`kalman_correct`.
+hooks.  Both updates correct through :func:`kalman_correct`, the one
+place where an innovation covariance is formed, checked and inverted:
+:func:`unscented_update` hands it the blocks of one transform of the
+stacked columns [x; h(x)], and :mod:`navfuse.fusion` the blocks of its
+affine position fix in closed form.
 """
 
 import functools
@@ -81,7 +85,7 @@ class SigmaParams:
 @dataclass(frozen=True)
 class GaussianBelief:
     """Mean vector and covariance matrix of a Gaussian state estimate; the
-    covariance must pass :func:`validate_cov`."""
+    covariance must pass :func:`validate_cov`, and the mean be finite."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -95,6 +99,8 @@ class GaussianBelief:
         if mean.ndim != 1 or cov.shape != (n, n):
             raise ValueError(f"shape mismatch: mean {mean.shape}, cov {cov.shape}")
         validate_cov(cov)
+        if not np.isfinite(mean).all():
+            raise ValueError("mean is not finite")
 
 
 def validate_cov(cov):
@@ -118,16 +124,6 @@ def validate_cov(cov):
     if min_eig < EIGEN_FLOOR:
         raise InvalidCovariance(f"covariance min eigenvalue {min_eig:.3e} below {EIGEN_FLOOR}")
     return min_eig
-
-
-@dataclass(frozen=True)
-class MeasurementPrediction:
-    """Predicted measurement moments: mean, innovation covariance (with R
-    folded in), and state-measurement cross covariance."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-    cross_cov: np.ndarray
 
 
 @functools.cache
@@ -241,23 +237,6 @@ def unscented_predict(belief, transition, q_cov, params):
     return GaussianBelief(mean, 0.5 * (cov + cov.T))
 
 
-def unscented_measurement(belief, measure, r_cov, params):
-    """Project ``belief`` through ``measure`` from freshly drawn sigma points.
-
-    One :func:`unscented_transform` of the stacked columns [x; h(x)] gives
-    the predicted measurement mean, the innovation covariance (measurement
-    noise ``r_cov`` folded in) and, as its off-diagonal block, the
-    state-measurement cross covariance.
-    """
-    n = params.n
-    project = _per_point(measure)
-    mean, cov = unscented_transform(
-        belief.mean, belief.cov, lambda x: np.vstack([x, project(x)]), params
-    )
-    y_cov = cov[n:, n:] + r_cov
-    return MeasurementPrediction(mean[n:], 0.5 * (y_cov + y_cov.T), cov[:n, n:])
-
-
 def check_innovation_eigs(eigs):
     """Reject an innovation covariance by its ascending eigenvalues: a
     smallest eigenvalue <= 0 or a reciprocal condition below 1e-14 raises
@@ -269,21 +248,23 @@ def check_innovation_eigs(eigs):
         )
 
 
-def innovation_inverse(s):
-    """Inverse of a symmetric innovation covariance ``s`` from one ``eigh``,
-    whose eigenvalues must first pass :func:`check_innovation_eigs`."""
+def kalman_correct(cov, cross, hph, r_cov, v):
+    """Correct a prior of covariance ``cov`` by the innovation ``v``, given
+    the state cross covariance ``cross`` and the measurement covariance
+    ``hph`` without noise.  S = hph + ``r_cov`` (symmetrized), then ``v``,
+    must be finite, else :class:`InvalidCovariance`; the eigenvalues of
+    S's one ``eigh`` must pass :func:`check_innovation_eigs`.  Returns the
+    state correction K v for the gain K = cross S^-1, the posterior
+    cov - K S K^T (symmetrized) and the NIS v^T S^-1 v."""
+    s = hph + r_cov
+    s = 0.5 * (s + s.T)
+    if not np.isfinite(s).all():
+        raise InvalidCovariance("innovation covariance is not finite")
+    if not np.isfinite(v).all():
+        raise InvalidCovariance("innovation is not finite")
     eigs, vecs = np.linalg.eigh(s)
     check_innovation_eigs(eigs)
-    return (vecs / eigs) @ vecs.T
-
-
-def kalman_correct(cov, cross, s, v):
-    """Correct a prior of covariance ``cov`` by the innovation ``v`` of
-    covariance ``s`` and state cross covariance ``cross``, with the gain
-    K = cross s^-1 from :func:`innovation_inverse`.  Returns the state
-    correction K v, the posterior cov - K s K^T (symmetrized) and the
-    NIS v^T s^-1 v."""
-    s_inv = innovation_inverse(s)
+    s_inv = (vecs / eigs) @ vecs.T
     nis = float(v @ s_inv @ v)
     gain = cross @ s_inv
     cov = cov - gain @ s @ gain.T
@@ -291,12 +272,19 @@ def kalman_correct(cov, cross, s, v):
 
 
 def unscented_update(belief, measure, r_cov, y, params):
-    """Full measurement update: regenerate sigma points, project, and
-    apply :func:`kalman_correct`.
+    """Full measurement update: one :func:`unscented_transform` of the
+    stacked columns [x; h(x)] from freshly drawn sigma points gives the
+    predicted measurement, its covariance and, as the off-diagonal block,
+    the state-measurement cross covariance; :func:`kalman_correct` applies
+    them.
 
     Returns the posterior belief and the innovation ``y - y_pred``.
     """
-    prediction = unscented_measurement(belief, measure, r_cov, params)
-    v = np.asarray(y, dtype=float) - prediction.mean
-    dx, cov, _ = kalman_correct(belief.cov, prediction.cross_cov, prediction.cov, v)
-    return GaussianBelief(belief.mean + dx, cov), v
+    n = params.n
+    project = _per_point(measure)
+    mean, cov = unscented_transform(
+        belief.mean, belief.cov, lambda x: np.vstack([x, project(x)]), params
+    )
+    v = np.asarray(y, dtype=float) - mean[n:]
+    dx, posterior, _ = kalman_correct(belief.cov, cov[:n, n:], cov[n:, n:], r_cov, v)
+    return GaussianBelief(belief.mean + dx, posterior), v

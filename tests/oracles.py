@@ -41,7 +41,7 @@ from navfuse.ukf import (
     GaussianBelief,
     check_innovation_eigs,
     cholesky_sqrt,
-    unscented_measurement,
+    unscented_transform,
 )
 
 WGS84_A = "6378137.0"
@@ -279,25 +279,28 @@ def reference_predict(state, cov, gyro, accel, dt, params, w_mean, w_cov, q_cov)
 
 
 def reference_update(state, cov, y, r_cov, gate, params):
-    """GNSS position update through the generic UKF: 31 sigma points of the
-    error belief pushed through h(delta) = p + delta[0:3], the NIS and the
+    """GNSS position update through the generic UKF: one transform of the
+    stacked columns [delta; h(delta)] of the 31 sigma points of the error
+    belief, for h(delta) = p + delta[0:3], the NIS and the
     gain from Cholesky solves with S (``scipy.linalg``), the retraction of
     the posterior error mean, and the update diagnostics.  Returns
     ``(state, cov, fields)`` like ``fusion._update``."""
     belief = GaussianBelief(np.zeros(ERROR_DIM), cov)
-    position = state[0:3]
-    prediction = unscented_measurement(
-        belief, lambda delta: position + delta[0:3], r_cov, params
+    position = state[0:3, None]
+    mean, moments = unscented_transform(
+        belief.mean, belief.cov, lambda delta: np.vstack([delta, position + delta[0:3]]), params
     )
-    check_innovation_eigs(np.linalg.eigvalsh(prediction.cov))
-    factor = cho_factor(prediction.cov, lower=True)
-    innovation = np.asarray(y, dtype=float) - prediction.mean
+    s = moments[ERROR_DIM:, ERROR_DIM:] + r_cov
+    s = 0.5 * (s + s.T)
+    check_innovation_eigs(np.linalg.eigvalsh(s))
+    factor = cho_factor(s, lower=True)
+    innovation = np.asarray(y, dtype=float) - mean[ERROR_DIM:]
     nis = float(innovation @ cho_solve(factor, innovation))
     accepted = gate is None or nis <= gate
     trace_before = float(np.trace(cov))
     if accepted:
-        gain = cho_solve(factor, prediction.cross_cov.T).T
-        cov = cov - gain @ prediction.cov @ gain.T
+        gain = cho_solve(factor, moments[:ERROR_DIM, ERROR_DIM:].T).T
+        cov = cov - gain @ s @ gain.T
         posterior = GaussianBelief(gain @ innovation, 0.5 * (cov + cov.T))
         state = _retract(state, posterior.mean)
         cov = posterior.cov

@@ -14,9 +14,8 @@ from navfuse.ukf import (
     SigmaParams,
     cholesky_sqrt,
     compute_weights,
-    innovation_inverse,
+    kalman_correct,
     sigma_offsets,
-    unscented_measurement,
     unscented_predict,
     unscented_transform,
     unscented_update,
@@ -29,6 +28,18 @@ from oracles import LinearKalmanFilter
 def random_psd(rng, n, scale=1.0):
     b = rng.standard_normal((n, n))
     return scale * (b @ b.T + n * np.eye(n))
+
+
+def measurement_moments(belief, h, params):
+    """The predicted measurement, its covariance without noise and the
+    state-measurement cross covariance: the blocks of the one transform
+    of the stacked columns [x; h(x)] that ``unscented_update`` makes."""
+    n = params.n
+    mean, cov = unscented_transform(
+        belief.mean, belief.cov, lambda x: np.vstack([x, np.column_stack([h(c) for c in x.T])]),
+        params,
+    )
+    return mean[n:], cov[n:, n:], cov[:n, n:]
 
 
 def sigma_points(mean, cov, params):
@@ -140,7 +151,8 @@ class TestSigmaPoints:
             lambda: sigma_offsets(np.eye(3)[:, :2], SigmaParams(3)),
             lambda: sigma_points([0.0], [[1.0]], SigmaParams(2)),
             lambda: unscented_predict(one, lambda x: x, np.zeros((1, 1)), SigmaParams(3)),
-            lambda: unscented_measurement(one, lambda x: x, np.eye(1), SigmaParams(3)),
+            lambda: unscented_transform(one.mean, one.cov, lambda x: np.vstack([x, x]),
+                                        SigmaParams(3)),
             lambda: unscented_update(one, lambda x: x, np.eye(1), [0.0], SigmaParams(3)),
         ]
         for case in cases:
@@ -282,10 +294,9 @@ class TestUpdate:
         params = SigmaParams(n)
         cov = random_psd(rng, n)
         belief = GaussianBelief(np.zeros(n), cov)
-        r = np.eye(3)
-        mp = unscented_measurement(belief, lambda x: x[:3], r, params)
-        np.testing.assert_allclose(mp.cov, cov[:3, :3] + r, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(mp.cross_cov, cov[:, :3], rtol=1e-10, atol=1e-10)
+        _, hph, cross = measurement_moments(belief, lambda x: x[:3], params)
+        np.testing.assert_allclose(hph, cov[:3, :3], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(cross, cov[:, :3], rtol=1e-10, atol=1e-10)
 
     def test_nonlinear_measurement_moments_match_row_sums(self):
         # The stacked transform of [x; h(x)] against the explicit sums
@@ -294,21 +305,33 @@ class TestUpdate:
         n = 3
         params = SigmaParams(n, alpha=0.5)
         belief = GaussianBelief(rng.standard_normal(n), random_psd(rng, n, scale=0.2))
-        r = random_psd(rng, 3, scale=0.1)
 
         def h(x):
             return np.array([x[0] ** 2, np.sin(x[1]), x[0] * x[2]])
 
-        mp = unscented_measurement(belief, h, r, params)
+        y_mean, hph, cross_cov = measurement_moments(belief, h, params)
         w_mean, w_cov = compute_weights(params)
         xs = (belief.mean[:, None] + sigma_offsets(belief.cov, params)).T
         ys = np.array([h(x) for x in xs])
         y_bar = w_mean @ ys
         cross = sum(w * np.outer(x - belief.mean, y - y_bar) for w, x, y in zip(w_cov, xs, ys))
-        y_cov = sum(w * np.outer(y - y_bar, y - y_bar) for w, y in zip(w_cov, ys)) + r
-        np.testing.assert_allclose(mp.mean, y_bar, rtol=1e-10)
-        np.testing.assert_allclose(mp.cross_cov, cross, rtol=1e-10)
-        np.testing.assert_allclose(mp.cov, y_cov, rtol=1e-10)
+        y_cov = sum(w * np.outer(y - y_bar, y - y_bar) for w, y in zip(w_cov, ys))
+        np.testing.assert_allclose(y_mean, y_bar, rtol=1e-10)
+        np.testing.assert_allclose(cross_cov, cross, rtol=1e-10)
+        np.testing.assert_allclose(hph, y_cov, rtol=1e-10)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, bad):
+        # The message that ``fuse`` gives for a non-finite fix.
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidCovariance, match="^innovation is not finite$"):
+            unscented_update(belief, lambda x: x[:1], np.eye(1), [bad], SigmaParams(2))
+
+    def test_non_finite_predicted_measurement_rejected(self):
+        # The message that ``fuse`` gives for a non-finite S.
+        belief = GaussianBelief(np.zeros(2), np.eye(2))
+        with pytest.raises(InvalidCovariance, match="^innovation covariance is not finite$"):
+            unscented_update(belief, lambda x: np.array([np.nan]), np.eye(1), [0.0], SigmaParams(2))
 
 
 class TestInnovationInverse:
@@ -316,7 +339,12 @@ class TestInnovationInverse:
         rng = np.random.default_rng(53)
         for _ in range(50):
             s = random_psd(rng, 3, scale=rng.uniform(1e-3, 1e3))
-            np.testing.assert_allclose(innovation_inverse(s), np.linalg.inv(s), rtol=1e-12)
+            # With cross = I and v the unit vectors, K v is column k of S^-1.
+            s_inv = np.column_stack([
+                kalman_correct(np.zeros((3, 3)), np.eye(3), s, np.zeros((3, 3)), e)[0]
+                for e in np.eye(3)
+            ])
+            np.testing.assert_allclose(s_inv, np.linalg.inv(s), rtol=1e-12)
 
 
 class TestBeliefValidation:
@@ -328,6 +356,11 @@ class TestBeliefValidation:
     def test_indefinite_covariance_rejected(self):
         with pytest.raises(ValueError):
             GaussianBelief(np.zeros(2), np.diag([1.0, -1e-3]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_mean_rejected(self, bad):
+        with pytest.raises(ValueError, match="^mean is not finite$"):
+            GaussianBelief([bad, 0.0], np.eye(2))
 
     def test_small_negative_eigenvalue_tolerated(self):
         belief = GaussianBelief(np.zeros(2), np.diag([1.0, -5e-10]))

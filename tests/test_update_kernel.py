@@ -206,6 +206,17 @@ class TestEdgeCases:
             with pytest.raises(SingularInnovationCov):
                 update(nominal(), np.zeros((15, 15)), np.zeros(3), r_cov, None)
 
+    def test_non_finite_innovation_messages(self):
+        # ``kalman_correct`` checks S, then v; ``unscented_update`` gives
+        # the same messages (test_ukf.py).
+        cases = [
+            ("^innovation is not finite$", CFG.initial_covariance(), np.array([np.nan, 0.0, 0.0])),
+            ("^innovation covariance is not finite$", np.full((15, 15), np.inf), np.zeros(3)),
+        ]
+        for message, cov, y in cases:
+            with pytest.raises(InvalidCovariance, match=message):
+                fusion._update(nominal(), cov, y, R_DEFAULT, None)
+
     def test_nan_state_raises(self):
         state = nominal()
         state[0] = np.nan
@@ -249,7 +260,7 @@ def test_one_eigendecomposition_of_the_covariance_left(monkeypatch):
         return cholesky(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    for name in ("unscented_measurement", "GaussianBelief"):
+    for name in ("unscented_update", "GaussianBelief"):
         monkeypatch.setattr(ukf, name, forbidden)
 
     def correct(*args):
