@@ -179,10 +179,10 @@ def write_gnss_csv(gnss, path):
     _write_table(path, _GEODETIC_HEADER, columns)
 
 
-def write_truth_csv(truth, origin, path):
-    """Write the :class:`Truth` positions, ENU offsets from ``origin``, as
-    geodetic rows."""
-    write_gnss_csv(GnssStream(truth.t, *enu_to_geodetic(truth.position, origin)), path)
+def write_truth_csv(truth, path):
+    """Write the :class:`Truth` positions, ENU offsets from
+    :data:`SCENARIO_ORIGIN`, as geodetic rows."""
+    write_gnss_csv(GnssStream(truth.t, *enu_to_geodetic(truth.position, SCENARIO_ORIGIN)), path)
 
 
 def _write_manifest(out_dir, command, res, origin=None, **entries):
@@ -223,7 +223,7 @@ def _cmd_simulate(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_truth_csv(truth, SCENARIO_ORIGIN, out / "truth.csv")
+    write_truth_csv(truth, out / "truth.csv")
     write_imu_csv(imu, out / "imu.csv")
     write_gnss_csv(gnss, out / "gnss.csv")
 

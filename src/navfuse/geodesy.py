@@ -110,56 +110,55 @@ def geodetic_to_ecef(lat, lon, height):
     )
 
 
+def _rows(points, name):
+    """``points``, one (3,) or n (n, 3), as an (n, 3) float array."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != 3:
+        raise ValueError(f"{name} must have shape (3,) or (n, 3), not {points.shape}")
+    return points.reshape(-1, 3)
+
+
 def ecef_to_geodetic(points):
-    """Invert :func:`geodetic_to_ecef`: ECEF points (n, 3) as the arrays
-    (lat, lon, height).
+    """Invert :func:`geodetic_to_ecef`: ECEF points, one (3,) or n (n, 3),
+    as the arrays (lat, lon, height).
 
-    Uses a Bowring-style starting latitude followed by a fixed-point
-    refinement (at most 10 iterations, convergence 1e-12 rad), elementwise:
-    a point is frozen at the iteration where it converges.  The fixed
-    point iterates tan(lat) = (z + e^2 R_N sin(lat)) / rho, which stays
-    well conditioned at all latitudes.  On the polar axis the latitude is
-    +-pi/2 and the longitude 0 by convention.
-
-    Raises
-    ------
-    NearSingularity
-        If a point lies within 1 km of the Earth's center.
+    Heikkinen's closed form (Z. f. Vermessungswesen 1982; in Zhu, IEEE
+    TAES 1994), elementwise: lat = arctan2(z + e'^2 z0, rho) and
+    h = U (1 - b^2 / (a V)), where e'^2 z0 = e^2 a z / V.  On the polar
+    axis (rho < 1e-9 m) the latitude is +-pi/2, the longitude 0 and the
+    height |z| - b.  Raises ``ValueError`` on another shape or a
+    non-finite point (naming its row), and :class:`NearSingularity`
+    within (a^2 - b^2) / b = 42.84 km of the center: that ball holds the
+    evolute of the meridian ellipse, inside which a point has more than
+    one latitude and the closed form no real root.
     """
     a, b, e2 = WGS84.a, WGS84.b, WGS84.e2
+    points = _rows(points, "ECEF points")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {int(np.argmin(finite))}: ECEF point is not finite")
     # Contiguous rows, so that every point takes the same ufunc loops.
-    x, y, z = np.array(points, dtype=float).reshape(-1, 3).T.copy()
+    x, y, z = points.T.copy()
     r = np.sqrt(x * x + y * y + z * z)
-    if (r < 1000.0).any():
+    if (r <= (a * a - b * b) / b).any():
         raise NearSingularity(f"point {r.min():.1f} m from Earth's center cannot be inverted")
     rho = np.hypot(x, y)
     polar = rho < 1e-9
-    lon = np.where(polar, 0.0, np.arctan2(y, x))
-
-    ep2 = (a * a - b * b) / (b * b)
-    beta = np.arctan2(z * a, rho * b)
-    lat = np.arctan2(
-        z + ep2 * b * np.float_power(np.sin(beta), 3.0),
-        rho - e2 * a * np.float_power(np.cos(beta), 3.0),
-    )
-    active = np.flatnonzero(~polar)
-    for _ in range(10):
-        s = np.sin(lat[active])
-        rn = a / np.sqrt(1.0 - e2 * s * s)
-        new_lat = np.arctan2(z[active] + e2 * rn * s, rho[active])
-        done = np.abs(new_lat - lat[active]) < 1e-12
-        lat[active] = new_lat
-        active = active[~done]
-        if not active.size:
-            break
-
-    s, c = np.sin(lat), np.cos(lat)
-    rn = a / np.sqrt(1.0 - e2 * s * s)
-    with np.errstate(divide="ignore", invalid="ignore"):  # in the branch not taken
-        height = np.where(np.abs(c) > np.abs(s), rho / c - rn, z / s - rn * (1.0 - e2))
-    lat = np.where(polar, np.copysign(math.pi / 2, z), lat)
-    height = np.where(polar, np.abs(z) - b, height)
-    return lat, lon, height
+    f = 54.0 * b * b * z * z
+    g = rho * rho + (1.0 - e2) * z * z - e2 * (a * a - b * b)
+    fg = f / (g * g)  # first, as g^3 overflows beyond about 1e51 m
+    c = e2 * e2 * fg * (rho * rho / g)
+    s = np.cbrt(1.0 + c + np.sqrt(c * c + 2.0 * c))
+    p = fg / (3.0 * (s + 1.0 + 1.0 / s) ** 2)
+    q = np.sqrt(1.0 + 2.0 * e2 * e2 * p)
+    # On the polar axis this can round below 0.
+    root = 0.5 * a * a * (1.0 + 1.0 / q) - p * (1.0 - e2) * z * z / (q * (1.0 + q))
+    root -= 0.5 * p * rho * rho
+    t = rho - e2 * (np.sqrt(np.maximum(root, 0.0)) - p * e2 * rho / (1.0 + q))
+    v = np.sqrt(t * t + (1.0 - e2) * z * z)
+    lat = np.where(polar, np.copysign(math.pi / 2, z), np.arctan2(z + e2 * a * z / v, rho))
+    height = np.where(polar, np.abs(z) - b, np.sqrt(t * t + z * z) * (1.0 - b * b / (a * v)))
+    return lat, np.where(polar, 0.0, np.arctan2(y, x)), height
 
 
 def enu_rotation(origin):
@@ -198,9 +197,9 @@ def geodetic_to_enu(lat, lon, height, origin):
 
 
 def enu_to_geodetic(enu, origin):
-    """Invert :func:`geodetic_to_enu`: ENU offsets (n, 3) from the
-    :class:`GeodeticCoord` ``origin`` as the arrays (lat, lon, height),
-    each point the :func:`ecef_to_geodetic` of origin_ecef + rotation.T @
-    offset."""
-    rotated = (enu_rotation(origin).T @ np.asarray(enu, dtype=float)[:, :, None])[:, :, 0]
+    """Invert :func:`geodetic_to_enu`: ENU offsets, one (3,) or n (n, 3),
+    from the :class:`GeodeticCoord` ``origin`` as the arrays (lat, lon,
+    height), each point the :func:`ecef_to_geodetic` of origin_ecef +
+    rotation.T @ offset."""
+    rotated = (enu_rotation(origin).T @ _rows(enu, "ENU offsets")[:, :, None])[:, :, 0]
     return ecef_to_geodetic(geodetic_to_ecef(origin.lat, origin.lon, origin.height) + rotated)

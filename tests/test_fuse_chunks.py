@@ -183,7 +183,7 @@ def write_streams(tmp_path, imu, gnss, truth):
     outside the truth span."""
     write_imu_csv(imu, tmp_path / "imu.csv")
     write_gnss_csv(gnss.take(slice(1, -1)), tmp_path / "gnss.csv")
-    write_truth_csv(truth, SCENARIO_ORIGIN, tmp_path / "truth.csv")
+    write_truth_csv(truth, tmp_path / "truth.csv")
     return ["--imu", tmp_path / "imu.csv", "--gnss", tmp_path / "gnss.csv",
             "--truth", tmp_path / "truth.csv"]
 

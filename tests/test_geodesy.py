@@ -106,9 +106,49 @@ class TestEcefToGeodetic:
         np.testing.assert_allclose(lon[off_pole], g_lon[off_pole], rtol=0, atol=1e-9)
         assert np.abs(geodetic_to_ecef(lat, lon, height) - p).max() < 1e-6
 
+    def test_round_trip_from_evolute_to_geostationary(self):
+        # Directions on and off the polar axis, at radii from just outside
+        # the ball that holds the evolute of the meridian ellipse, of
+        # radius (a^2 - b^2) / b, to 4.2e7 m.
+        rng = np.random.default_rng(73)
+        directions = np.vstack([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0],
+                                rng.normal(size=(300, 3))])
+        directions /= np.linalg.norm(directions, axis=1)[:, None]
+        bound = (WGS84.a**2 - WGS84.b**2) / WGS84.b
+        radii = np.concatenate([np.geomspace(1.001 * bound, 4.2e7, 40), [55e3, 1e5]])
+        for radius in radii:
+            p = radius * directions
+            lat, lon, height = ecef_to_geodetic(p)
+            assert np.isfinite([lat, lon, height]).all()
+            assert np.abs(geodetic_to_ecef(lat, lon, height) - p).max() <= 1e-6
+
     def test_near_center_rejected(self):
-        with pytest.raises(NearSingularity):
-            ecef_to_geodetic([[WGS84.a, 0.0, 0.0], [100.0, 50.0, 10.0]])
+        # Within (a^2 - b^2) / b of the center, where the evolute of the
+        # meridian ellipse lies: 100 m, 5 km and 40 km off the center, and
+        # on the polar axis just inside the bound.
+        bound = (WGS84.a**2 - WGS84.b**2) / WGS84.b
+        for point in ([100.0, 50.0, 10.0], [3e3, -4e3, 0.0], [0.0, 2.4e4, 3.2e4],
+                      [0.0, 0.0, -0.999 * bound]):
+            with pytest.raises(NearSingularity):
+                ecef_to_geodetic([[WGS84.a, 0.0, 0.0], point])
+
+    def test_non_finite_point_rejected(self):
+        # Directly, and as the ECEF point of a non-finite ENU offset.
+        origin = GeodeticCoord(0.8, 0.1, 30.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="row 1: ECEF point is not finite"):
+                ecef_to_geodetic([[WGS84.a, 0.0, 0.0], [bad, 0.0, 0.0], [0.0, 0.0, bad]])
+            with pytest.raises(ValueError, match="row 1: ECEF point is not finite"):
+                enu_to_geodetic([[0.0, 0.0, 0.0], [0.0, bad, 0.0]], origin)
+
+    def test_one_point_or_rows_only(self):
+        origin = GeodeticCoord(0.8, 0.1, 30.0)
+        for invert in (ecef_to_geodetic, lambda p: enu_to_geodetic(p, origin)):
+            for got, want in zip(invert(KARLSRUHE), invert([KARLSRUHE])):
+                assert got.shape == (1,) and np.array_equal(got, want)
+            for shape in [(3, 2), (2,), (1, 1, 3), (), (2, 4)]:
+                with pytest.raises(ValueError, match=r"must have shape \(3,\) or \(n, 3\)"):
+                    invert(np.full(shape, 7e6))
 
     def test_matches_high_precision_oracle(self):
         # ECEF points of random geodetic points at 50 digits invert back
@@ -129,8 +169,8 @@ class TestEcefToGeodetic:
     def test_array_call_gives_one_point_bits(self):
         # A point gets the same bits whatever else is in the call: the
         # polar axis (exactly on it, and within the 1e-9 m of the
-        # convention), the equator, and points whose fixed point converges
-        # after one, two and three refinements (the height sets the count).
+        # convention), the equator, and points from 900 m below the
+        # ellipsoid to 4e7 m above it.
         points = np.vstack([
             [[0.0, 0.0, WGS84.b], [0.0, 0.0, -WGS84.b], [3e-10, -2e-10, 7e6]],
             geodetic_to_ecef(
